@@ -3,7 +3,7 @@ plus a zero-shot classification and evaluation pipeline."""
 
 __version__ = "0.1.0"
 
-from .alignment import LossConfig, MiniBatch, TripletSet, loss_backward, loss_forward, mine_triplets
+from .alignment import LossConfig, MiniBatch, alignment_loss
 from .compat import (
     AttributeTable,
     CompatibilityModel,

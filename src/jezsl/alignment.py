@@ -1,4 +1,4 @@
-"""Structure-preserving alignment loss with in-minibatch triplet mining.
+"""Structure-preserving alignment loss, evaluated by one fused kernel.
 
 Four hinge-loss families over Euclidean distances between unit-norm
 embedding rows:
@@ -9,21 +9,25 @@ embedding rows:
   term4: sentence anchor, within-modal neighborhood (weight lambda3)
 
 Rows sharing a group id are mutual positives. Triplets never cross minibatch
-boundaries. The vectorized loss and its exact (sub)gradient are checked
-against brute-force loop oracles and finite differences in the tests.
+boundaries. Every valid triplet of the minibatch contributes ("batch-all"),
+but none is listed: `alignment_loss` sorts each anchor row's positive
+thresholds together with its negative distances, which counts for every
+distance how many active hinges it enters, in O(b^2 log b). The loss and its
+exact (sub)gradient are checked against an enumerating oracle, a brute-force
+loop and finite differences in the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
 from .linalg import as_matrix
 
-# Hinge terms exactly at the boundary (m + d_pos - d_neg == 0) are treated
-# as inactive, matching the right-limit of max(0, .) from below.
+# Anchor rows per chunk of the distance and merge passes. Temporaries stay
+# O(b^2 + ANCHOR_CHUNK * b * d) however large the minibatch.
+ANCHOR_CHUNK = 64
 
 
 @dataclass
@@ -39,19 +43,6 @@ class LossConfig:
         for name in ("lambda1", "lambda2", "lambda3"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-
-
-@dataclass
-class TripletSet:
-    """Index triples (anchor, positive, negative) for the four loss terms."""
-
-    term1: np.ndarray  # cross-modal, image anchors, shape (n, 3)
-    term2: np.ndarray  # cross-modal, sentence anchors
-    term3: np.ndarray  # within visual modality
-    term4: np.ndarray  # within sentence modality
-
-    def total(self) -> int:
-        return len(self.term1) + len(self.term2) + len(self.term3) + len(self.term4)
 
 
 @dataclass
@@ -74,134 +65,114 @@ class MiniBatch:
             raise ValueError("visual and sentence embeddings must share width")
 
 
-def _empty_triples() -> np.ndarray:
-    return np.zeros((0, 3), dtype=np.int64)
-
-
-def mine_triplets(batch: MiniBatch) -> TripletSet:
-    """Enumerate every valid triple, lexicographically in (i, j, k).
-
-    Cross-modal terms allow j == i (a row is paired with its own counterpart
-    in the other stream); within-modal terms require j != i. May return empty
-    term lists when fewer than two groups are present.
-    """
-    groups = batch.group_ids
-    b = len(groups)
-    same = groups[:, None] == groups[None, :]
-
-    cross = []
-    within = []
-    for i in range(b):
-        pos = np.nonzero(same[i])[0]
-        neg = np.nonzero(~same[i])[0]
-        if len(neg) == 0:
-            continue
-        for j in pos:
-            for k in neg:
-                cross.append((i, j, k))
-                if j != i:
-                    within.append((i, j, k))
-    cross_arr = np.asarray(cross, dtype=np.int64) if cross else _empty_triples()
-    within_arr = np.asarray(within, dtype=np.int64) if within else _empty_triples()
-    # Terms 2 and 4 enumerate the same index structure with stream roles
-    # exchanged, so the index lists coincide.
-    return TripletSet(
-        term1=cross_arr,
-        term2=cross_arr.copy(),
-        term3=within_arr,
-        term4=within_arr.copy(),
-    )
-
-
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    # Broadcast differences rather than the Gram-matrix identity, which
+    # loses precision near d = 0 and would move hinges across zero.
+    out = np.empty((len(a), len(b)))
+    for r in range(0, len(a), ANCHOR_CHUNK):
+        diff = a[r : r + ANCHOR_CHUNK, None, :] - b[None, :, :]
+        np.multiply(diff, diff, out=diff)
+        np.sqrt(np.sum(diff, axis=2), out=out[r : r + ANCHOR_CHUNK])
+    return out
 
 
-def _term_hinges(dist_pos, dist_neg, triples, margin):
-    """Hinge values m + d(anchor, pos) - d(anchor, neg) for one term."""
-    if len(triples) == 0:
-        return np.zeros(0)
-    i, j, k = triples[:, 0], triples[:, 1], triples[:, 2]
-    return margin + dist_pos[i, j] - dist_neg[i, k]
+def term_inputs(batch: MiniBatch) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(distances, positive mask, negative mask) for each of the four terms.
 
-
-def loss_terms(
-    batch: MiniBatch, triplets: TripletSet, cfg: LossConfig
-) -> tuple[np.ndarray, int, int]:
-    """Unweighted per-term hinge sums, active triple count, total count."""
-    cfg.validate()
-    b = len(batch.group_ids)
-    for name, term in (
-        ("term1", triplets.term1),
-        ("term2", triplets.term2),
-        ("term3", triplets.term3),
-        ("term4", triplets.term4),
-    ):
-        if len(term) and (term.min() < 0 or term.max() >= b):
-            raise ValueError(f"{name}: triplet index out of range for batch size {b}")
-
-    dxy = _pairwise_distances(batch.visual, batch.sentence)
-    dxx = _pairwise_distances(batch.visual, batch.visual)
-    dyy = _pairwise_distances(batch.sentence, batch.sentence)
-
+    Row i of each triple describes anchor i: term t's hinges are
+    m + D[i, j] - D[i, k] over positives j and negatives k. Cross-modal
+    terms pair a row with its own counterpart (j == i); within-modal terms
+    exclude it.
+    """
+    x, y = batch.visual, batch.sentence
+    dxy = _pairwise_distances(x, y)
+    g = batch.group_ids
+    same = g[:, None] == g[None, :]
+    other = ~same
+    within = same.copy()
+    np.fill_diagonal(within, False)
     # term2 anchors are sentences: d(x_j, y_i) indexes dxy transposed.
-    hinges = [
-        _term_hinges(dxy, dxy, triplets.term1, cfg.margin),
-        _term_hinges(dxy.T, dxy.T, triplets.term2, cfg.margin),
-        _term_hinges(dxx, dxx, triplets.term3, cfg.margin),
-        _term_hinges(dyy, dyy, triplets.term4, cfg.margin),
+    return [
+        (dxy, same, other),
+        (dxy.T, same, other),
+        (_pairwise_distances(x, x), within, other),
+        (_pairwise_distances(y, y), within, other),
     ]
-    sums = np.array([float(np.sum(np.maximum(h, 0.0))) for h in hinges])
-    active = int(sum(int(np.count_nonzero(h > 0.0)) for h in hinges))
-    return sums, active, triplets.total()
 
 
-def loss_forward(batch: MiniBatch, triplets: TripletSet, cfg: LossConfig) -> float:
-    sums, _, _ = loss_terms(batch, triplets, cfg)
-    return float(sums[0] + cfg.lambda1 * sums[1] + cfg.lambda2 * sums[2] + cfg.lambda3 * sums[3])
+def _hinge_term(dist, pos, neg, margin):
+    """Hinge sum, active and total triplet counts, and dL/dD coefficients
+    of one term.
+
+    Per anchor row, the thresholds T = m + D[i, pos] and the negative
+    distances D[i, neg] are sorted together, T first so that ties put the
+    threshold before the distance. A positive's active count is then the
+    number of negatives sorted before it, and a negative's the number of
+    thresholds sorted after it: exactly the triples with fl(m + d_pos) >
+    d_neg, so hinges at exactly zero are inactive.
+    """
+    b = dist.shape[1]
+    coef = np.empty(dist.shape)
+    hinge_sum = 0.0
+    active = 0
+    for r in range(0, len(dist), ANCHOR_CHUNK):
+        d = dist[r : r + ANCHOR_CHUNK]
+        thresh = margin + d
+        keys = np.concatenate(
+            [np.where(pos[r : r + ANCHOR_CHUNK], thresh, -np.inf),
+             np.where(neg[r : r + ANCHOR_CHUNK], d, np.inf)],
+            axis=1,
+        )
+        order = np.argsort(keys, axis=1, kind="stable")
+        is_neg = order >= b
+        # Padding sorts outside the real entries, so its counts are zero.
+        sorted_counts = np.where(
+            is_neg, b - np.cumsum(~is_neg, axis=1), np.cumsum(is_neg, axis=1)
+        )
+        counts = np.empty_like(sorted_counts)
+        np.put_along_axis(counts, order, sorted_counts, axis=1)
+        c_pos, c_neg = counts[:, :b], counts[:, b:]
+        hinge_sum += float(np.sum(c_pos * thresh) - np.sum(c_neg * d))
+        active += int(np.sum(c_pos))
+        coef[r : r + ANCHOR_CHUNK] = c_pos - c_neg
+    total = int(np.sum(np.sum(pos, axis=1) * np.sum(neg, axis=1)))
+    return hinge_sum, active, total, coef
 
 
-def loss_backward(
-    batch: MiniBatch, triplets: TripletSet, cfg: LossConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact subgradient of the loss w.r.t. both embedding matrices.
+def _over_distance(coef: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """coef / dist, with the zero subgradient of ||u - v|| where dist == 0."""
+    return np.divide(coef, dist, out=np.zeros_like(coef), where=dist > 0.0)
 
-    Active hinge terms contribute through the derivative of the Euclidean
-    distance d(u, v): grad_u = (u - v)/d. A distance of exactly zero inside
-    an active term has a singular gradient and is reported as an error.
+
+def alignment_loss(
+    batch: MiniBatch, cfg: LossConfig
+) -> tuple[float, np.ndarray, int, int, np.ndarray, np.ndarray]:
+    """Loss, unweighted per-term hinge sums, active and total triplet
+    counts, and the exact subgradient w.r.t. both embedding matrices.
+
+    Returns (loss, term_sums[4], active, total, dx, dy). Active hinges enter
+    the gradient through d||u - v||/du = (u - v)/||u - v||, taken as zero
+    where u == v (a valid subgradient of the norm).
     """
     cfg.validate()
-    x = batch.visual
-    y = batch.sentence
-    dx = np.zeros_like(x)
-    dy = np.zeros_like(y)
+    x, y = batch.visual, batch.sentence
+    terms = term_inputs(batch)
+    sums = np.zeros(4)
+    active = total = 0
+    coefs = []
+    for t, (dist, pos, neg) in enumerate(terms):
+        sums[t], n_active, n_total, c = _hinge_term(dist, pos, neg, cfg.margin)
+        active += n_active
+        total += n_total
+        coefs.append(c)
+    loss = float(sums[0] + cfg.lambda1 * sums[1] + cfg.lambda2 * sums[2] + cfg.lambda3 * sums[3])
 
-    def accumulate(anchors, others, d_anchors, d_others, triples, weight, label):
-        """One term family: anchor rows vs other-role rows (may alias)."""
-        if len(triples) == 0 or weight == 0.0:
-            return
-        i, j, k = triples[:, 0], triples[:, 1], triples[:, 2]
-        diff_pos = anchors[i] - others[j]
-        diff_neg = anchors[i] - others[k]
-        dist_pos = np.sqrt(np.sum(diff_pos * diff_pos, axis=1))
-        dist_neg = np.sqrt(np.sum(diff_neg * diff_neg, axis=1))
-        active = cfg.margin + dist_pos - dist_neg > 0.0
-        if not np.any(active):
-            return
-        if np.any(dist_pos[active] == 0.0) or np.any(dist_neg[active] == 0.0):
-            raise NumericalError(
-                f"{label}: zero distance inside an active hinge term (singular gradient)"
-            )
-        i, j, k = i[active], j[active], k[active]
-        gp = weight * diff_pos[active] / dist_pos[active][:, None]
-        gn = weight * diff_neg[active] / dist_neg[active][:, None]
-        np.add.at(d_anchors, i, gp - gn)
-        np.add.at(d_others, j, -gp)
-        np.add.at(d_others, k, gn)
-
-    accumulate(x, y, dx, dy, triplets.term1, 1.0, "term1")
-    accumulate(y, x, dy, dx, triplets.term2, cfg.lambda1, "term2")
-    accumulate(x, x, dx, dx, triplets.term3, cfg.lambda2, "term3")
-    accumulate(y, y, dy, dy, triplets.term4, cfg.lambda3, "term4")
-    return dx, dy
+    # Fold each family's coefficients into one b x b matrix G with
+    # dL/du_a = sum_j G[a, j] (u_a - v_j): two matmuls per family.
+    (dxy, _, _), _, (dxx, _, _), (dyy, _, _) = terms
+    g_xy = _over_distance(coefs[0] + cfg.lambda1 * coefs[1].T, dxy)
+    g_xx = _over_distance(cfg.lambda2 * (coefs[2] + coefs[2].T), dxx)
+    g_yy = _over_distance(cfg.lambda3 * (coefs[3] + coefs[3].T), dyy)
+    dx = (np.sum(g_xy, axis=1) + np.sum(g_xx, axis=1))[:, None] * x - g_xy @ y - g_xx @ x
+    dy = (np.sum(g_xy, axis=0) + np.sum(g_yy, axis=1))[:, None] * y - g_xy.T @ x - g_yy @ y
+    return loss, sums, active, total, dx, dy

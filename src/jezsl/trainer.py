@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-from .alignment import LossConfig, MiniBatch, loss_backward, loss_terms, mine_triplets
+from .alignment import LossConfig, MiniBatch, alignment_loss
 from .errors import DataError, NumericalError
 from .heads import EmbeddingHead, backward, forward, save_head
 from .linalg import as_matrix, make_rng
@@ -85,7 +85,7 @@ def _batch_indices(order: np.ndarray, groups: np.ndarray, cfg: TrainConfig):
     """Split a permutation into batches, dropping a trailing batch of < 2.
 
     With balanced_batches, single-group batches get one sample swapped with a
-    later batch so that mining always has at least one negative available.
+    later batch so that every anchor has at least one negative.
     """
     batches = [
         order[start : start + cfg.batch_size]
@@ -229,23 +229,15 @@ def train_joint(
             emb_v, trace_v = forward(head_v, visual[idx], train=True)
             emb_s, trace_s = forward(head_s, sentences[idx], train=True)
             batch = MiniBatch(emb_v, emb_s, groups[idx])
-            triplets = mine_triplets(batch)
-            sums, active, total = loss_terms(batch, triplets, loss_cfg)
-            loss = float(
-                sums[0]
-                + loss_cfg.lambda1 * sums[1]
-                + loss_cfg.lambda2 * sums[2]
-                + loss_cfg.lambda3 * sums[3]
-            )
+            loss, _, active, total, d_v, d_s = alignment_loss(batch, loss_cfg)
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite loss at epoch {epoch + 1}, batch {bi + 1}")
             losses.append(loss)
             active_total += active
             triple_total += total
 
-            if total == 0 or active == 0:
+            if active == 0:
                 continue
-            d_v, d_s = loss_backward(batch, triplets, loss_cfg)
             grads_v, _ = backward(head_v, trace_v, d_v)
             grads_s, _ = backward(head_s, trace_s, d_s)
             for label, grads in (("visual", grads_v), ("sentence", grads_s)):

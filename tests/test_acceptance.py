@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from jezsl.alignment import LossConfig, MiniBatch, loss_forward, mine_triplets
+from jezsl.alignment import LossConfig, MiniBatch, alignment_loss
 from jezsl.cli import main as cli_main
 from jezsl.compat import (
     CompatibilityModel,
@@ -95,7 +95,7 @@ class TestCriterion2LossOracle:
                 lambda2=float(rng.uniform(0, 1)),
                 lambda3=float(rng.uniform(0, 1)),
             )
-            got = loss_forward(batch, mine_triplets(batch), cfg)
+            got = alignment_loss(batch, cfg)[0]
             worst = max(worst, abs(got - self.oracle(batch, cfg)))
         ok = worst <= 1e-9
         report("criterion 2: loss oracle equivalence", ok, f"worst |delta| {worst:.2e}")

@@ -1,15 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from jezsl.alignment import (
-    LossConfig,
-    MiniBatch,
-    TripletSet,
-    loss_backward,
-    loss_forward,
-    mine_triplets,
-)
-from jezsl.errors import NumericalError
+from jezsl.alignment import ANCHOR_CHUNK, LossConfig, MiniBatch, alignment_loss
 from jezsl.linalg import l2_normalize_rows, make_rng
 
 
@@ -51,124 +45,254 @@ def brute_force_loss(batch, cfg):
     return total
 
 
+def mine_triplets(groups):
+    """Every valid (anchor, positive, negative) triple, lexicographically.
+
+    Cross-modal triples allow j == i (a row paired with its own counterpart
+    in the other stream); within-modal triples require j != i.
+    """
+    same = groups[:, None] == groups[None, :]
+    cross = np.argwhere(same[:, :, None] & ~same[:, None, :])
+    within = cross[cross[:, 0] != cross[:, 1]]
+    return cross, within
+
+
+def enumerated_oracle(batch, cfg):
+    """The fused kernel's contract, computed by listing every triple.
+
+    Gathers each triple's hinge, then scatters the gradient of every active
+    one with np.add.at, taking the zero subgradient of ||u - v|| at u == v.
+    Returns (loss, term_sums, per-term active counts, per-term totals, dx, dy).
+    """
+    x, y = batch.visual, batch.sentence
+    cross, within = mine_triplets(batch.group_ids)
+    dx, dy = np.zeros_like(x), np.zeros_like(y)
+    sums = np.zeros(4)
+    active = np.zeros(4, dtype=np.int64)
+    total = np.zeros(4, dtype=np.int64)
+    families = (
+        (x, y, dx, dy, cross, 1.0),
+        (y, x, dy, dx, cross, cfg.lambda1),
+        (x, x, dx, dx, within, cfg.lambda2),
+        (y, y, dy, dy, within, cfg.lambda3),
+    )
+
+    def unit(diff, dist):
+        return np.divide(diff, dist[:, None], out=np.zeros_like(diff),
+                         where=dist[:, None] > 0.0)
+
+    for t, (anchors, others, d_anchors, d_others, triples, weight) in enumerate(families):
+        total[t] = len(triples)
+        if len(triples) == 0:
+            continue
+        i, j, k = triples[:, 0], triples[:, 1], triples[:, 2]
+        diff_pos = anchors[i] - others[j]
+        diff_neg = anchors[i] - others[k]
+        dist_pos = np.sqrt(np.sum(diff_pos * diff_pos, axis=1))
+        dist_neg = np.sqrt(np.sum(diff_neg * diff_neg, axis=1))
+        hinge = cfg.margin + dist_pos - dist_neg
+        on = hinge > 0.0
+        sums[t] = np.sum(np.maximum(hinge, 0.0))
+        active[t] = np.count_nonzero(on)
+        gp = weight * unit(diff_pos[on], dist_pos[on])
+        gn = weight * unit(diff_neg[on], dist_neg[on])
+        np.add.at(d_anchors, i[on], gp - gn)
+        np.add.at(d_others, j[on], -gp)
+        np.add.at(d_others, k[on], gn)
+    loss = float(sums[0] + cfg.lambda1 * sums[1] + cfg.lambda2 * sums[2] + cfg.lambda3 * sums[3])
+    return loss, sums, active, total, dx, dy
+
+
+def assert_matches_oracle(batch, cfg):
+    loss, sums, active, total, dx, dy = alignment_loss(batch, cfg)
+    o_loss, o_sums, o_active, o_total, o_dx, o_dy = enumerated_oracle(batch, cfg)
+    assert np.all(np.abs(sums - o_sums) <= 1e-9)
+    assert abs(loss - o_loss) <= 1e-9
+    assert active == int(o_active.sum())
+    assert total == int(o_total.sum())
+    scale = max(np.linalg.norm(o_dx), np.linalg.norm(o_dy))
+    assert np.linalg.norm(dx - o_dx) <= 1e-12 * scale
+    assert np.linalg.norm(dy - o_dy) <= 1e-12 * scale
+    return o_active, o_total
+
+
 def random_batch(rng, b=None, d=None, n_groups=None):
     b = b or int(rng.integers(3, 13))
     d = d or int(rng.integers(2, 7))
     n_groups = n_groups or int(rng.integers(2, 5))
     groups = rng.integers(0, n_groups, size=b)
-    while len(np.unique(groups)) < 2:
+    # Two groups at least, unless the batch size or group count rules it out.
+    while len(np.unique(groups)) < min(2, b, n_groups):
         groups = rng.integers(0, n_groups, size=b)
     x, _ = l2_normalize_rows(rng.standard_normal((b, d)))
     y, _ = l2_normalize_rows(rng.standard_normal((b, d)))
     return MiniBatch(x, y, groups)
 
 
+def random_cfg(rng, max_margin=0.5):
+    return LossConfig(
+        margin=float(rng.uniform(0.05, max_margin)),
+        lambda1=float(rng.uniform(0, 3)),
+        lambda2=float(rng.uniform(0, 1)),
+        lambda3=float(rng.uniform(0, 1)),
+    )
+
+
 def unit_rows(rng, b, d):
     return l2_normalize_rows(rng.standard_normal((b, d)))[0]
+
+
+# Unit rows are at most 2 apart, so this margin makes every hinge active.
+ALL_ACTIVE = LossConfig(margin=3.0)
 
 
 class TestMining:
     def test_two_groups_example(self):
         rng = make_rng(0)
         batch = MiniBatch(unit_rows(rng, 3, 4), unit_rows(rng, 3, 4), np.array([0, 0, 1]))
-        t = mine_triplets(batch)
-        expected_cross = [
-            (0, 0, 2), (0, 1, 2),
-            (1, 0, 2), (1, 1, 2),
-            (2, 2, 0), (2, 2, 1),
-        ]
-        assert [tuple(r) for r in t.term1] == expected_cross
-        assert [tuple(r) for r in t.term2] == expected_cross
-        assert [tuple(r) for r in t.term3] == [(0, 1, 2), (1, 0, 2)]
-        assert [tuple(r) for r in t.term4] == [(0, 1, 2), (1, 0, 2)]
+        # Anchors 0 and 1 have two cross-modal positives and one negative,
+        # anchor 2 one positive and two negatives; within-modal terms drop
+        # the anchor's own row.
+        o_active, o_total = assert_matches_oracle(batch, ALL_ACTIVE)
+        assert o_total.tolist() == [6, 6, 2, 2]
+        assert o_active.tolist() == [6, 6, 2, 2]
+        _, _, active, total, _, _ = alignment_loss(batch, ALL_ACTIVE)
+        assert (active, total) == (16, 16)
 
     def test_single_group_yields_nothing(self):
         rng = make_rng(1)
         batch = MiniBatch(unit_rows(rng, 4, 3), unit_rows(rng, 4, 3), np.zeros(4, int))
-        t = mine_triplets(batch)
-        assert t.total() == 0
+        loss, sums, active, total, dx, dy = alignment_loss(batch, ALL_ACTIVE)
+        assert (loss, active, total) == (0.0, 0, 0)
+        assert np.all(sums == 0.0) and np.all(dx == 0.0) and np.all(dy == 0.0)
+        assert_matches_oracle(batch, ALL_ACTIVE)
 
     def test_single_element_batch(self):
         rng = make_rng(2)
         batch = MiniBatch(unit_rows(rng, 1, 3), unit_rows(rng, 1, 3), np.array([7]))
-        assert mine_triplets(batch).total() == 0
+        loss, _, active, total, dx, dy = alignment_loss(batch, ALL_ACTIVE)
+        assert (loss, active, total) == (0.0, 0, 0)
+        assert dx.shape == dy.shape == (1, 3)
+        assert np.all(dx == 0.0) and np.all(dy == 0.0)
+        assert_matches_oracle(batch, ALL_ACTIVE)
 
-    def test_indices_in_range_and_deterministic(self):
+    def test_counts_match_group_sizes_and_deterministic(self):
         rng = make_rng(3)
-        batch = random_batch(rng)
-        t1 = mine_triplets(batch)
-        t2 = mine_triplets(batch)
-        for term in (t1.term1, t1.term3):
-            if len(term):
-                assert term.min() >= 0 and term.max() < len(batch.group_ids)
-        np.testing.assert_array_equal(t1.term1, t2.term1)
+        batch = random_batch(rng, b=12)
+        _, inverse, counts = np.unique(batch.group_ids, return_inverse=True, return_counts=True)
+        p = counts[inverse]
+        n = len(batch.group_ids) - p
+        expected = [np.sum(p * n), np.sum(p * n), np.sum((p - 1) * n), np.sum((p - 1) * n)]
+        _, o_total = assert_matches_oracle(batch, LossConfig())
+        assert o_total.tolist() == expected
+        first = alignment_loss(batch, LossConfig())
+        second = alignment_loss(batch, LossConfig())
+        assert first[2:4] == second[2:4] and first[3] == sum(expected)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestKernelMatchesEnumeration:
+    def test_random_batches(self):
+        rng = make_rng(40)
+        for _ in range(150):
+            batch = random_batch(rng, b=int(rng.integers(1, 30)),
+                                 n_groups=int(rng.integers(1, 6)))
+            assert_matches_oracle(batch, random_cfg(rng, max_margin=2.5))
+
+    def test_duplicate_rows_take_zero_subgradient(self):
+        rng = make_rng(41)
+        for _ in range(30):
+            batch = random_batch(rng, b=int(rng.integers(3, 12)))
+            batch.visual[1] = batch.visual[0]
+            batch.group_ids[1] = batch.group_ids[0]
+            batch.sentence[2] = batch.visual[2]
+            cfg = random_cfg(rng, max_margin=2.5)
+            loss, _, _, _, dx, dy = alignment_loss(batch, cfg)
+            assert np.isfinite(loss) and np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))
+            assert_matches_oracle(batch, cfg)
+
+    def test_hinge_exactly_at_zero_is_inactive(self):
+        # term1 hinges: 0.25 + 0.25 - 0.5 and 0.25 + 9.5 - 9.75, both
+        # exactly 0 in floating point. Only term2's (y1: 0.25 + 9.5 - 0.5)
+        # is active.
+        batch = MiniBatch(
+            np.array([[0.0, 0.0], [10.0, 0.0]]),
+            np.array([[0.25, 0.0], [0.5, 0.0]]),
+            np.array([0, 1]),
+        )
+        cfg = LossConfig(margin=0.25)
+        loss, sums, active, total, _, _ = alignment_loss(batch, cfg)
+        assert sums.tolist() == [0.0, 9.25, 0.0, 0.0]
+        assert (active, total) == (1, 4)
+        assert loss == 2.0 * 9.25
+        assert_matches_oracle(batch, cfg)
+        # A hair more margin tips both term1 hinges over.
+        nudged = LossConfig(margin=0.25 + 1e-12)
+        assert alignment_loss(batch, nudged)[2] == 3
+        assert_matches_oracle(batch, nudged)
+
+    def test_spans_several_anchor_chunks(self):
+        rng = make_rng(42)
+        b = 300
+        assert b > 4 * ANCHOR_CHUNK
+        batch = random_batch(rng, b=b, d=8, n_groups=60)
+        batch.visual[1] = batch.visual[0]
+        batch.group_ids[1] = batch.group_ids[0]
+        assert_matches_oracle(batch, LossConfig(margin=0.8, lambda1=1.5, lambda2=0.3, lambda3=0.4))
+
+    def test_memory_bounded_at_large_batch(self):
+        rng = make_rng(43)
+        batch = random_batch(rng, b=1024, d=16, n_groups=100)
+        tracemalloc.start()
+        try:
+            alignment_loss(batch, LossConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * 2**20
 
 
 class TestLossForward:
     def test_satisfied_constraint_contributes_zero(self):
-        # d(x, y+)=0.2, d(x, y-)=0.5, m=0.1 -> hinge inactive
-        x = np.array([[1.0, 0.0]])
-        y_pos = np.array([1.0, 0.0]) + np.array([0.0, 1.0]) * 0.0
-        # construct exact distances on a 2-sample batch
+        # Each row's counterpart is 0.2 away and the other group's rows
+        # about 14 away: with m = 0.1 every hinge is slack.
         batch = MiniBatch(
             np.array([[0.0, 0.0], [10.0, 10.0]]),
-            np.array([[0.2, 0.0], [0.5, 0.0]]),
+            np.array([[0.2, 0.0], [10.2, 10.0]]),
             np.array([0, 1]),
         )
-        triplets = TripletSet(
-            term1=np.array([[0, 0, 1]]),
-            term2=np.zeros((0, 3), int),
-            term3=np.zeros((0, 3), int),
-            term4=np.zeros((0, 3), int),
-        )
-        cfg = LossConfig(margin=0.1)
-        assert loss_forward(batch, triplets, cfg) == 0.0
+        loss, sums, active, total, _, _ = alignment_loss(batch, LossConfig(margin=0.1))
+        assert loss == 0.0 and np.all(sums == 0.0)
+        assert (active, total) == (0, 4)
 
     def test_violated_constraint_value(self):
+        # term1: x0 (0.1 + 0.5 - 0.4) and x1 (0.1 + 9.6 - 9.5) are violated;
+        # term2: y1 (0.1 + 9.6 - 0.4) is, y0 (0.1 + 0.5 - 9.5) is not.
         batch = MiniBatch(
-            np.array([[0.0, 0.0], [10.0, 10.0]]),
+            np.array([[0.0, 0.0], [10.0, 0.0]]),
             np.array([[0.5, 0.0], [0.4, 0.0]]),
             np.array([0, 1]),
         )
-        triplets = TripletSet(
-            term1=np.array([[0, 0, 1]]),
-            term2=np.zeros((0, 3), int),
-            term3=np.zeros((0, 3), int),
-            term4=np.zeros((0, 3), int),
-        )
-        cfg = LossConfig(margin=0.1)
-        assert loss_forward(batch, triplets, cfg) == pytest.approx(0.2, abs=1e-12)
+        loss, sums, active, _, _, _ = alignment_loss(batch, LossConfig(margin=0.1))
+        np.testing.assert_allclose(sums, [0.4, 9.3, 0.0, 0.0], atol=1e-12)
+        assert active == 3
+        assert loss == pytest.approx(0.4 + 2.0 * 9.3, abs=1e-12)
 
     def test_matches_brute_force_oracle(self):
         rng = make_rng(20)
         for _ in range(25):
             batch = random_batch(rng)
-            cfg = LossConfig(
-                margin=float(rng.uniform(0.05, 0.5)),
-                lambda1=float(rng.uniform(0, 3)),
-                lambda2=float(rng.uniform(0, 1)),
-                lambda3=float(rng.uniform(0, 1)),
-            )
-            got = loss_forward(batch, mine_triplets(batch), cfg)
+            cfg = random_cfg(rng)
+            got = alignment_loss(batch, cfg)[0]
             assert abs(got - brute_force_loss(batch, cfg)) <= 1e-9
 
     def test_non_negative(self):
         rng = make_rng(21)
         for _ in range(20):
             batch = random_batch(rng)
-            assert loss_forward(batch, mine_triplets(batch), LossConfig()) >= 0.0
-
-    def test_out_of_range_index_rejected(self):
-        rng = make_rng(22)
-        batch = random_batch(rng, b=4)
-        triplets = TripletSet(
-            term1=np.array([[0, 0, 9]]),
-            term2=np.zeros((0, 3), int),
-            term3=np.zeros((0, 3), int),
-            term4=np.zeros((0, 3), int),
-        )
-        with pytest.raises(ValueError):
-            loss_forward(batch, triplets, LossConfig())
+            loss, sums, _, _, _, _ = alignment_loss(batch, LossConfig())
+            assert loss >= 0.0 and np.all(sums >= 0.0)
 
     def test_modality_exchange_symmetry(self):
         # With lambda1=1 and lambda2/lambda3 swapped, exchanging the streams
@@ -178,8 +302,8 @@ class TestLossForward:
         cfg = LossConfig(margin=0.2, lambda1=1.0, lambda2=0.3, lambda3=0.7)
         swapped = MiniBatch(batch.sentence, batch.visual, batch.group_ids)
         cfg_swapped = LossConfig(margin=0.2, lambda1=1.0, lambda2=0.7, lambda3=0.3)
-        a = loss_forward(batch, mine_triplets(batch), cfg)
-        b = loss_forward(swapped, mine_triplets(swapped), cfg_swapped)
+        a = alignment_loss(batch, cfg)[0]
+        b = alignment_loss(swapped, cfg_swapped)[0]
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_permutation_invariance(self):
@@ -190,9 +314,10 @@ class TestLossForward:
         permuted = MiniBatch(
             batch.visual[perm], batch.sentence[perm], batch.group_ids[perm]
         )
-        a = loss_forward(batch, mine_triplets(batch), cfg)
-        b = loss_forward(permuted, mine_triplets(permuted), cfg)
-        assert a == pytest.approx(b, abs=1e-9)
+        a = alignment_loss(batch, cfg)
+        b = alignment_loss(permuted, cfg)
+        assert a[0] == pytest.approx(b[0], abs=1e-9)
+        assert a[2:4] == b[2:4]
 
 
 class TestLossBackward:
@@ -203,39 +328,36 @@ class TestLossBackward:
             np.array([[1.0, 0.01], [0.98, 0.0], [-1.0, 0.02]]),
             np.array([0, 0, 1]),
         )
-        cfg = LossConfig(margin=0.01)
-        triplets = mine_triplets(batch)
-        assert loss_forward(batch, triplets, cfg) == 0.0
-        dx, dy = loss_backward(batch, triplets, cfg)
+        loss, _, active, _, dx, dy = alignment_loss(batch, LossConfig(margin=0.01))
+        assert loss == 0.0 and active == 0
         assert np.all(dx == 0.0) and np.all(dy == 0.0)
 
     def test_lambda_scaling_is_linear(self):
         rng = make_rng(30)
         batch = random_batch(rng)
-        triplets = mine_triplets(batch)
-        base = LossConfig(margin=0.3, lambda1=1.0, lambda2=0.0, lambda3=0.0)
         doubled = LossConfig(margin=0.3, lambda1=2.0, lambda2=0.0, lambda3=0.0)
         only_t2 = LossConfig(margin=0.3, lambda1=1.0, lambda2=0.0, lambda3=0.0)
         zero_t2 = LossConfig(margin=0.3, lambda1=0.0, lambda2=0.0, lambda3=0.0)
-        dx1, dy1 = loss_backward(batch, triplets, only_t2)
-        dx0, dy0 = loss_backward(batch, triplets, zero_t2)
-        dx2, dy2 = loss_backward(batch, triplets, doubled)
+        dx1, dy1 = alignment_loss(batch, only_t2)[4:]
+        dx0, dy0 = alignment_loss(batch, zero_t2)[4:]
+        dx2, dy2 = alignment_loss(batch, doubled)[4:]
         # doubling lambda1 exactly doubles the term2 contribution
         np.testing.assert_allclose(dx2 - dx0, 2.0 * (dx1 - dx0), atol=1e-12)
         np.testing.assert_allclose(dy2 - dy0, 2.0 * (dy1 - dy0), atol=1e-12)
 
-    def test_zero_distance_in_active_hinge_errors(self):
+    def test_zero_distance_takes_zero_subgradient(self):
+        # Each image equals its own sentence: d(x_i, y_i) = 0 sits inside
+        # both active term1 hinges (5 + 0 - sqrt(2)). The norm's zero
+        # subgradient leaves only the negatives' pull.
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         batch = MiniBatch(x, x.copy(), np.array([0, 1]))
-        # term1 triple (0,0,1): d(x0,y0)=0 and the hinge is active
-        triplets = TripletSet(
-            term1=np.array([[0, 0, 1]]),
-            term2=np.zeros((0, 3), int),
-            term3=np.zeros((0, 3), int),
-            term4=np.zeros((0, 3), int),
-        )
-        with pytest.raises(NumericalError):
-            loss_backward(batch, triplets, LossConfig(margin=5.0))
+        cfg = LossConfig(margin=5.0, lambda1=0.0, lambda2=0.0, lambda3=0.0)
+        loss, _, active, _, dx, dy = alignment_loss(batch, cfg)
+        assert active == 4 and loss == pytest.approx(2 * (5.0 - np.sqrt(2.0)))
+        pull = (x[0] - x[1]) / np.sqrt(2.0)
+        np.testing.assert_allclose(dx, [-pull, pull], atol=1e-15)
+        np.testing.assert_allclose(dy, [-pull, pull], atol=1e-15)
+        assert_matches_oracle(batch, cfg)
 
     def test_permutation_equivariance(self):
         rng = make_rng(31)
@@ -245,8 +367,8 @@ class TestLossBackward:
         permuted = MiniBatch(
             batch.visual[perm], batch.sentence[perm], batch.group_ids[perm]
         )
-        dx, dy = loss_backward(batch, mine_triplets(batch), cfg)
-        pdx, pdy = loss_backward(permuted, mine_triplets(permuted), cfg)
+        dx, dy = alignment_loss(batch, cfg)[4:]
+        pdx, pdy = alignment_loss(permuted, cfg)[4:]
         np.testing.assert_allclose(pdx, dx[perm], atol=1e-9)
         np.testing.assert_allclose(pdy, dy[perm], atol=1e-9)
 
@@ -254,7 +376,7 @@ class TestLossBackward:
     def test_finite_difference_check(self, seed):
         rng = make_rng(200 + seed)
         batch = random_batch(rng, b=int(rng.integers(4, 9)), d=int(rng.integers(2, 7)))
-        triplets = mine_triplets(batch)
+        cross, within = mine_triplets(batch.group_ids)
         cfg = LossConfig(margin=float(rng.uniform(0.1, 0.4)))
         # nudge the margin off any hinge boundary
         for _ in range(50):
@@ -268,8 +390,8 @@ class TestLossBackward:
                 batch.sentence[:, None, :] - batch.sentence[None, :, :], axis=2
             )
             args = []
-            for dist, term in ((dxy, triplets.term1), (dxy.T, triplets.term2),
-                               (dxx, triplets.term3), (dyy, triplets.term4)):
+            for dist, term in ((dxy, cross), (dxy.T, cross),
+                               (dxx, within), (dyy, within)):
                 if len(term):
                     i, j, k = term[:, 0], term[:, 1], term[:, 2]
                     args.append(cfg.margin + dist[i, j] - dist[i, k])
@@ -277,7 +399,7 @@ class TestLossBackward:
                 break
             cfg.margin += 2.1e-3
 
-        dx, dy = loss_backward(batch, triplets, cfg)
+        dx, dy = alignment_loss(batch, cfg)[4:]
         h = 1e-5
         for arr, analytic in ((batch.visual, dx), (batch.sentence, dy)):
             fd = np.zeros_like(arr)
@@ -285,9 +407,9 @@ class TestLossBackward:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                hi = loss_forward(batch, triplets, cfg)
+                hi = alignment_loss(batch, cfg)[0]
                 flat[i] = orig - h
-                lo = loss_forward(batch, triplets, cfg)
+                lo = alignment_loss(batch, cfg)[0]
                 flat[i] = orig
                 fdflat[i] = (hi - lo) / (2 * h)
             denom = max(np.linalg.norm(analytic), np.linalg.norm(fd), 1e-6)

@@ -116,6 +116,21 @@ class TestTrainEmbed:
         b = open(os.path.join(part, "head_v.jeh"), "rb").read()
         assert a == b
 
+    def test_repeated_captions_train(self, tmp_path):
+        # Two captions per image repeat every image row, so coincident rows
+        # (d = 0) sit inside active hinges from the first minibatch on.
+        data = str(tmp_path / "data")
+        assert run("gen-synth", "--out", data, "--captions-per-image", "2",
+                   "--seed", "0") == 0
+        visual = read_features(os.path.join(data, "visual.jef"))
+        assert len(np.unique(visual, axis=0)) < len(visual)
+        out = str(tmp_path / "run")
+        assert run("train-embed", "--data", data, "--out", out, "--epochs", "2",
+                   "--seed", "0") == 0
+        log = open(os.path.join(out, "train_log.txt")).read().splitlines()
+        assert len(log) == 2
+        assert all(np.isfinite(float(f)) for line in log for f in line.split()[1:])
+
     def test_bad_rows_value(self, tmp_path):
         data = gen(tmp_path)
         assert run("train-embed", "--data", data, "--out", str(tmp_path / "x"),

@@ -1,3 +1,5 @@
+import numpy as np
+
 from jezsl.gradcheck import (
     TOLERANCE,
     check_alignment,
@@ -31,3 +33,16 @@ class TestNegativeControl:
         for r in run_all(trials=2, seed=0, corrupt=True):
             assert not r.passed, r.name
             assert r.worst_rel_err > TOLERANCE
+
+    def test_non_finite_gradient_fails(self, monkeypatch):
+        import jezsl.gradcheck as gc
+
+        exact = gc.alignment_loss
+
+        def nan_dx(batch, cfg):
+            loss, sums, active, total, dx, dy = exact(batch, cfg)
+            return loss, sums, active, total, dx * np.nan, dy
+
+        monkeypatch.setattr(gc, "alignment_loss", nan_dx)
+        result = gc.check_alignment(trials=2, seed=1)
+        assert not result.passed and result.worst_rel_err == np.inf
