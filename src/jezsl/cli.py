@@ -34,14 +34,15 @@ from .data import (
 )
 from .errors import DataError, NumericalError
 from .gradcheck import TOLERANCE, run_all
-from .heads import forward, init_head, load_head, save_head
+from .heads import forward, init_head, load_head
 from .linalg import make_rng
 from .metrics import evaluate, format_kv, format_report
 from .trainer import (
+    STATE_FILE,
     TrainConfig,
     TrainState,
     load_train_state,
-    save_train_state,
+    save_checkpoint,
     train_joint,
 )
 
@@ -258,6 +259,25 @@ def _training_rows(ds: Dataset, rows: str) -> np.ndarray:
     raise UsageError(f"--rows must be all|train, got {rows!r}")
 
 
+# Trajectory hyperparameters whose CLI option has another name.
+_OPTION_OF = {"learning_rate": "lr"}
+
+
+def _check_resume(state: TrainState, cfg: dict, loss_cfg, train_cfg, rows: int,
+                  path: str) -> None:
+    """UsageError naming the first option that differs from the saved run."""
+    head = state.head_v
+    widths = (("dim", head.d_out, cfg["dim"]),
+              ("hidden", head.d_hidden, cfg["hidden"] or cfg["dim"]))
+    changed = (next((w for w in widths if w[1] != w[2]), None)
+               or state.changed_hyperparam(loss_cfg, train_cfg, rows))
+    if changed is not None:
+        name, was, now = changed
+        option = "--" + _OPTION_OF.get(name, name).replace("_", "-")
+        raise UsageError(f"--resume: {path} was trained with {name}={was:g}, not "
+                         f"{now:g}; set {option} as before or drop --resume")
+
+
 def cmd_train_embed(cfg: dict) -> int:
     ds = load_dataset(cfg["data"])
     idx = _training_rows(ds, cfg["rows"])
@@ -265,23 +285,6 @@ def cmd_train_embed(cfg: dict) -> int:
         raise DataError("no training rows selected")
     d_out = cfg["dim"]
     d_hidden = cfg["hidden"] or d_out
-
-    out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
-    state = None
-    path_v = os.path.join(out, "head_v.jeh")
-    path_s = os.path.join(out, "head_s.jeh")
-    path_state = os.path.join(out, "trainer_state.jet")
-    if cfg["resume"] and os.path.exists(path_state):
-        head_v = load_head(path_v)
-        head_s = load_head(path_s)
-        state = load_train_state(path_state)
-        log.info("resuming at epoch %d", state.next_epoch + 1)
-    else:
-        # Sub-seeds keep the two heads' initializations independent of each
-        # other and of the shuffling stream.
-        head_v = init_head(ds.visual.shape[1], d_hidden, d_out, make_rng(cfg["seed"] + 1))
-        head_s = init_head(ds.sentences.shape[1], d_hidden, d_out, make_rng(cfg["seed"] + 2))
 
     loss_cfg = LossConfig(margin=cfg["margin"], lambda1=cfg["lambda1"],
                           lambda2=cfg["lambda2"], lambda3=cfg["lambda3"])
@@ -300,16 +303,27 @@ def cmd_train_embed(cfg: dict) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    if state is None:
-        state = TrainState.fresh(head_v, head_s)
-    head_v, head_s, tlog = train_joint(
+    out = cfg["out"]
+    os.makedirs(out, exist_ok=True)
+    path_state = os.path.join(out, STATE_FILE)
+    if cfg["resume"] and os.path.exists(path_state):
+        state = load_train_state(path_state)
+        _check_resume(state, cfg, loss_cfg, train_cfg, len(idx), path_state)
+        log.info("resuming at epoch %d", state.next_epoch + 1)
+    else:
+        # Sub-seeds keep the two heads' initializations independent of each
+        # other and of the shuffling stream.
+        state = TrainState.fresh(
+            init_head(ds.visual.shape[1], d_hidden, d_out, make_rng(cfg["seed"] + 1)),
+            init_head(ds.sentences.shape[1], d_hidden, d_out, make_rng(cfg["seed"] + 2)),
+        )
+
+    _, _, tlog = train_joint(
         ds.visual[idx], ds.sentences[idx], ds.groups[idx],
-        head_v, head_s, loss_cfg, train_cfg,
+        state.head_v, state.head_s, loss_cfg, train_cfg,
         state=state, checkpoint_dir=out,
     )
-    save_head(head_v, path_v)
-    save_head(head_s, path_s)
-    save_train_state(state, path_state)
+    save_checkpoint(state, out)
 
     log_lines = list(tlog.lines())
     with open(os.path.join(out, "train_log.txt"), "w") as fh:

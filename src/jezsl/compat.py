@@ -8,13 +8,12 @@ broken toward the lowest class id.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .linalg import as_matrix, make_rng
+from .linalg import as_matrix, make_rng, read_arrays, write_arrays
 
 MODEL_MAGIC = b"JEC1"
 MODEL_VERSION = 1
@@ -79,9 +78,6 @@ class CompatibilityModel:
     learning_rate: float = 0.01
     epochs: int = 100
     seed: int = 0
-
-    def score(self, x: np.ndarray, a: np.ndarray) -> float:
-        return float(x @ self.w @ a)
 
     def scores(self, x: np.ndarray, attrs: np.ndarray) -> np.ndarray:
         return (x @ self.w) @ attrs.T
@@ -194,7 +190,7 @@ def infer_batch(
     if not candidates:
         raise ValueError(f"empty candidate class set for regime {regime!r}")
     attrs = table.rows_for(candidates)
-    scores = (x @ model.w) @ attrs.T
+    scores = model.scores(x, attrs)
     # argmax returns the first maximum; candidates are sorted, so ties go to
     # the lowest class id
     best = np.argmax(scores, axis=1)
@@ -203,28 +199,8 @@ def infer_batch(
 
 
 def save_model(model: CompatibilityModel, path: str) -> None:
-    d_embed, d_attr = model.w.shape
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<B", MODEL_VERSION))
-        fh.write(struct.pack("<II", d_embed, d_attr))
-        fh.write(np.ascontiguousarray(model.w, dtype="<f8").tobytes())
+    write_arrays(path, MODEL_MAGIC, MODEL_VERSION, [model.w])
 
 
 def load_model(path: str) -> CompatibilityModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MODEL_MAGIC:
-        raise DataError(f"{path}: bad magic {blob[:4]!r}, expected {MODEL_MAGIC!r}")
-    if blob[4] != MODEL_VERSION:
-        raise DataError(f"{path}: unsupported model version {blob[4]}")
-    d_embed, d_attr = struct.unpack_from("<II", blob, 5)
-    expected = 13 + d_embed * d_attr * 8
-    if len(blob) != expected:
-        raise DataError(f"{path}: expected {expected} bytes, got {len(blob)}")
-    w = (
-        np.frombuffer(blob, dtype="<f8", count=d_embed * d_attr, offset=13)
-        .reshape(d_embed, d_attr)
-        .astype(np.float64)
-    )
-    return CompatibilityModel(w=w)
+    return CompatibilityModel(w=read_arrays(path, MODEL_MAGIC, MODEL_VERSION, (2,))[0])

@@ -1,9 +1,11 @@
 """File formats and the seeded synthetic multimodal dataset generator.
 
-Feature files are binary: magic "JEF1", version byte, uint32 LE rows/cols,
-then the row-major float64 LE payload. A CSV encoding (header `dim=<cols>`,
-17 significant digits) is accepted on read as a fallback. Labels and group
-ids live in companion text files, one integer per line.
+Feature files are one matrix in the shared binary codec
+(`linalg.write_arrays`): magic "JEF1", version byte 1, uint32 LE rows/cols,
+then the row-major float64 LE payload, written atomically. A CSV encoding
+(header `dim=<cols>`, 17 significant digits) is accepted on read as a
+fallback. Labels and group ids live in companion text files, one integer
+per line.
 
 The generator produces class-clustered visual features, caption features
 carrying a class-unique semantic direction, and per-class attributes that
@@ -13,14 +15,13 @@ classes unresolvable from attributes alone while captions stay informative.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .compat import AttributeTable
-from .errors import DataError, NumericalError
-from .linalg import as_matrix, make_rng
+from .errors import DataError
+from .linalg import as_matrix, make_rng, read_arrays, write_arrays
 
 FEATURE_MAGIC = b"JEF1"
 FEATURE_VERSION = 1
@@ -32,15 +33,7 @@ ASSIGNMENTS = ("train", "test_seen", "test_unseen")
 
 
 def write_features(m: np.ndarray, path: str) -> None:
-    m = as_matrix(m, "feature matrix")
-    rows, cols = m.shape
-    if rows >= 2**32 or cols >= 2**32:
-        raise DataError(f"matrix {rows}x{cols} exceeds uint32 dimensions")
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<B", FEATURE_VERSION))
-        fh.write(struct.pack("<II", rows, cols))
-        fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
+    write_arrays(path, FEATURE_MAGIC, FEATURE_VERSION, [as_matrix(m, "feature matrix")])
 
 
 def write_features_csv(m: np.ndarray, path: str) -> None:
@@ -53,35 +46,15 @@ def write_features_csv(m: np.ndarray, path: str) -> None:
 
 def read_features(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
+        binary = fh.read(4) == FEATURE_MAGIC
+    if binary:
+        return read_arrays(path, FEATURE_MAGIC, FEATURE_VERSION, (2,))[0]
+    return _parse_csv_features(path)
+
+
+def _parse_csv_features(path: str) -> np.ndarray:
+    with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] == FEATURE_MAGIC:
-        return _parse_binary_features(blob, path)
-    return _parse_csv_features(blob, path)
-
-
-def _parse_binary_features(blob: bytes, path: str) -> np.ndarray:
-    if len(blob) < 13:
-        raise DataError(f"{path}: header truncated at {len(blob)} bytes (need 13)")
-    if blob[4] != FEATURE_VERSION:
-        raise DataError(f"{path}: unsupported feature-file version {blob[4]}")
-    rows, cols = struct.unpack_from("<II", blob, 5)
-    expected = 13 + rows * cols * 8
-    if len(blob) != expected:
-        raise DataError(
-            f"{path}: payload size mismatch, expected {expected} bytes "
-            f"({rows}x{cols} float64 at offset 13), got {len(blob)}"
-        )
-    m = (
-        np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=13)
-        .reshape(rows, cols)
-        .astype(np.float64)
-    )
-    if not np.all(np.isfinite(m)):
-        raise DataError(f"{path}: payload contains non-finite values")
-    return m
-
-
-def _parse_csv_features(blob: bytes, path: str) -> np.ndarray:
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -9,16 +9,18 @@ in the test suite and by the `gradcheck` CLI command.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .linalg import EPS_NORM, as_matrix
+from .linalg import EPS_NORM, as_matrix, read_arrays, write_arrays
 
 CHECKPOINT_MAGIC = b"JEH1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+# Parameters the optimizer updates, in the order optimizer state and files use.
+PARAM_NAMES = ("w1", "b1", "w2", "b2", "bn_gamma", "bn_beta")
 
 
 @dataclass
@@ -50,14 +52,7 @@ class EmbeddingHead:
 
     def learnable(self) -> dict[str, np.ndarray]:
         """Parameters updated by the optimizer (BN running stats excluded)."""
-        return {
-            "w1": self.w1,
-            "b1": self.b1,
-            "w2": self.w2,
-            "b2": self.b2,
-            "bn_gamma": self.bn_gamma,
-            "bn_beta": self.bn_beta,
-        }
+        return {name: getattr(self, name) for name in PARAM_NAMES}
 
     def copy(self) -> "EmbeddingHead":
         return EmbeddingHead(
@@ -84,14 +79,7 @@ class HeadGradients:
     bn_beta: np.ndarray
 
     def as_dict(self) -> dict[str, np.ndarray]:
-        return {
-            "w1": self.w1,
-            "b1": self.b1,
-            "w2": self.w2,
-            "b2": self.b2,
-            "bn_gamma": self.bn_gamma,
-            "bn_beta": self.bn_beta,
-        }
+        return {name: getattr(self, name) for name in PARAM_NAMES}
 
 
 @dataclass
@@ -259,76 +247,37 @@ def backward(
 
 
 # --- checkpoint serialization ------------------------------------------------
-# Layout: magic "JEH1", version byte, three uint32 LE dims, then the float64
-# LE arrays w1, b1, w2, b2, gamma, beta, running_mean, running_var, followed
-# by bn_momentum and bn_epsilon as float64 LE.
+# Layout (version 2, linalg's array codec): magic "JEH1", version byte, the
+# uint32 LE dims of w1, b1, w2, b2, gamma, beta, running_mean and
+# running_var, then those eight arrays and the scalars bn_momentum and
+# bn_epsilon as float64 LE. The resume bundle embeds the same arrays.
+
+HEAD_FIELDS = PARAM_NAMES + ("bn_running_mean", "bn_running_var", "bn_momentum", "bn_epsilon")
+HEAD_RANKS = (2, 1, 2, 1, 1, 1, 1, 1, 0, 0)
+
+
+def head_arrays(head: EmbeddingHead) -> list:
+    """The head's state in HEAD_FIELDS order, scalars included."""
+    return [getattr(head, name) for name in HEAD_FIELDS]
+
+
+def head_from_arrays(arrays: list[np.ndarray], path: str) -> EmbeddingHead:
+    """Inverse of head_arrays; inconsistent shapes are a DataError."""
+    (d_hidden, d_in), d_out = arrays[0].shape, arrays[2].shape[0]
+    want = [(d_hidden, d_in), (d_hidden,), (d_out, d_hidden)] + [(d_out,)] * 5 + [()] * 2
+    if [a.shape for a in arrays] != want:
+        raise DataError(f"{path}: head array shapes {[a.shape for a in arrays]} "
+                        f"are inconsistent, expected {want}")
+    head = dict(zip(HEAD_FIELDS, arrays))
+    head["bn_momentum"] = float(head["bn_momentum"])
+    head["bn_epsilon"] = float(head["bn_epsilon"])
+    return EmbeddingHead(**head)
 
 
 def save_head(head: EmbeddingHead, path: str) -> None:
-    parts = [
-        CHECKPOINT_MAGIC,
-        struct.pack("<B", CHECKPOINT_VERSION),
-        struct.pack("<III", head.d_in, head.d_hidden, head.d_out),
-    ]
-    for arr in (
-        head.w1,
-        head.b1,
-        head.w2,
-        head.b2,
-        head.bn_gamma,
-        head.bn_beta,
-        head.bn_running_mean,
-        head.bn_running_var,
-    ):
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    parts.append(struct.pack("<dd", head.bn_momentum, head.bn_epsilon))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    write_arrays(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, head_arrays(head))
 
 
 def load_head(path: str) -> EmbeddingHead:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise DataError(f"{path}: bad magic {blob[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
-    if blob[4] != CHECKPOINT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {blob[4]}")
-    d_in, d_hidden, d_out = struct.unpack_from("<III", blob, 5)
-    offset = 5 + 12
-    shapes = [
-        (d_hidden, d_in),
-        (d_hidden,),
-        (d_out, d_hidden),
-        (d_out,),
-        (d_out,),
-        (d_out,),
-        (d_out,),
-        (d_out,),
-    ]
-    expected = offset + sum(int(np.prod(s)) for s in shapes) * 8 + 16
-    if len(blob) != expected:
-        raise DataError(
-            f"{path}: truncated checkpoint, expected {expected} bytes, got {len(blob)}"
-        )
-    arrays = []
-    for shape in shapes:
-        n = int(np.prod(shape))
-        arrays.append(
-            np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
-            .reshape(shape)
-            .astype(np.float64)
-        )
-        offset += n * 8
-    bn_momentum, bn_epsilon = struct.unpack_from("<dd", blob, offset)
-    return EmbeddingHead(
-        w1=arrays[0],
-        b1=arrays[1],
-        w2=arrays[2],
-        b2=arrays[3],
-        bn_gamma=arrays[4],
-        bn_beta=arrays[5],
-        bn_running_mean=arrays[6],
-        bn_running_var=arrays[7],
-        bn_momentum=bn_momentum,
-        bn_epsilon=bn_epsilon,
-    )
+    arrays = read_arrays(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, HEAD_RANKS)
+    return head_from_arrays(arrays, path)

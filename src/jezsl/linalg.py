@@ -1,16 +1,26 @@
-"""Dense float64 linear algebra and RNG helpers used by every component.
+"""Dense float64 linear algebra, RNG helpers, and the binary artifact codec.
 
 Everything is backed by numpy with float64 storage. Reductions rely on
 numpy's fixed-order kernels, so repeated runs on the same build are
 bit-identical. Seeded generators are PCG64 (counter-based), which produces
 the same stream on every platform.
+
+Every binary artifact (`.jef`, `.jeh`, `.jec`, `.jet`) is a list of float64
+arrays written by `write_arrays` and read back by `read_arrays`: a 4-byte
+magic, a version byte, the uint32 LE dims of every array in order, then
+the arrays' row-major float64 LE payloads in the same order. The reader is
+told each array's rank, so the header carries no per-array bookkeeping.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import struct
+
 import numpy as np
 
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 
 # Below this norm, normalization is refused instead of risking a silent
 # blow-up that would corrupt training invisibly.
@@ -32,44 +42,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def as_vector(a, name: str = "vector") -> np.ndarray:
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 1:
-        raise ValueError(f"{name}: expected 1-D array, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise NumericalError(f"{name}: contains non-finite entries")
-    return m
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a, "matmul lhs")
-    b = as_matrix(b, "matmul rhs")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul: inner dimensions differ ({a.shape[1]} vs {b.shape[0]})"
-        )
-    return a @ b
-
-
-def euclidean_distance(u, v) -> float:
-    u = as_vector(u, "distance lhs")
-    v = as_vector(v, "distance rhs")
-    if u.shape[0] != v.shape[0]:
-        raise ValueError(
-            f"euclidean_distance: length mismatch ({u.shape[0]} vs {v.shape[0]})"
-        )
-    diff = u - v
-    return float(np.sqrt(np.dot(diff, diff)))
-
-
-def l2_normalize(v) -> np.ndarray:
-    v = as_vector(v, "l2_normalize input")
-    norm = float(np.sqrt(np.dot(v, v)))
-    if norm < EPS_NORM:
-        raise NumericalError(f"l2_normalize: norm {norm:g} below {EPS_NORM:g}")
-    return v / norm
-
-
 def l2_normalize_rows(m) -> tuple[np.ndarray, np.ndarray]:
     """Normalize each row to unit norm; returns (normalized, row norms)."""
     m = as_matrix(m, "l2_normalize_rows input")
@@ -80,3 +52,64 @@ def l2_normalize_rows(m) -> tuple[np.ndarray, np.ndarray]:
             f"l2_normalize_rows: row {bad} has norm {norms[bad]:g} below {EPS_NORM:g}"
         )
     return m / norms[:, None], norms
+
+
+# --- binary artifact codec ---------------------------------------------------
+
+
+def write_arrays(path: str, magic: bytes, version: int, arrays) -> None:
+    """Write float64 arrays atomically: a temp file, then os.replace.
+
+    A crash mid-write leaves the previous file at `path` intact. The rank
+    of each array is not stored; the reader supplies it.
+    """
+    arrays = [np.asarray(a, "<f8") for a in arrays]
+    dims = [d for a in arrays for d in a.shape]
+    if any(d >= 2**32 for d in dims):
+        raise DataError(f"{path}: array dims {dims} exceed uint32")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic + struct.pack(f"<B{len(dims)}I", version, *dims))
+            for a in arrays:
+                fh.write(a.tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the replace failed
+            os.unlink(tmp)
+
+
+def read_arrays(path: str, magic: bytes, version: int, ranks) -> list[np.ndarray]:
+    """Read what `write_arrays` wrote; every malformed file is a DataError."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:4] != magic:
+        raise DataError(f"{path}: bad magic {blob[:4]!r}, expected {magic!r}")
+    if len(blob) > 4 and blob[4] != version:
+        raise DataError(
+            f"{path}: unsupported {magic.decode()} version {blob[4]}, expected {version}"
+        )
+    header = 5 + 4 * sum(ranks)
+    if len(blob) < header:
+        raise DataError(f"{path}: header truncated at {len(blob)} bytes (need {header})")
+    dims = struct.unpack_from(f"<{sum(ranks)}I", blob, 5)
+    shapes, start = [], 0
+    for rank in ranks:
+        shapes.append(dims[start : start + rank])
+        start += rank
+    expected = header + 8 * sum(math.prod(s) for s in shapes)
+    if len(blob) != expected:
+        raise DataError(
+            f"{path}: payload size mismatch, expected {expected} bytes "
+            f"(arrays {', '.join('x'.join(map(str, s)) or 'scalar' for s in shapes)} "
+            f"after a {header}-byte header), got {len(blob)}"
+        )
+    flat = np.frombuffer(blob, dtype="<f8", offset=header).astype(np.float64)
+    if not np.all(np.isfinite(flat)):
+        raise DataError(f"{path}: payload contains non-finite values")
+    out, offset = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        out.append(flat[offset : offset + n].reshape(shape))
+        offset += n
+    return out

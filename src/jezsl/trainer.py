@@ -4,26 +4,35 @@ SGD with momentum, seeded shuffling, and deterministic results given the
 same inputs and seed. Both heads are updated in one step per batch from a
 single combined loss evaluation.
 
-The shuffle order of epoch e depends only on (seed, e), and the optimizer
-velocities are serializable, so training resumed from a saved state is
-bit-identical to an uninterrupted run.
+The shuffle order of epoch e depends only on (seed, e), and the resume
+bundle (`trainer_state.jet`) holds everything else a run depends on: both
+heads, their optimizer velocities, the next epoch, and the hyperparameters
+that shape the trajectory. Training resumed from it is bit-identical to an
+uninterrupted run, and a resume under changed hyperparameters is refused.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-
 from .alignment import LossConfig, MiniBatch, alignment_loss
 from .errors import DataError, NumericalError
-from .heads import EmbeddingHead, backward, forward, save_head
-from .linalg import as_matrix, make_rng
+from .heads import (
+    HEAD_RANKS,
+    PARAM_NAMES,
+    EmbeddingHead,
+    backward,
+    forward,
+    head_arrays,
+    head_from_arrays,
+    save_head,
+)
+from .linalg import as_matrix, make_rng, read_arrays, write_arrays
 
 log = logging.getLogger("jezsl.trainer")
 
@@ -108,67 +117,104 @@ def _batch_indices(order: np.ndarray, groups: np.ndarray, cfg: TrainConfig):
     return batches
 
 
-PARAM_ORDER = ("w1", "b1", "w2", "b2", "bn_gamma", "bn_beta")
+STATE_FILE = "trainer_state.jet"
 STATE_MAGIC = b"JET1"
+STATE_VERSION = 2
+
+# The hyperparameters that shape the training trajectory: every LossConfig
+# field, every TrainConfig field except the two a resume may change, and the
+# number of training rows. The resume bundle stores them as one array.
+TRAJECTORY_FIELDS = (
+    tuple(f.name for f in fields(LossConfig))
+    + tuple(f.name for f in fields(TrainConfig)
+            if f.name not in ("epochs", "checkpoint_every"))
+    + ("rows",)
+)
+
+# Bundle layout (linalg's array codec, version 2): head_v and head_s as in a
+# .jeh file, the velocities of head_v and head_s in PARAM_NAMES order,
+# next_epoch, then the TRAJECTORY_FIELDS values.
+_N_HEAD, _N_PARAM = len(HEAD_RANKS), len(PARAM_NAMES)
+STATE_RANKS = HEAD_RANKS * 2 + HEAD_RANKS[:_N_PARAM] * 2 + (0, 1)
+
+
+def trajectory(loss_cfg: LossConfig, train_cfg: TrainConfig, rows: int) -> np.ndarray:
+    """TRAJECTORY_FIELDS values of a run, as float64."""
+    values = {**vars(loss_cfg), **vars(train_cfg), "rows": rows}
+    return np.array([float(values[name]) for name in TRAJECTORY_FIELDS])
 
 
 @dataclass
 class TrainState:
-    """Optimizer velocities plus the index of the next epoch to run."""
+    """Everything a resume needs; saved as one bundle by save_train_state.
 
+    `hyperparams` holds the TRAJECTORY_FIELDS values of the run that trained
+    the heads; it is None until train_joint first runs with this state.
+    """
+
+    head_v: EmbeddingHead
+    head_s: EmbeddingHead
     velocity_v: dict[str, np.ndarray]
     velocity_s: dict[str, np.ndarray]
     next_epoch: int = 0
+    hyperparams: np.ndarray | None = None
 
     @classmethod
     def fresh(cls, head_v: EmbeddingHead, head_s: EmbeddingHead) -> "TrainState":
         return cls(
+            head_v=head_v,
+            head_s=head_s,
             velocity_v={k: np.zeros_like(v) for k, v in head_v.learnable().items()},
             velocity_s={k: np.zeros_like(v) for k, v in head_s.learnable().items()},
-            next_epoch=0,
         )
+
+    def changed_hyperparam(self, loss_cfg, train_cfg, rows) -> tuple[str, float, float] | None:
+        """(name, saved, given) of the first trajectory hyperparameter that
+        differs from the run that trained this state; None if all match."""
+        if self.hyperparams is None:
+            return None
+        given = trajectory(loss_cfg, train_cfg, rows)
+        for name, saved, now in zip(TRAJECTORY_FIELDS, self.hyperparams, given):
+            if saved != now:
+                return name, float(saved), float(now)
+        return None
 
 
 def save_train_state(state: TrainState, path: str) -> None:
-    parts = [STATE_MAGIC, struct.pack("<BI", 1, state.next_epoch)]
-    for vel in (state.velocity_v, state.velocity_s):
-        for name in PARAM_ORDER:
-            arr = np.ascontiguousarray(vel[name], dtype="<f8")
-            parts.append(struct.pack("<I", arr.ndim))
-            parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            parts.append(arr.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    if state.hyperparams is None:
+        raise ValueError("save_train_state: no hyperparameters; train_joint sets them")
+    write_arrays(path, STATE_MAGIC, STATE_VERSION, [
+        *head_arrays(state.head_v),
+        *head_arrays(state.head_s),
+        *(state.velocity_v[name] for name in PARAM_NAMES),
+        *(state.velocity_s[name] for name in PARAM_NAMES),
+        np.float64(state.next_epoch),
+        state.hyperparams,
+    ])
 
 
 def load_train_state(path: str) -> TrainState:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != STATE_MAGIC:
-        raise DataError(f"{path}: bad magic {blob[:4]!r}, expected {STATE_MAGIC!r}")
-    version, next_epoch = struct.unpack_from("<BI", blob, 4)
-    if version != 1:
-        raise DataError(f"{path}: unsupported trainer state version {version}")
-    offset = 9
-    vels = []
-    for _ in range(2):
-        vel = {}
-        for name in PARAM_ORDER:
-            (ndim,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-            offset += 4 * ndim
-            n = int(np.prod(shape))
-            if offset + n * 8 > len(blob):
-                raise DataError(f"{path}: truncated trainer state")
-            vel[name] = (
-                np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
-                .reshape(shape)
-                .astype(np.float64)
-            )
-            offset += n * 8
-        vels.append(vel)
-    return TrainState(velocity_v=vels[0], velocity_s=vels[1], next_epoch=next_epoch)
+    arrays = read_arrays(path, STATE_MAGIC, STATE_VERSION, STATE_RANKS)
+    heads = [head_from_arrays(arrays[i : i + _N_HEAD], path) for i in (0, _N_HEAD)]
+    velocities = []
+    for head, i in zip(heads, (2 * _N_HEAD, 2 * _N_HEAD + _N_PARAM)):
+        velocities.append(dict(zip(PARAM_NAMES, arrays[i : i + _N_PARAM])))
+        if any(velocities[-1][k].shape != p.shape for k, p in head.learnable().items()):
+            raise DataError(f"{path}: velocity shapes do not match the head")
+    next_epoch, hyperparams = arrays[-2:]
+    if next_epoch < 0 or next_epoch != int(next_epoch):
+        raise DataError(f"{path}: next epoch {float(next_epoch)!r} is not a count")
+    if len(hyperparams) != len(TRAJECTORY_FIELDS):
+        raise DataError(f"{path}: {len(hyperparams)} hyperparameters, "
+                        f"expected {len(TRAJECTORY_FIELDS)}")
+    return TrainState(*heads, *velocities, int(next_epoch), hyperparams)
+
+
+def save_checkpoint(state: TrainState, out_dir: str) -> None:
+    """Write both heads (for `embed`) and then the resume bundle."""
+    save_head(state.head_v, os.path.join(out_dir, "head_v.jeh"))
+    save_head(state.head_s, os.path.join(out_dir, "head_s.jeh"))
+    save_train_state(state, os.path.join(out_dir, STATE_FILE))
 
 
 def epoch_order(seed: int, epoch: int, n: int, shuffle: bool) -> np.ndarray:
@@ -191,9 +237,11 @@ def train_joint(
 ) -> tuple[EmbeddingHead, EmbeddingHead, TrainLog]:
     """Train both heads in place on paired features; returns them with a log.
 
-    Passing a TrainState loaded from disk resumes at state.next_epoch and is
-    bit-identical to having trained straight through. With checkpoint_every
-    set, heads and trainer state are written to checkpoint_dir periodically.
+    Passing a TrainState loaded from disk (its heads must be the ones passed)
+    resumes at state.next_epoch and is bit-identical to having trained
+    straight through; a state trained under other hyperparameters is refused.
+    With checkpoint_every set, save_checkpoint writes to checkpoint_dir
+    periodically.
     """
     visual = as_matrix(visual, "visual features")
     sentences = as_matrix(sentences, "sentence features")
@@ -214,6 +262,12 @@ def train_joint(
 
     if state is None:
         state = TrainState.fresh(head_v, head_s)
+    if state.head_v is not head_v or state.head_s is not head_s:
+        raise ValueError("train_joint: the state holds other heads than the ones passed")
+    changed = state.changed_hyperparam(loss_cfg, train_cfg, len(visual))
+    if changed is not None:
+        raise ValueError("train_joint: state was trained with %s=%r, not %r" % changed)
+    state.hyperparams = trajectory(loss_cfg, train_cfg, len(visual))
     vel_v = state.velocity_v
     vel_s = state.velocity_s
     train_log = TrainLog()
@@ -265,8 +319,6 @@ def train_joint(
             and train_cfg.checkpoint_every > 0
             and (epoch + 1) % train_cfg.checkpoint_every == 0
         ):
-            save_head(head_v, os.path.join(checkpoint_dir, "head_v.jeh"))
-            save_head(head_s, os.path.join(checkpoint_dir, "head_s.jeh"))
-            save_train_state(state, os.path.join(checkpoint_dir, "trainer_state.jet"))
+            save_checkpoint(state, checkpoint_dir)
 
     return head_v, head_s, train_log

@@ -1,0 +1,149 @@
+"""The four binary artifact formats, all written and read by one codec.
+
+`.jef` features, `.jeh` heads, `.jec` models and the `.jet` resume bundle go
+through `linalg.write_arrays`/`read_arrays`. Every corrupt or cut-off file
+must end in a DataError, never another exception.
+"""
+
+import os
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jezsl.alignment import LossConfig
+from jezsl.compat import CompatibilityModel, load_model, save_model
+from jezsl.data import read_features, write_features
+from jezsl.errors import DataError
+from jezsl.heads import init_head, load_head, save_head
+from jezsl.linalg import make_rng, read_arrays, write_arrays
+from jezsl.trainer import TrainConfig, TrainState, load_train_state, save_train_state, trajectory
+
+
+def small_state():
+    rng = make_rng(4)
+    state = TrainState.fresh(init_head(3, 2, 2, rng), init_head(4, 2, 2, rng))
+    for vel in (state.velocity_v, state.velocity_s):
+        for v in vel.values():
+            v[...] = rng.standard_normal(v.shape)
+    state.next_epoch = 5
+    state.hyperparams = trajectory(LossConfig(), TrainConfig(), 20)
+    return state
+
+
+# name -> (write(path), read(path))
+FORMATS = {
+    "jef": (lambda p: write_features(make_rng(1).standard_normal((3, 2)), p), read_features),
+    "jeh": (lambda p: save_head(init_head(3, 2, 2, make_rng(2)), p), load_head),
+    "jec": (lambda p: save_model(CompatibilityModel(make_rng(3).standard_normal((2, 3))), p),
+            load_model),
+    "jet": (lambda p: save_train_state(small_state(), p), load_train_state),
+}
+
+
+@pytest.fixture(scope="module")
+def blobs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("artifacts")
+    out = {}
+    for name, (write, _) in FORMATS.items():
+        path = str(d / f"a.{name}")
+        write(path)
+        out[name] = open(path, "rb").read()
+    return out
+
+
+def load_blob(name, blob, path):
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    return FORMATS[name][1](path)
+
+
+class TestLayout:
+    def test_matrix_header_is_pinned(self, tmp_path):
+        m = np.arange(6.0).reshape(3, 2)
+        for magic, write in ((b"JEF1", write_features),
+                             (b"JEC1", lambda m, p: save_model(CompatibilityModel(m), p))):
+            path = str(tmp_path / "m")
+            write(m, path)
+            blob = open(path, "rb").read()
+            assert blob[:13] == magic + b"\x01\x03\x00\x00\x00\x02\x00\x00\x00"
+            assert blob[13:] == struct.pack("<6d", *range(6))
+
+    def test_files_from_before_the_shared_codec_still_load(self, tmp_path):
+        # JEF1/JEC1 version 1 as written by the per-format writers
+        m = make_rng(5).standard_normal((4, 3))
+        body = struct.pack("<BII", 1, 4, 3) + m.astype("<f8").tobytes()
+        (tmp_path / "m.jef").write_bytes(b"JEF1" + body)
+        (tmp_path / "m.jec").write_bytes(b"JEC1" + body)
+        np.testing.assert_array_equal(read_features(str(tmp_path / "m.jef")), m)
+        np.testing.assert_array_equal(load_model(str(tmp_path / "m.jec")).w, m)
+
+    @pytest.mark.parametrize("name", ["jeh", "jet"])
+    def test_version_1_head_and_bundle_are_refused(self, name, blobs, tmp_path):
+        old = blobs[name][:4] + b"\x01" + blobs[name][5:]
+        with pytest.raises(DataError, match="version 1, expected 2"):
+            load_blob(name, old, str(tmp_path / f"old.{name}"))
+
+    def test_scalars_keep_rank_zero(self, tmp_path):
+        path = str(tmp_path / "a.bin")
+        arrays = [np.float64(0.5), np.zeros((0, 3)), np.arange(4.0), np.eye(2)]
+        write_arrays(path, b"TEST", 7, arrays)
+        blob = open(path, "rb").read()
+        # dims: none for the scalar, 0,3 then 4 then 2,2
+        assert blob[:5 + 4 * 5] == b"TEST\x07" + struct.pack("<5I", 0, 3, 4, 2, 2)
+        got = read_arrays(path, b"TEST", 7, (0, 2, 1, 2))
+        assert [a.shape for a in got] == [a.shape for a in arrays]
+        for a, b in zip(got, arrays):
+            np.testing.assert_array_equal(a, b)
+        got[2][0] = 9.0  # loaded arrays are writable
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "m.jec")
+        save_model(CompatibilityModel(np.ones((2, 2))), path)
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            save_model(CompatibilityModel(np.zeros((5, 5))), path)
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == ["m.jec"]
+        np.testing.assert_array_equal(load_model(path).w, np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_every_truncation_is_a_data_error(name, blobs, tmp_path):
+    path = str(tmp_path / f"t.{name}")
+    load_blob(name, blobs[name], path)
+    for n in range(len(blobs[name])):
+        with pytest.raises(DataError):
+            load_blob(name, blobs[name][:n], path)
+
+
+@pytest.mark.parametrize("name", ["jeh", "jet"])
+def test_inconsistent_head_dims_are_a_data_error(name, blobs, tmp_path):
+    # swap the dims of w1 so the payload size still matches
+    blob = bytearray(blobs[name])
+    blob[5:9], blob[9:13] = blob[9:13], blob[5:9]
+    with pytest.raises(DataError, match="inconsistent"):
+        load_blob(name, bytes(blob), str(tmp_path / f"s.{name}"))
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_bit_flips_load_cleanly_or_raise_data_error(name, blobs, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("flip") / f"f.{name}")
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.integers(0, 8 * len(blobs[name]) - 1))
+    def flip(bit):
+        blob = bytearray(blobs[name])
+        blob[bit // 8] ^= 1 << (bit % 8)
+        try:
+            load_blob(name, bytes(blob), path)
+        except DataError:
+            pass
+
+    flip()

@@ -116,6 +116,25 @@ class TestTrainEmbed:
         b = open(os.path.join(part, "head_v.jeh"), "rb").read()
         assert a == b
 
+    def test_resume_refuses_changed_options(self, tmp_path, capsys):
+        data = gen(tmp_path)
+        out = str(tmp_path / "run")
+        common = ["--data", data, "--out", out, "--batch-size", "8", "--seed", "1"]
+        assert run("train-embed", "--epochs", "1", "--dim", "16", *common) == 0
+        heads = [open(os.path.join(out, n), "rb").read()
+                 for n in ("head_v.jeh", "head_s.jeh", "trainer_state.jet", "manifest.txt")]
+        capsys.readouterr()
+        for changed, option in ((["--dim", "8", "--lr", "0.5", "--batch-size", "64"], "--dim"),
+                                (["--dim", "16", "--lr", "0.5"], "--lr"),
+                                (["--dim", "16", "--rows", "train"], "--rows")):
+            assert run("train-embed", "--epochs", "2", "--resume", *common, *changed) == 1
+            assert option in capsys.readouterr().err
+        assert heads == [open(os.path.join(out, n), "rb").read()
+                         for n in ("head_v.jeh", "head_s.jeh", "trainer_state.jet",
+                                   "manifest.txt")]
+        assert run("train-embed", "--epochs", "2", "--resume", "--dim", "16", *common) == 0
+        assert load_head(os.path.join(out, "head_v.jeh")).d_out == 16
+
     def test_repeated_captions_train(self, tmp_path):
         # Two captions per image repeat every image row, so coincident rows
         # (d = 0) sit inside active hinges from the first minibatch on.
@@ -179,6 +198,56 @@ class TestEmbedCommand:
         write_features(np.ones((3, 9)), bad)
         assert run("embed", "--checkpoint", os.path.join(out, "head_v.jeh"),
                    "--features", bad, "--out", str(tmp_path / "y.jef")) == 2
+
+
+class TestCorruptArtifacts:
+    """A cut-off artifact of each binary format is a data error (exit 2)."""
+
+    @pytest.fixture(scope="class")
+    def pipeline(self, tmp_path_factory):
+        return TestPipelineAndEval().pipeline(tmp_path_factory.mktemp("corrupt"))
+
+    @staticmethod
+    def cut(src, dst, n):
+        with open(src, "rb") as fh:
+            blob = fh.read(n)
+        with open(dst, "wb") as fh:
+            fh.write(blob)
+        return dst
+
+    def test_truncated_features(self, pipeline, tmp_path, capsys):
+        data, emb, zsl, _ = pipeline
+        short = self.cut(emb, str(tmp_path / "emb.jef"), 20)
+        assert run("eval", "--data", data, "--features", short,
+                   "--model", os.path.join(zsl, "model.jec"),
+                   "--out", str(tmp_path / "rep")) == 2
+        assert "expected" in capsys.readouterr().err
+
+    def test_truncated_head(self, pipeline, tmp_path, capsys):
+        data, _, _, _ = pipeline
+        head = self.cut(os.path.join(os.path.dirname(data), "run", "head_v.jeh"),
+                        str(tmp_path / "t.jeh"), 8)
+        assert run("embed", "--checkpoint", head,
+                   "--features", os.path.join(data, "visual.jef"),
+                   "--out", str(tmp_path / "emb.jef")) == 2
+        assert "header truncated" in capsys.readouterr().err
+
+    def test_truncated_model(self, pipeline, tmp_path, capsys):
+        data, emb, zsl, _ = pipeline
+        model = self.cut(os.path.join(zsl, "model.jec"), str(tmp_path / "m.jec"), 4)
+        assert run("eval", "--data", data, "--features", emb, "--model", model,
+                   "--out", str(tmp_path / "rep")) == 2
+        assert "header truncated" in capsys.readouterr().err
+
+    def test_truncated_resume_bundle(self, pipeline, tmp_path, capsys):
+        data, _, _, _ = pipeline
+        out = str(tmp_path / "run")
+        os.makedirs(out)
+        self.cut(os.path.join(os.path.dirname(data), "run", "trainer_state.jet"),
+                 os.path.join(out, "trainer_state.jet"), 6)
+        assert run("train-embed", "--data", data, "--out", out, "--resume",
+                   "--dim", "4", "--hidden", "16") == 2
+        assert "header truncated" in capsys.readouterr().err
 
 
 class TestPipelineAndEval:

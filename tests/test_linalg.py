@@ -2,115 +2,34 @@ import numpy as np
 import pytest
 
 from jezsl.errors import NumericalError
-from jezsl.linalg import (
-    euclidean_distance,
-    l2_normalize,
-    l2_normalize_rows,
-    make_rng,
-    matmul,
-)
-
-
-def naive_matmul(a, b):
-    rows, inner = a.shape
-    cols = b.shape[1]
-    out = np.zeros((rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0.0
-            for k in range(inner):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        np.testing.assert_array_equal(
-            matmul([[1, 0], [0, 1]], [[3], [4]]), [[3], [4]]
-        )
-
-    def test_arithmetic(self):
-        np.testing.assert_array_equal(matmul([[1, 2]], [[3], [4]]), [[11]])
-
-    def test_matches_naive_triple_loop(self):
-        rng = make_rng(42)
-        a = rng.standard_normal((5, 7))
-        b = rng.standard_normal((7, 3))
-        assert np.max(np.abs(matmul(a, b) - naive_matmul(a, b))) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_identity_associativity_exact(self):
-        rng = make_rng(0)
-        a = rng.standard_normal((4, 4))
-        eye = np.eye(4)
-        np.testing.assert_array_equal(matmul(eye, a), a)
-        np.testing.assert_array_equal(matmul(a, eye), a)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(NumericalError):
-            matmul([[np.nan, 1.0]], [[1.0], [1.0]])
-
-
-class TestEuclideanDistance:
-    def test_three_four_five(self):
-        assert euclidean_distance([0, 0], [3, 4]) == 5.0
-
-    def test_self_distance_zero(self):
-        v = [1.5, -2.5, 3.0]
-        assert euclidean_distance(v, v) == 0.0
-
-    def test_matches_scalar_loop(self):
-        rng = make_rng(7)
-        u = rng.standard_normal(11)
-        v = rng.standard_normal(11)
-        ref = 0.0
-        for a, b in zip(u, v):
-            ref += (a - b) ** 2
-        ref = ref**0.5
-        assert abs(euclidean_distance(u, v) - ref) <= 1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            euclidean_distance([1, 2], [1, 2, 3])
-
-    def test_symmetry_and_triangle_inequality(self):
-        rng = make_rng(3)
-        for _ in range(200):
-            a, b, c = rng.standard_normal((3, 5))
-            dab = euclidean_distance(a, b)
-            assert dab == euclidean_distance(b, a)
-            assert dab <= euclidean_distance(a, c) + euclidean_distance(c, b) + 1e-9
+from jezsl.linalg import l2_normalize_rows, make_rng
 
 
 class TestL2Normalize:
     def test_three_four_five(self):
-        np.testing.assert_allclose(l2_normalize([3, 4]), [0.6, 0.8], atol=1e-15)
+        normed, norms = l2_normalize_rows([[3, 4]])
+        np.testing.assert_allclose(normed, [[0.6, 0.8]], atol=1e-15)
+        assert norms[0] == 5.0
 
     def test_unit_vector_unchanged(self):
-        v = np.array([0.6, 0.8])
-        np.testing.assert_allclose(l2_normalize(v), v, atol=1e-12)
+        v = np.array([[0.6, 0.8]])
+        np.testing.assert_allclose(l2_normalize_rows(v)[0], v, atol=1e-12)
 
     def test_zero_vector_errors(self):
-        with pytest.raises(NumericalError):
-            l2_normalize([0.0, 0.0])
+        with pytest.raises(NumericalError, match="row 1"):
+            l2_normalize_rows([[1.0, 0.0], [0.0, 0.0]])
 
     def test_output_unit_norm(self):
-        rng = make_rng(9)
-        for _ in range(50):
-            out = l2_normalize(rng.standard_normal(6))
-            assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
+        normed, _ = l2_normalize_rows(make_rng(9).standard_normal((50, 6)))
+        assert np.max(np.abs(np.linalg.norm(normed, axis=1) - 1.0)) <= 1e-12
 
     def test_rows_variant_matches(self):
         rng = make_rng(1)
         m = rng.standard_normal((4, 3))
         normed, norms = l2_normalize_rows(m)
-        for row, ref in zip(normed, m):
-            np.testing.assert_allclose(row, l2_normalize(ref), atol=1e-15)
-        np.testing.assert_allclose(norms, np.linalg.norm(m, axis=1))
+        np.testing.assert_allclose(norms, np.linalg.norm(m, axis=1), rtol=1e-15)
+        np.testing.assert_allclose(normed, m / np.linalg.norm(m, axis=1, keepdims=True),
+                                   atol=1e-15)
 
 
 class TestRng:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from jezsl.errors import DataError
 from jezsl.heads import init_head
 from jezsl.linalg import make_rng
 from jezsl.trainer import (
+    STATE_FILE,
     TrainConfig,
     TrainState,
     _batch_indices,
@@ -14,6 +17,7 @@ from jezsl.trainer import (
     save_train_state,
     sgd_step,
     train_joint,
+    trajectory,
 )
 
 
@@ -38,6 +42,12 @@ def fresh_heads(seed=0, d_in=6, d_out=4):
 
 def head_arrays(head):
     return {k: v.copy() for k, v in vars(head).items() if isinstance(v, np.ndarray)}
+
+
+def untrained_state(seed=0):
+    state = TrainState.fresh(*fresh_heads(seed=seed))
+    state.hyperparams = trajectory(LossConfig(), TrainConfig(), 40)
+    return state
 
 
 class TestSgdStep:
@@ -174,13 +184,62 @@ class TestTrainJoint:
         resumed = load_train_state(path)
         assert resumed.next_epoch == 3
         train_joint(
-            visual, sentences, groups, hv, hs,
+            visual, sentences, groups, resumed.head_v, resumed.head_s,
             loss_cfg, TrainConfig(epochs=6, batch_size=8, seed=2), state=resumed,
         )
         for k, v in head_arrays(hv_full).items():
-            np.testing.assert_array_equal(getattr(hv, k), v)
+            np.testing.assert_array_equal(getattr(resumed.head_v, k), v)
         for k, v in head_arrays(hs_full).items():
-            np.testing.assert_array_equal(getattr(hs, k), v)
+            np.testing.assert_array_equal(getattr(resumed.head_s, k), v)
+
+    def test_resume_refuses_changed_hyperparameters(self):
+        visual, sentences, groups = make_problem()
+        hv, hs = fresh_heads()
+        state = TrainState.fresh(hv, hs)
+        train_joint(visual, sentences, groups, hv, hs, LossConfig(),
+                    TrainConfig(epochs=1, batch_size=8), state=state)
+        with pytest.raises(ValueError, match="batch_size=8"):
+            train_joint(visual, sentences, groups, hv, hs, LossConfig(),
+                        TrainConfig(epochs=2, batch_size=10), state=state)
+        with pytest.raises(ValueError, match="rows=40"):
+            train_joint(visual[:30], sentences[:30], groups[:30], hv, hs, LossConfig(),
+                        TrainConfig(epochs=2, batch_size=8), state=state)
+        # epochs and checkpoint_every do not shape the trajectory
+        train_joint(visual, sentences, groups, hv, hs, LossConfig(),
+                    TrainConfig(epochs=2, batch_size=8, checkpoint_every=5), state=state)
+        assert state.next_epoch == 2
+
+    def test_crash_during_checkpoint_keeps_previous_bundle(self, tmp_path, monkeypatch):
+        visual, sentences, groups = make_problem(seed=3)
+        cfg = TrainConfig(epochs=6, batch_size=8, seed=3, checkpoint_every=1)
+        hv_full, hs_full = fresh_heads(seed=3)
+        train_joint(visual, sentences, groups, hv_full, hs_full, LossConfig(), cfg)
+
+        real_replace = os.replace
+        bundle_writes = []
+
+        def replace(src, dst):
+            if dst.endswith(STATE_FILE):
+                bundle_writes.append(dst)
+                if len(bundle_writes) == 4:
+                    raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        hv, hs = fresh_heads(seed=3)
+        with pytest.raises(OSError, match="disk full"):
+            train_joint(visual, sentences, groups, hv, hs, LossConfig(), cfg,
+                        checkpoint_dir=str(tmp_path))
+        monkeypatch.undo()
+        assert sorted(os.listdir(tmp_path)) == ["head_s.jeh", "head_v.jeh", STATE_FILE]
+
+        state = load_train_state(str(tmp_path / STATE_FILE))
+        assert state.next_epoch == 3
+        train_joint(visual, sentences, groups, state.head_v, state.head_s,
+                    LossConfig(), cfg, state=state)
+        for full, resumed in ((hv_full, state.head_v), (hs_full, state.head_s)):
+            for k, v in head_arrays(full).items():
+                np.testing.assert_array_equal(getattr(resumed, k), v)
 
     def test_row_count_mismatch(self):
         visual, sentences, groups = make_problem()
@@ -204,21 +263,25 @@ class TestTrainJoint:
 
 class TestTrainStateIo:
     def test_round_trip(self, tmp_path):
-        hv, hs = fresh_heads(seed=7)
-        state = TrainState.fresh(hv, hs)
+        state = untrained_state(seed=7)
         rng = make_rng(7)
         for vel in (state.velocity_v, state.velocity_s):
             for k in vel:
                 vel[k][...] = rng.standard_normal(vel[k].shape)
+        state.head_v.bn_running_var[:] = rng.random(4) + 0.5
         state.next_epoch = 12
         path = str(tmp_path / "s.jet")
         save_train_state(state, path)
         loaded = load_train_state(path)
         assert loaded.next_epoch == 12
+        np.testing.assert_array_equal(loaded.hyperparams, state.hyperparams)
         for a, b in ((state.velocity_v, loaded.velocity_v),
                      (state.velocity_s, loaded.velocity_s)):
             for k in a:
                 np.testing.assert_array_equal(a[k], b[k])
+        for a, b in ((state.head_v, loaded.head_v), (state.head_s, loaded.head_s)):
+            for k, v in vars(a).items():
+                np.testing.assert_array_equal(getattr(b, k), v)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "s.jet"
@@ -227,13 +290,15 @@ class TestTrainStateIo:
             load_train_state(str(path))
 
     def test_truncation(self, tmp_path):
-        hv, hs = fresh_heads()
-        state = TrainState.fresh(hv, hs)
         path = tmp_path / "s.jet"
-        save_train_state(state, str(path))
+        save_train_state(untrained_state(), str(path))
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(DataError):
             load_train_state(str(path))
+
+    def test_untrained_state_has_no_hyperparameters_to_save(self, tmp_path):
+        with pytest.raises(ValueError, match="hyperparameters"):
+            save_train_state(TrainState.fresh(*fresh_heads()), str(tmp_path / "s.jet"))
 
 
 class TestConfigValidation:
