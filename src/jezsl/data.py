@@ -66,6 +66,8 @@ def _parse_csv_features(path: str) -> np.ndarray:
         cols = int(lines[0][4:])
     except ValueError as exc:
         raise DataError(f"{path}: malformed CSV header {lines[0]!r}") from exc
+    if cols < 0:
+        raise DataError(f"{path}: malformed CSV header {lines[0]!r}")
     rows = []
     for n, ln in enumerate(lines[1:], 2):
         values = ln.split(",")

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import LossConfig, MiniBatch, alignment_loss, term_inputs
-from .compat import AttributeTable, LabeledEmbeddings, ranking_loss, ranking_loss_grad
+from .compat import (
+    AttributeTable,
+    LabeledEmbeddings,
+    hinge_arguments,
+    ranking_loss,
+    ranking_loss_grad,
+)
 from .heads import backward, forward, init_head
 from .linalg import l2_normalize_rows, make_rng
 
@@ -191,13 +197,7 @@ def check_compatibility(trials: int = 20, seed: int = 2, corrupt: bool = False) 
 
         margin = float(rng.uniform(0.05, 0.5))
         for _ in range(50):
-            seen = sorted(table.seen_ids)
-            attrs = table.rows_for(seen)
-            scores = (data.embeddings @ w) @ attrs.T
-            col = {c: i for i, c in enumerate(seen)}
-            tc = np.array([col[int(c)] for c in data.labels])
-            args = margin + scores - scores[np.arange(n), tc][:, None]
-            args[np.arange(n), tc] = np.inf
+            args = hinge_arguments(w, data, table, margin)
             if not np.any(np.abs(args[np.isfinite(args)]) < BOUNDARY_GAP):
                 break
             margin += 2.1 * BOUNDARY_GAP

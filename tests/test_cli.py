@@ -312,6 +312,14 @@ class TestPipelineAndEval:
                    "--out", str(tmp_path / "x")) == 2
 
 
+class TestTrainZsl:
+    def test_divergence_is_numerical_error(self, tmp_path):
+        data = gen(tmp_path)
+        assert run("train-zsl", "--data", data,
+                   "--features", os.path.join(data, "visual.jef"),
+                   "--out", str(tmp_path / "zsl"), "--lr", "1e308") == 3
+
+
 class TestGradcheckCommand:
     def test_passes(self, capsys):
         assert run("gradcheck", "--trials", "3") == 0

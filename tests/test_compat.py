@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jezsl.compat import (
+    BATCH_ROWS,
     AttributeTable,
     CompatibilityModel,
     LabeledEmbeddings,
@@ -13,7 +14,7 @@ from jezsl.compat import (
     save_model,
     train_compatibility,
 )
-from jezsl.errors import DataError
+from jezsl.errors import DataError, NumericalError
 from jezsl.linalg import make_rng
 
 
@@ -153,6 +154,45 @@ class TestTraining:
         m1 = train_compatibility(data, table, epochs=20, seed=3)
         m2 = train_compatibility(data, table, epochs=20, seed=3)
         np.testing.assert_array_equal(m1.w, m2.w)
+
+    @pytest.mark.parametrize("n", [1, 12, BATCH_ROWS])
+    def test_one_slice_epochs_are_checked_gradient_steps(self, n):
+        rng = make_rng(11)
+        table = simple_table(n_seen=4, seed=11)
+        data = LabeledEmbeddings(rng.standard_normal((n, 5)), rng.integers(0, 4, size=n))
+        lr, margin = 0.05, 0.3
+        w = np.zeros((5, table.d_attr))
+        for _ in range(2):
+            w -= lr * ranking_loss_grad(w, data, table, margin)
+        model = train_compatibility(
+            data, table, margin=margin, learning_rate=lr, epochs=2, seed=2
+        )
+        assert np.any(w != 0.0)
+        assert np.linalg.norm(model.w - w) <= 1e-12 * np.linalg.norm(w)
+
+    def test_short_final_slice_is_its_own_step(self):
+        n, lr, margin, seed = BATCH_ROWS + 1, 0.05, 0.3, 2
+        rng = make_rng(12)
+        table = simple_table(n_seen=4, seed=12)
+        data = LabeledEmbeddings(rng.standard_normal((n, 5)), rng.integers(0, 4, size=n))
+        order_rng = make_rng(seed)
+        w = np.zeros((5, table.d_attr))
+        for _ in range(2):
+            order = order_rng.permutation(n)
+            for rows in (order[:BATCH_ROWS], order[BATCH_ROWS:]):
+                part = LabeledEmbeddings(data.embeddings[rows], data.labels[rows])
+                w -= lr * ranking_loss_grad(w, part, table, margin)
+        model = train_compatibility(
+            data, table, margin=margin, learning_rate=lr, epochs=2, seed=seed
+        )
+        assert np.linalg.norm(model.w - w) <= 1e-12 * np.linalg.norm(w)
+
+    def test_divergence_raises_numerical_error(self):
+        rng = make_rng(13)
+        table = simple_table(seed=13)
+        data = LabeledEmbeddings(rng.standard_normal((40, 5)), rng.integers(0, 3, size=40))
+        with pytest.raises(NumericalError):
+            train_compatibility(data, table, learning_rate=1e308, epochs=5)
 
     def test_labels_outside_seen_rejected(self):
         table = simple_table()

@@ -67,6 +67,12 @@ class TestFeatureIo:
         with pytest.raises(DataError, match="dim="):
             read_features(str(path))
 
+    def test_negative_csv_width(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("dim=-1\n")
+        with pytest.raises(DataError, match="malformed CSV header"):
+            read_features(str(path))
+
     def test_csv_ragged_row(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("dim=3\n1,2,3\n1,2\n")
