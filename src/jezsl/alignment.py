@@ -12,9 +12,15 @@ Rows sharing a group id are mutual positives. Triplets never cross minibatch
 boundaries. Every valid triplet of the minibatch contributes ("batch-all"),
 but none is listed: `alignment_loss` sorts each anchor row's positive
 thresholds together with its negative distances, which counts for every
-distance how many active hinges it enters, in O(b^2 log b). The loss and its
-exact (sub)gradient are checked against an enumerating oracle, a brute-force
-loop and finite differences in the tests.
+distance how many active hinges it enters, in O(b^2 log b).
+
+All four terms share one pass. With z = [x; y], one (2b, 2b) distance
+matrix viewed as (4b, b) holds every term's anchor rows (`term_inputs`).
+Each row's thresholds and distances become packed uint64 sort keys, one
+default-kind argsort per chunk of rows counts the active hinges, and the
+gradient of all four terms is one matmul with (C + C^T) / D. The loss and
+its exact (sub)gradient are checked against an enumerating oracle, a
+brute-force loop and finite differences in the tests.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ import numpy as np
 
 from .linalg import as_matrix
 
-# Anchor rows per chunk of the distance and merge passes. Temporaries stay
-# O(b^2 + ANCHOR_CHUNK * b * d) however large the minibatch.
+# Rows per distance tile and per chunk of the sort and gradient passes.
+# Temporaries stay O(b^2 + ANCHOR_CHUNK * (b + ANCHOR_CHUNK * d)).
 ANCHOR_CHUNK = 64
 
 
@@ -65,83 +71,48 @@ class MiniBatch:
             raise ValueError("visual and sentence embeddings must share width")
 
 
-def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _pairwise_distances(z: np.ndarray) -> np.ndarray:
     # Broadcast differences rather than the Gram-matrix identity, which
-    # loses precision near d = 0 and would move hinges across zero.
-    out = np.empty((len(a), len(b)))
-    for r in range(0, len(a), ANCHOR_CHUNK):
-        diff = a[r : r + ANCHOR_CHUNK, None, :] - b[None, :, :]
-        np.multiply(diff, diff, out=diff)
-        np.sqrt(np.sum(diff, axis=2), out=out[r : r + ANCHOR_CHUNK])
+    # loses precision near d = 0 and would move hinges across zero. Tiles
+    # are coordinate-major so every ufunc loop runs over a tile row, and
+    # only tiles on or above the diagonal are computed (D is symmetric).
+    n = len(z)
+    zt = np.ascontiguousarray(z.T)
+    out = np.empty((n, n))
+    for r in range(0, n, ANCHOR_CHUNK):
+        for c in range(r, n, ANCHOR_CHUNK):
+            diff = zt[:, r : r + ANCHOR_CHUNK, None] - zt[:, None, c : c + ANCHOR_CHUNK]
+            np.multiply(diff, diff, out=diff)
+            tile = out[r : r + ANCHOR_CHUNK, c : c + ANCHOR_CHUNK]
+            np.sqrt(np.add.reduce(diff, axis=0), out=tile)
+            out[c : c + ANCHOR_CHUNK, r : r + ANCHOR_CHUNK] = tile.T
     return out
 
 
-def term_inputs(batch: MiniBatch) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(distances, positive mask, negative mask) for each of the four terms.
+def term_inputs(batch: MiniBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked (distances, positive mask, negative mask) of all four terms.
 
-    Row i of each triple describes anchor i: term t's hinges are
-    m + D[i, j] - D[i, k] over positives j and negatives k. Cross-modal
-    terms pair a row with its own counterpart (j == i); within-modal terms
-    exclude it.
+    Each is (4b, b): the (2b, 2b) matrix over z = [x; y] with every row
+    split in two, so row 2a + h holds anchor z_a against block h of z
+    (0: images, 1: sentences). Image anchor i owns rows 2i (term3) and
+    2i + 1 (term1); sentence anchor i owns rows 2(b + i) (term2) and
+    2(b + i) + 1 (term4). A row's hinges are m + D[r, j] - D[r, k] over its
+    positives j and negatives k. Cross-modal rows pair a row with its own
+    counterpart (j == i); within-modal rows exclude it.
     """
-    x, y = batch.visual, batch.sentence
-    dxy = _pairwise_distances(x, y)
     g = batch.group_ids
-    same = g[:, None] == g[None, :]
-    other = ~same
-    within = same.copy()
-    np.fill_diagonal(within, False)
-    # term2 anchors are sentences: d(x_j, y_i) indexes dxy transposed.
-    return [
-        (dxy, same, other),
-        (dxy.T, same, other),
-        (_pairwise_distances(x, x), within, other),
-        (_pairwise_distances(y, y), within, other),
-    ]
+    b = len(g)
+    pos = np.tile(g[:, None] == g[None, :], (2, 2))
+    neg = ~pos
+    np.fill_diagonal(pos, False)  # the within-modal blocks' j == i
+    dist = _pairwise_distances(np.concatenate([batch.visual, batch.sentence]))
+    return dist.reshape(4 * b, b), pos.reshape(4 * b, b), neg.reshape(4 * b, b)
 
 
-def _hinge_term(dist, pos, neg, margin):
-    """Hinge sum, active and total triplet counts, and dL/dD coefficients
-    of one term.
-
-    Per anchor row, the thresholds T = m + D[i, pos] and the negative
-    distances D[i, neg] are sorted together, T first so that ties put the
-    threshold before the distance. A positive's active count is then the
-    number of negatives sorted before it, and a negative's the number of
-    thresholds sorted after it: exactly the triples with fl(m + d_pos) >
-    d_neg, so hinges at exactly zero are inactive.
-    """
-    b = dist.shape[1]
-    coef = np.empty(dist.shape)
-    hinge_sum = 0.0
-    active = 0
-    for r in range(0, len(dist), ANCHOR_CHUNK):
-        d = dist[r : r + ANCHOR_CHUNK]
-        thresh = margin + d
-        keys = np.concatenate(
-            [np.where(pos[r : r + ANCHOR_CHUNK], thresh, -np.inf),
-             np.where(neg[r : r + ANCHOR_CHUNK], d, np.inf)],
-            axis=1,
-        )
-        order = np.argsort(keys, axis=1, kind="stable")
-        is_neg = order >= b
-        # Padding sorts outside the real entries, so its counts are zero.
-        sorted_counts = np.where(
-            is_neg, b - np.cumsum(~is_neg, axis=1), np.cumsum(is_neg, axis=1)
-        )
-        counts = np.empty_like(sorted_counts)
-        np.put_along_axis(counts, order, sorted_counts, axis=1)
-        c_pos, c_neg = counts[:, :b], counts[:, b:]
-        hinge_sum += float(np.sum(c_pos * thresh) - np.sum(c_neg * d))
-        active += int(np.sum(c_pos))
-        coef[r : r + ANCHOR_CHUNK] = c_pos - c_neg
-    total = int(np.sum(np.sum(pos, axis=1) * np.sum(neg, axis=1)))
-    return hinge_sum, active, total, coef
-
-
-def _over_distance(coef: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """coef / dist, with the zero subgradient of ||u - v|| where dist == 0."""
-    return np.divide(coef, dist, out=np.zeros_like(coef), where=dist > 0.0)
+# Sort-key padding of slots that are not positives (below every threshold
+# key) and of slots that are not negatives (above every distance key).
+_NOT_POS = np.uint64(0)
+_NOT_NEG = np.uint64(2**64 - 1)
 
 
 def alignment_loss(
@@ -155,24 +126,52 @@ def alignment_loss(
     where u == v (a valid subgradient of the norm).
     """
     cfg.validate()
-    x, y = batch.visual, batch.sentence
-    terms = term_inputs(batch)
-    sums = np.zeros(4)
-    active = total = 0
-    coefs = []
-    for t, (dist, pos, neg) in enumerate(terms):
-        sums[t], n_active, n_total, c = _hinge_term(dist, pos, neg, cfg.margin)
-        active += n_active
-        total += n_total
-        coefs.append(c)
+    dist, pos, neg = term_inputs(batch)
+    b = dist.shape[1]
+    # Weight of each stacked row: term3, term1 for images, term2, term4 for sentences.
+    row_weight = np.repeat([[cfg.lambda2, 1.0], [cfg.lambda1, cfg.lambda3]], b, axis=0).ravel()
+    tail = b - 1 - np.arange(2 * b)
+    coef = np.empty(dist.shape)
+    row_sums = np.empty(len(dist))
+    active = 0
+    for r in range(0, len(dist), 2 * ANCHOR_CHUNK):
+        rows = slice(r, r + 2 * ANCHOR_CHUNK)
+        d = dist[rows]
+        thresh = cfg.margin + d
+        # Non-negative float64s sort like their bit patterns; the low bit
+        # puts a threshold before a distance equal to it. Equal keys are of
+        # one kind, so the counts do not depend on the sort algorithm.
+        keys = np.concatenate([np.where(pos[rows], thresh.view(np.uint64) << 1, _NOT_POS),
+                               np.where(neg[rows], d.view(np.uint64) << 1 | 1, _NOT_NEG)], axis=1)
+        order = np.argsort(keys, axis=1)
+        is_neg = order >= b
+        # A threshold's count is the negatives sorted before it, a
+        # distance's the thresholds sorted after it (at slot k: b - 1 - k
+        # plus the negatives up to k): exactly the triples with
+        # fl(m + d_pos) > d_neg, so hinges at exactly zero are inactive.
+        # Padding sorts outside the real keys and counts zero.
+        sorted_counts = np.cumsum(is_neg, axis=1, dtype=np.float64)
+        sorted_counts += is_neg * tail
+        counts = np.empty(keys.shape)
+        flat = order + 2 * b * np.arange(len(order))[:, None]
+        counts.reshape(-1)[flat] = sorted_counts
+        c_pos, c_neg = counts[:, :b], counts[:, b:]
+        row_sums[rows] = np.sum(c_pos * thresh, axis=1) - np.sum(c_neg * d, axis=1)
+        active += int(np.sum(c_pos))
+        coef[rows] = (c_pos - c_neg) * row_weight[rows, None]
+    total = int(np.sum(np.sum(pos, axis=1) * np.sum(neg, axis=1)))
+    (t3, t1), (t2, t4) = row_sums.reshape(2, b, 2).sum(axis=1)
+    sums = np.array([t1, t2, t3, t4])
     loss = float(sums[0] + cfg.lambda1 * sums[1] + cfg.lambda2 * sums[2] + cfg.lambda3 * sums[3])
 
-    # Fold each family's coefficients into one b x b matrix G with
-    # dL/du_a = sum_j G[a, j] (u_a - v_j): two matmuls per family.
-    (dxy, _, _), _, (dxx, _, _), (dyy, _, _) = terms
-    g_xy = _over_distance(coefs[0] + cfg.lambda1 * coefs[1].T, dxy)
-    g_xx = _over_distance(cfg.lambda2 * (coefs[2] + coefs[2].T), dxx)
-    g_yy = _over_distance(cfg.lambda3 * (coefs[3] + coefs[3].T), dyy)
-    dx = (np.sum(g_xy, axis=1) + np.sum(g_xx, axis=1))[:, None] * x - g_xy @ y - g_xx @ x
-    dy = (np.sum(g_xy, axis=0) + np.sum(g_yy, axis=1))[:, None] * y - g_xy.T @ x - g_yy @ y
-    return loss, sums, active, total, dx, dy
+    # With C the weighted coefficients as (2b, 2b), dL/dz_a =
+    # sum_c G[a, c] (z_a - z_c) for G = (C + C^T) / D, zero where D == 0.
+    # G overwrites D, so the pass holds two (2b, 2b) arrays.
+    c = coef.reshape(2 * b, 2 * b)
+    g = dist.reshape(2 * b, 2 * b)
+    for r in range(0, 2 * b, ANCHOR_CHUNK):
+        rows = slice(r, r + ANCHOR_CHUNK)
+        np.divide(c[rows] + c[:, rows].T, g[rows], out=g[rows], where=g[rows] > 0.0)
+    z = np.concatenate([batch.visual, batch.sentence])
+    dz = np.sum(g, axis=1)[:, None] * z - g @ z
+    return loss, sums, active, total, dz[:b], dz[b:]

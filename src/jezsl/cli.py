@@ -302,6 +302,10 @@ def cmd_train_embed(cfg: dict) -> int:
         loss_cfg.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if d_out < 1:
+        raise UsageError(f"--dim must be >= 1, got {d_out}")
+    if cfg["hidden"] < 0:
+        raise UsageError(f"--hidden must be >= 0 (0: same as --dim), got {cfg['hidden']}")
 
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)

@@ -144,6 +144,9 @@ def ranking_loss_grad(
     return _ranking_grad(data.embeddings, w, attrs, true_col, margin)
 
 
+# A diverging step overflows; the check after it raises NumericalError, so
+# numpy's warnings are off.
+@np.errstate(over="ignore", invalid="ignore")
 def train_compatibility(
     data: LabeledEmbeddings,
     table: AttributeTable,

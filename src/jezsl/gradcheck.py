@@ -146,13 +146,10 @@ def check_alignment(trials: int = 20, seed: int = 1, corrupt: bool = False) -> C
 
         # Shift the margin so no hinge argument is within the stencil of 0.
         batch = MiniBatch(x, y, groups)
-        terms = term_inputs(batch)
+        dist, pos, neg = term_inputs(batch)
 
         def hinge_args(margin: float) -> np.ndarray:
-            return np.concatenate([
-                (margin + dist[:, :, None] - dist[:, None, :])[pos[:, :, None] & neg[:, None, :]]
-                for dist, pos, neg in terms
-            ])
+            return (margin + dist[:, :, None] - dist[:, None, :])[pos[:, :, None] & neg[:, None, :]]
 
         for _ in range(50):
             if not np.any(np.abs(hinge_args(cfg.margin)) < BOUNDARY_GAP):

@@ -224,6 +224,19 @@ def epoch_order(seed: int, epoch: int, n: int, shuffle: bool) -> np.ndarray:
     return make_rng([seed, epoch]).permutation(n)
 
 
+def _check_finite_params(head_v: EmbeddingHead, head_s: EmbeddingHead, epoch: int) -> None:
+    for label, head in (("visual", head_v), ("sentence", head_s)):
+        for name, p in head.learnable().items():
+            if not np.all(np.isfinite(p)):
+                raise NumericalError(
+                    f"non-finite {label} head parameter {name} after epoch {epoch + 1}"
+                )
+
+
+# A diverging run overflows in sgd_step and heads.forward. The checks on the
+# loss, the gradients, the embeddings (MiniBatch) and, at each epoch's end,
+# the parameters raise NumericalError for it, so numpy's warnings are off.
+@np.errstate(over="ignore", invalid="ignore")
 def train_joint(
     visual: np.ndarray,
     sentences: np.ndarray,
@@ -305,6 +318,7 @@ def train_joint(
                      train_cfg.learning_rate, train_cfg.momentum)
             sgd_step(head_s.learnable(), grads_s.as_dict(), vel_s,
                      train_cfg.learning_rate, train_cfg.momentum)
+        _check_finite_params(head_v, head_s, epoch)
 
         mean_loss = float(np.mean(losses)) if losses else 0.0
         frac = active_total / triple_total if triple_total else 0.0

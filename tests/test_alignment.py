@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jezsl.alignment import ANCHOR_CHUNK, LossConfig, MiniBatch, alignment_loss
+from jezsl.alignment import ANCHOR_CHUNK, LossConfig, MiniBatch, alignment_loss, term_inputs
 from jezsl.linalg import l2_normalize_rows, make_rng
 
 
@@ -251,6 +251,78 @@ class TestKernelMatchesEnumeration:
         finally:
             tracemalloc.stop()
         assert peak <= 128 * 2**20
+
+
+def grid_batch(rng):
+    """Coordinates on a 0.25 grid and a repeated row: equal distances, and
+    thresholds equal to distances, are common."""
+    b = int(rng.integers(2, 14))
+    d = int(rng.integers(1, 4))
+    groups = rng.integers(0, int(rng.integers(1, 4)), size=b)
+    x = rng.integers(-4, 5, size=(b, d)) * 0.25
+    y = rng.integers(-4, 5, size=(b, d)) * 0.25
+    x[1] = x[0]
+    groups[1] = groups[0]
+    return MiniBatch(x, y, groups)
+
+
+class TestStackedPass:
+    def test_term_inputs_follow_the_definition(self):
+        rng = make_rng(44)
+        for _ in range(40):
+            batch = random_batch(rng, b=int(rng.integers(1, 20)),
+                                 n_groups=int(rng.integers(1, 5)))
+            x, y, g = batch.visual, batch.sentence, batch.group_ids
+            b = len(g)
+            dist, pos, neg = term_inputs(batch)
+            assert dist.shape == pos.shape == neg.shape == (4 * b, b)
+
+            def norms(u, v):
+                return np.linalg.norm(u[:, None, :] - v[None, :, :], axis=2)
+
+            same = g[:, None] == g[None, :]
+            within = same & ~np.eye(b, dtype=bool)
+            # Rows 2i, 2i + 1: image anchor i's term3 and term1 rows; rows
+            # 2(b + i), 2(b + i) + 1: sentence anchor i's term2 and term4 rows.
+            rows = [(dist[0:2 * b:2], pos[0:2 * b:2], norms(x, x), within),
+                    (dist[1:2 * b:2], pos[1:2 * b:2], norms(x, y), same),
+                    (dist[2 * b::2], pos[2 * b::2], norms(y, x), same),
+                    (dist[2 * b + 1::2], pos[2 * b + 1::2], norms(y, y), within)]
+            for d, p, expected_d, expected_p in rows:
+                np.testing.assert_allclose(d, expected_d, rtol=0, atol=1e-14)
+                np.testing.assert_array_equal(p, expected_p)
+            np.testing.assert_array_equal(neg, np.tile(np.repeat(~same, 2, axis=0), (2, 1)))
+            assert np.all(dist == dist.reshape(2 * b, 2 * b).T.reshape(4 * b, b))
+            _, o_total = assert_matches_oracle(batch, random_cfg(rng))
+            assert int(np.sum(pos.sum(axis=1) * neg.sum(axis=1))) == int(o_total.sum())
+
+    def test_counts_do_not_depend_on_the_sort_algorithm(self, monkeypatch):
+        rng = make_rng(45)
+        batches = [grid_batch(rng) for _ in range(300)]
+        cfgs = [LossConfig(margin=0.25 * int(rng.integers(1, 4)),
+                           lambda1=1.5, lambda2=0.5, lambda3=0.25) for _ in batches]
+        default = [alignment_loss(batch, cfg) for batch, cfg in zip(batches, cfgs)]
+
+        def has_zero_hinge(batch, cfg):
+            d, p, n = term_inputs(batch)
+            return np.any((cfg.margin + d[:, :, None] - d[:, None, :])[p[:, :, None] & n[:, None, :]] == 0)
+
+        assert any(has_zero_hinge(batch, cfg) for batch, cfg in zip(batches, cfgs))
+
+        real_argsort = np.argsort
+        calls = []
+
+        def stable_argsort(a, axis=-1, kind=None):
+            calls.append(kind)
+            return real_argsort(a, axis=axis, kind="stable")
+
+        monkeypatch.setattr(np, "argsort", stable_argsort)
+        stable = [alignment_loss(batch, cfg) for batch, cfg in zip(batches, cfgs)]
+        assert calls and all(kind is None for kind in calls)
+        for got, want in zip(stable, default):
+            assert got[0] == want[0] and got[2:4] == want[2:4]
+            for a, b in zip(got[1:2] + got[4:], want[1:2] + want[4:]):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestLossForward:

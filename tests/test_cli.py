@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,17 @@ from jezsl.linalg import make_rng
 
 def run(*argv):
     return main(list(argv))
+
+
+def run_without_warnings(capsys, *argv):
+    """(exit code, stderr) of one CLI call that must raise no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(*argv)
+    err = capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
+    assert "Warning" not in err
+    return code, err
 
 
 def gen(tmp_path, name="data", **overrides):
@@ -149,6 +161,27 @@ class TestTrainEmbed:
         log = open(os.path.join(out, "train_log.txt")).read().splitlines()
         assert len(log) == 2
         assert all(np.isfinite(float(f)) for line in log for f in line.split()[1:])
+
+    @pytest.mark.parametrize("width, option", [(["--dim", "0"], "--dim"),
+                                               (["--dim", "-2"], "--dim"),
+                                               (["--hidden", "-3"], "--hidden")])
+    def test_bad_width_is_usage_error(self, tmp_path, capsys, width, option):
+        data = gen(tmp_path)
+        capsys.readouterr()
+        assert run("train-embed", "--data", data, "--out", str(tmp_path / "x"),
+                   "--epochs", "1", *width) == 1
+        assert option in capsys.readouterr().err
+
+    @pytest.mark.parametrize("synth, epochs", [({}, "2"), ({"--classes": "3", "--seen": "2"}, "1")])
+    def test_divergence_is_numerical_error(self, tmp_path, capsys, synth, epochs):
+        # With 3 classes the 30 rows make one batch: the diverging step is the last.
+        data = gen(tmp_path, **synth)
+        capsys.readouterr()
+        out = str(tmp_path / "x")
+        code, err = run_without_warnings(capsys, "train-embed", "--data", data, "--out", out,
+                                         "--lr", "1e308", "--epochs", epochs)
+        assert code == 3 and "non-finite" in err
+        assert not os.path.exists(os.path.join(out, "head_v.jeh"))
 
     def test_bad_rows_value(self, tmp_path):
         data = gen(tmp_path)
@@ -313,11 +346,13 @@ class TestPipelineAndEval:
 
 
 class TestTrainZsl:
-    def test_divergence_is_numerical_error(self, tmp_path):
+    def test_divergence_is_numerical_error(self, tmp_path, capsys):
         data = gen(tmp_path)
-        assert run("train-zsl", "--data", data,
-                   "--features", os.path.join(data, "visual.jef"),
-                   "--out", str(tmp_path / "zsl"), "--lr", "1e308") == 3
+        capsys.readouterr()
+        code, _ = run_without_warnings(capsys, "train-zsl", "--data", data,
+                                       "--features", os.path.join(data, "visual.jef"),
+                                       "--out", str(tmp_path / "zsl"), "--lr", "1e308")
+        assert code == 3
 
 
 class TestGradcheckCommand:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -191,8 +193,11 @@ class TestTraining:
         rng = make_rng(13)
         table = simple_table(seed=13)
         data = LabeledEmbeddings(rng.standard_normal((40, 5)), rng.integers(0, 3, size=40))
-        with pytest.raises(NumericalError):
-            train_compatibility(data, table, learning_rate=1e308, epochs=5)
+        # An overflow warning would surface as an error ahead of the check.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                train_compatibility(data, table, learning_rate=1e308, epochs=5)
 
     def test_labels_outside_seen_rejected(self):
         table = simple_table()
