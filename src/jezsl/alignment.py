@@ -25,6 +25,7 @@ brute-force loop and finite differences in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +45,11 @@ class LossConfig:
     lambda3: float = 0.2
 
     def validate(self) -> None:
-        if self.margin <= 0:
-            raise ValueError(f"margin must be > 0, got {self.margin}")
+        if not 0 < self.margin < math.inf:
+            raise ValueError(f"margin must be finite and > 0, got {self.margin}")
         for name in ("lambda1", "lambda2", "lambda3"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass

@@ -211,6 +211,23 @@ def _write_manifest(command: str, cfg: dict, out_dir: str, name: str = "manifest
         fh.write("\n".join(lines) + "\n")
 
 
+# Config fields whose CLI option has another name.
+_OPTION_OF = {"learning_rate": "lr", "cluster_spread": "spread", "n_classes": "classes",
+              "n_seen": "seen", "samples_per_class": "per_class"}
+
+
+def _option(field: str) -> str:
+    return "--" + _OPTION_OF.get(field, field).replace("_", "-")
+
+
+def _usage_error(exc: ValueError) -> UsageError:
+    """A config's "<field> must ..." ValueError as a UsageError naming the option."""
+    field, _, rest = str(exc).partition(" must ")
+    if rest and field.isidentifier():
+        return UsageError(f"{_option(field)} must {rest}")
+    return UsageError(str(exc))
+
+
 def _parse_collide(text: str) -> list[list[int]]:
     groups = []
     for part in text.replace(";", " ").split():
@@ -242,7 +259,7 @@ def cmd_gen_synth(cfg: dict) -> int:
         )
         synth_cfg.validate()
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise _usage_error(exc) from exc
     data = generate(synth_cfg)
     save_dataset(data, cfg["out"])
     _write_manifest("gen-synth", cfg, cfg["out"])
@@ -259,10 +276,6 @@ def _training_rows(ds: Dataset, rows: str) -> np.ndarray:
     raise UsageError(f"--rows must be all|train, got {rows!r}")
 
 
-# Trajectory hyperparameters whose CLI option has another name.
-_OPTION_OF = {"learning_rate": "lr"}
-
-
 def _check_resume(state: TrainState, cfg: dict, loss_cfg, train_cfg, rows: int,
                   path: str) -> None:
     """UsageError naming the first option that differs from the saved run."""
@@ -273,9 +286,8 @@ def _check_resume(state: TrainState, cfg: dict, loss_cfg, train_cfg, rows: int,
                or state.changed_hyperparam(loss_cfg, train_cfg, rows))
     if changed is not None:
         name, was, now = changed
-        option = "--" + _OPTION_OF.get(name, name).replace("_", "-")
         raise UsageError(f"--resume: {path} was trained with {name}={was:g}, not "
-                         f"{now:g}; set {option} as before or drop --resume")
+                         f"{now:g}; set {_option(name)} as before or drop --resume")
 
 
 def cmd_train_embed(cfg: dict) -> int:
@@ -301,7 +313,7 @@ def cmd_train_embed(cfg: dict) -> int:
         train_cfg.validate()
         loss_cfg.validate()
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise _usage_error(exc) from exc
     if d_out < 1:
         raise UsageError(f"--dim must be >= 1, got {d_out}")
     if cfg["hidden"] < 0:
@@ -358,6 +370,12 @@ def cmd_embed(cfg: dict) -> int:
 
 
 def cmd_train_zsl(cfg: dict) -> int:
+    # The options train-zsl shares with train-embed take train-embed's bounds.
+    try:
+        LossConfig(margin=cfg["margin"]).validate()
+        TrainConfig(epochs=cfg["epochs"], learning_rate=cfg["lr"]).validate()
+    except ValueError as exc:
+        raise _usage_error(exc) from exc
     ds = load_dataset(cfg["data"])
     embeddings = read_features(cfg["features"])
     if len(embeddings) != len(ds.labels):

@@ -15,6 +15,7 @@ classes unresolvable from attributes alone while captions stay informative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,8 +89,7 @@ def _parse_csv_features(path: str) -> np.ndarray:
 
 def write_ids(ids, path: str) -> None:
     with open(path, "w") as fh:
-        for v in ids:
-            fh.write(f"{int(v)}\n")
+        fh.write("".join(f"{v}\n" for v in np.asarray(ids, dtype=np.int64).tolist()))
 
 
 def read_ids(path: str) -> np.ndarray:
@@ -131,11 +131,11 @@ def read_split(path: str) -> tuple[set[int], set[int]]:
 
 
 def write_assignments(assignments, path: str) -> None:
+    unknown = [a for a in assignments if a not in ASSIGNMENTS]
+    if unknown:
+        raise DataError(f"unknown assignment {unknown[0]!r}")
     with open(path, "w") as fh:
-        for a in assignments:
-            if a not in ASSIGNMENTS:
-                raise DataError(f"unknown assignment {a!r}")
-            fh.write(a + "\n")
+        fh.write("".join(a + "\n" for a in assignments))
 
 
 def read_assignments(path: str) -> list[str]:
@@ -158,17 +158,16 @@ def validate_split(
         raise DataError(f"{len(labels)} labels vs {len(assignments)} assignments")
     if seen & unseen:
         raise DataError(f"seen/unseen classes overlap: {sorted(seen & unseen)}")
-    for i, (label, assignment) in enumerate(zip(labels, assignments)):
-        label = int(label)
-        if assignment == "test_unseen":
-            if label not in unseen:
-                raise DataError(
-                    f"sample {i}: test_unseen sample has seen-class label {label}"
-                )
-        elif label not in seen:
-            raise DataError(
-                f"sample {i}: {assignment} sample has unseen-class label {label}"
-            )
+    labels = np.asarray(labels)
+    to_unseen = np.array([a == "test_unseen" for a in assignments], dtype=bool)
+    allowed = np.where(to_unseen, np.isin(labels, list(unseen)), np.isin(labels, list(seen)))
+    bad = np.flatnonzero(~allowed)
+    if bad.size:
+        i = int(bad[0])
+        kind = "seen" if to_unseen[i] else "unseen"
+        raise DataError(
+            f"sample {i}: {assignments[i]} sample has {kind}-class label {int(labels[i])}"
+        )
 
 
 # --- synthetic generator -----------------------------------------------------
@@ -197,8 +196,8 @@ class SynthConfig:
         for name in ("d_visual", "d_sentence", "d_attr"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be >= 2")
-        if self.cluster_spread <= 0:
-            raise ValueError("cluster_spread must be > 0")
+        if not 0 < self.cluster_spread < math.inf:
+            raise ValueError(f"cluster_spread must be finite and > 0, got {self.cluster_spread}")
         if not 0.0 <= self.caption_signal <= 1.0:
             raise ValueError("caption_signal must be in [0, 1]")
         if self.samples_per_class < 2:
@@ -236,6 +235,14 @@ def generate(cfg: SynthConfig) -> SynthData:
     doubles as the attribute row, and captions mixing that direction with a
     direction shared across all classes. Collision groups overwrite their
     attribute rows with the first member's row, bit-identically.
+
+    Sample noise comes from one (C, n, d_visual + k * d_sentence) draw for n
+    samples per class and k captions per image: row (c, s) holds sample s of
+    class c's visual noise, then its k caption noises of d_sentence each.
+    That is the order in which a per-sample loop drawing d_visual then
+    (k, d_sentence) normals consumes the stream, and `standard_normal` fills
+    in C order with no state carried between calls, so the values, and the
+    float operations applied to them, are those of that loop.
     """
     cfg.validate()
     rng = make_rng(cfg.seed)
@@ -256,28 +263,16 @@ def generate(cfg: SynthConfig) -> SynthData:
         for cid in group[1:]:
             attributes[cid] = attributes[group[0]]
 
-    visual_rows, sentence_rows, labels, groups, assignments = [], [], [], [], []
-    n_train = max(1, int(round(cfg.train_fraction * cfg.samples_per_class)))
-    if n_train >= cfg.samples_per_class:
-        n_train = cfg.samples_per_class - 1
-    image_id = 0
-    for c in range(C):
-        seen = c < cfg.n_seen
-        for s in range(cfg.samples_per_class):
-            vis = prototypes[c] + cfg.cluster_spread * rng.standard_normal(cfg.d_visual)
-            base = cfg.caption_signal * caption_dirs[c] + (1.0 - cfg.caption_signal) * shared
-            caps = base + cfg.cluster_spread * rng.standard_normal((k, cfg.d_sentence))
-            if seen:
-                assignment = "train" if s < n_train else "test_seen"
-            else:
-                assignment = "test_unseen"
-            for cap in caps:
-                visual_rows.append(vis)
-                sentence_rows.append(cap)
-                labels.append(c)
-                groups.append(c)
-                assignments.append(assignment)
-            image_id += 1
+    n, d_v, d_s = cfg.samples_per_class, cfg.d_visual, cfg.d_sentence
+    noise = rng.standard_normal((C, n, d_v + k * d_s))
+    vis = prototypes[:, None] + cfg.cluster_spread * noise[:, :, :d_v]
+    base = cfg.caption_signal * caption_dirs + (1.0 - cfg.caption_signal) * shared
+    caps = base[:, None, None] + cfg.cluster_spread * noise[:, :, d_v:].reshape(C, n, k, d_s)
+
+    n_train = min(max(1, int(round(cfg.train_fraction * n))), n - 1)
+    seen_class = ["train"] * (n_train * k) + ["test_seen"] * ((n - n_train) * k)
+    assignments = seen_class * cfg.n_seen + ["test_unseen"] * ((C - cfg.n_seen) * n * k)
+    labels = np.repeat(np.arange(C, dtype=np.int64), n * k)
 
     table = AttributeTable(
         class_ids=list(range(C)),
@@ -286,10 +281,10 @@ def generate(cfg: SynthConfig) -> SynthData:
         unseen_ids=set(range(cfg.n_seen, C)),
     )
     return SynthData(
-        visual=np.asarray(visual_rows),
-        sentences=np.asarray(sentence_rows),
-        labels=np.asarray(labels, dtype=np.int64),
-        groups=np.asarray(groups, dtype=np.int64),
+        visual=np.repeat(vis, k, axis=1).reshape(C * n * k, d_v),
+        sentences=caps.reshape(C * n * k, d_s),
+        labels=labels,
+        groups=labels.copy(),
         attributes=table,
         assignments=assignments,
         prototypes=prototypes,

@@ -61,9 +61,12 @@ def write_arrays(path: str, magic: bytes, version: int, arrays) -> None:
     """Write float64 arrays atomically: a temp file, then os.replace.
 
     A crash mid-write leaves the previous file at `path` intact. The rank
-    of each array is not stored; the reader supplies it.
+    of each array is not stored; the reader supplies it. Non-finite values,
+    which `read_arrays` refuses, are refused here before anything is written.
     """
     arrays = [np.asarray(a, "<f8") for a in arrays]
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise NumericalError(f"{path}: refusing to write non-finite values")
     dims = [d for a in arrays for d in a.shape]
     if any(d >= 2**32 for d in dims):
         raise DataError(f"{path}: array dims {dims} exceed uint32")

@@ -14,6 +14,7 @@ uninterrupted run, and a resume under changed hyperparameters is refused.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -52,8 +53,8 @@ class TrainConfig:
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch statistics need variance)")
         # learning_rate 0 is allowed: it exercises the no-op update path.
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if self.epochs < 0:

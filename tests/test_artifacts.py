@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from jezsl.alignment import LossConfig
 from jezsl.compat import CompatibilityModel, load_model, save_model
 from jezsl.data import read_features, write_features
-from jezsl.errors import DataError
+from jezsl.errors import DataError, NumericalError
 from jezsl.heads import init_head, load_head, save_head
 from jezsl.linalg import make_rng, read_arrays, write_arrays
 from jezsl.trainer import TrainConfig, TrainState, load_train_state, save_train_state, trajectory
@@ -110,6 +110,15 @@ class TestLayout:
         with pytest.raises(OSError):
             save_model(CompatibilityModel(np.zeros((5, 5))), path)
         monkeypatch.undo()
+        assert os.listdir(tmp_path) == ["m.jec"]
+        np.testing.assert_array_equal(load_model(path).w, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_write_is_refused_and_keeps_previous_file(self, tmp_path, bad):
+        path = str(tmp_path / "m.jec")
+        save_model(CompatibilityModel(np.ones((2, 2))), path)
+        with pytest.raises(NumericalError, match="non-finite"):
+            write_arrays(path, b"JEC1", 1, [np.ones((3, 2)), np.array([1.0, bad])])
         assert os.listdir(tmp_path) == ["m.jec"]
         np.testing.assert_array_equal(load_model(path).w, np.ones((2, 2)))
 

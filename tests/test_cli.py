@@ -355,6 +355,36 @@ class TestTrainZsl:
         assert code == 3
 
 
+# Every comparison with NaN is false, so a bound written as `x < 0` lets NaN
+# through to a later numerical failure (exit 3) instead of a usage error.
+# train-zsl takes train-embed's bounds on the options they share.
+@pytest.mark.parametrize("command, option, value", [
+    ("train-zsl", "--lr", "-1"),
+    ("train-zsl", "--margin", "-1"),
+    ("train-zsl", "--epochs", "-3"),
+    ("gen-synth", "--spread", "nan"),
+    ("gen-synth", "--spread", "inf"),
+    ("train-embed", "--margin", "nan"),
+    ("train-embed", "--margin", "inf"),
+    ("train-embed", "--lr", "nan"),
+    ("train-embed", "--lambda1", "nan"),
+    ("train-zsl", "--lr", "nan"),
+    ("train-zsl", "--lr", "inf"),
+])
+def test_bad_option_is_usage_error(tmp_path, capsys, command, option, value):
+    data = gen(tmp_path)
+    capsys.readouterr()
+    out = str(tmp_path / "out")
+    inputs = {"gen-synth": [],
+              "train-embed": ["--data", data, "--epochs", "1"],
+              "train-zsl": ["--data", data, "--features", os.path.join(data, "visual.jef")]}
+    code, err = run_without_warnings(capsys, command, *inputs[command], "--out", out,
+                                     option, value)
+    assert code == 1
+    assert option in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 class TestGradcheckCommand:
     def test_passes(self, capsys):
         assert run("gradcheck", "--trials", "3") == 0

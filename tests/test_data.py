@@ -1,7 +1,11 @@
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
 from jezsl.data import (
+    FILES,
     SynthConfig,
     generate,
     load_dataset,
@@ -122,6 +126,13 @@ class TestIdAndSplitIo:
         write_assignments(names, path)
         assert read_assignments(path) == names
 
+    def test_unknown_assignment_is_refused_before_writing(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("test_unseen\n")
+        with pytest.raises(DataError, match="'validation'"):
+            write_assignments(["train", "validation", "test_seen"], str(path))
+        assert path.read_text() == "test_unseen\n"
+
     def test_unknown_assignment_rejected(self, tmp_path):
         path = tmp_path / "a.txt"
         path.write_text("train\nvalidation\n")
@@ -142,6 +153,19 @@ class TestValidateSplit:
     def test_seen_class_in_test_unseen_rejected(self):
         with pytest.raises(DataError):
             validate_split(np.array([0]), {0}, {5}, ["test_unseen"])
+
+    def test_unseen_class_in_test_seen_rejected(self):
+        with pytest.raises(DataError, match="sample 1: test_seen sample has unseen-class label 5"):
+            validate_split(np.array([0, 5]), {0}, {5}, ["train", "test_seen"])
+
+    def test_first_offending_sample_is_named(self):
+        labels = np.array([0, 0, 5, 0, 5])
+        assignments = ["train", "test_seen", "train", "test_unseen", "test_seen"]
+        with pytest.raises(DataError, match=r"^sample 2: train sample has unseen-class label 5$"):
+            validate_split(labels, {0}, {5}, assignments)
+        assignments[2] = "test_unseen"
+        with pytest.raises(DataError, match=r"^sample 3: test_unseen .* seen-class label 0$"):
+            validate_split(labels, {0}, {5}, assignments)
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
@@ -249,6 +273,26 @@ class TestGenerate:
 
 
 class TestDatasetDirectory:
+    # sha256 over every file `save_dataset` writes, in sorted(FILES) key
+    # order, first 16 hex digits. Computed with the per-sample generator
+    # loop that preceded the vectorized draw, so any change to the draw
+    # order, the float arithmetic or the file encodings shows here.
+    @pytest.mark.parametrize("cfg, digest", [
+        (SynthConfig(seed=1), "b65cd62c0afc6006"),
+        (SynthConfig(n_classes=200, n_seen=140, samples_per_class=30, d_visual=64,
+                     d_attr=32, seed=1), "adc0fabf6173e690"),
+        (SynthConfig(captions_per_image=3, d_sentence=8,
+                     attribute_collision_groups=[[3, 4], [5, 6]], seed=9),
+         "ea2b4924c88a97e0"),
+    ])
+    def test_written_bytes_are_pinned(self, tmp_path, cfg, digest):
+        save_dataset(generate(cfg), str(tmp_path))
+        h = hashlib.sha256()
+        for key in sorted(FILES):
+            with open(os.path.join(tmp_path, FILES[key]), "rb") as fh:
+                h.update(fh.read())
+        assert h.hexdigest()[:16] == digest
+
     def test_save_load_round_trip(self, tmp_path):
         data = generate(SynthConfig(n_classes=4, n_seen=2, samples_per_class=5, seed=3))
         save_dataset(data, str(tmp_path))
