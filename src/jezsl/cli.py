@@ -8,13 +8,17 @@ manifest of its fully resolved configuration next to its outputs; feeding
 that manifest back through --config reproduces the run bit-exactly.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
-failure. Logging verbosity comes from JEZSL_LOG=debug|info|quiet.
+failure. Every numeric option has a bound in the option table (shown by
+--help); a value outside it, from a flag, config file or manifest, exits 1
+before any file is read or written. Logging verbosity comes from
+JEZSL_LOG=debug|info|quiet.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -67,12 +71,31 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+# A bound is (text, test): the value must be <text>. Each test is written so
+# that NaN, for which every comparison is false, fails it.
+POSITIVE = ("finite and > 0", lambda x: 0 < x < math.inf)
+NON_NEGATIVE = ("finite and >= 0", lambda x: 0 <= x < math.inf)
+UNIT = ("in [0, 1]", lambda x: 0 <= x <= 1)
+# The resume bundle stores the seed as float64, which holds every integer
+# only up to 2**53; past it two seeds can look the same.
+SEED = ("in [0, 2**53]", lambda x: 0 <= x <= 2**53)
+
+
+def at_least(n):
+    return (f">= {n}", lambda x: x >= n)
+
+
+def one_of(*choices):
+    return ("one of " + "|".join(choices), lambda x: x in choices)
+
+
 class Opt:
-    def __init__(self, name, typ, default, help="", flag=False):
+    def __init__(self, name, typ, default, help="", bound=None, flag=False):
         self.name = name  # dest / manifest key, underscores
         self.typ = typ
         self.default = default
         self.help = help
+        self.bound = bound  # (text, test) or None
         self.flag = flag  # boolean store_true option
 
     @property
@@ -80,40 +103,42 @@ class Opt:
         return "--" + self.name.replace("_", "-")
 
 
-COMMON = [Opt("seed", int, 0, "master seed for all randomness"),
+COMMON = [Opt("seed", int, 0, "master seed for all randomness", SEED),
           Opt("config", str, None, "key=value config file; flags win on conflict")]
 
 
 COMMANDS: dict[str, list[Opt]] = {
     "gen-synth": COMMON + [
-        Opt("classes", int, 10, "total number of classes"),
-        Opt("seen", int, 7, "number of seen classes (ids 0..seen-1)"),
-        Opt("per_class", int, 50, "samples per class"),
-        Opt("d_visual", int, 16, "visual feature dimensionality"),
-        Opt("d_sentence", int, 16, "sentence feature dimensionality"),
-        Opt("d_attr", int, 16, "attribute dimensionality"),
-        Opt("spread", float, 0.3, "cluster noise scale"),
-        Opt("caption_signal", float, 0.8, "class-unique share of caption direction"),
-        Opt("captions_per_image", int, 1, "caption variants per image"),
+        Opt("classes", int, 10, "total number of classes", at_least(2)),
+        Opt("seen", int, 7, "number of seen classes (ids 0..seen-1)", at_least(1)),
+        Opt("per_class", int, 50, "samples per class", at_least(2)),
+        Opt("d_visual", int, 16, "visual feature dimensionality", at_least(2)),
+        Opt("d_sentence", int, 16, "sentence feature dimensionality", at_least(2)),
+        Opt("d_attr", int, 16, "attribute dimensionality", at_least(2)),
+        Opt("spread", float, 0.3, "cluster noise scale", POSITIVE),
+        Opt("caption_signal", float, 0.8, "class-unique share of caption direction", UNIT),
+        Opt("captions_per_image", int, 1, "caption variants per image", at_least(1)),
         Opt("collide", str, "", "attribute collision groups, e.g. '3,4' or '3,4;5,6'"),
         Opt("out", str, None, "output dataset directory"),
     ],
     "train-embed": COMMON + [
         Opt("data", str, None, "dataset directory from gen-synth"),
         Opt("out", str, None, "output directory for checkpoints and log"),
-        Opt("dim", int, 16, "joint embedding dimensionality"),
-        Opt("hidden", int, 0, "hidden width (0: same as --dim)"),
-        Opt("margin", float, 0.1, "hinge margin"),
-        Opt("lambda1", float, 2.0, "weight of the sentence-anchored ranking term"),
-        Opt("lambda2", float, 0.1, "weight of the visual neighborhood term"),
-        Opt("lambda3", float, 0.2, "weight of the sentence neighborhood term"),
-        Opt("epochs", int, 50, "training epochs"),
-        Opt("batch_size", int, 32, "minibatch size (>= 2)"),
-        Opt("lr", float, 0.01, "learning rate"),
-        Opt("momentum", float, 0.9, "SGD momentum"),
+        Opt("dim", int, 16, "joint embedding dimensionality", at_least(1)),
+        Opt("hidden", int, 0, "hidden width (0: same as --dim)", at_least(0)),
+        Opt("margin", float, 0.1, "hinge margin", POSITIVE),
+        Opt("lambda1", float, 2.0, "weight of the sentence-anchored ranking term",
+            NON_NEGATIVE),
+        Opt("lambda2", float, 0.1, "weight of the visual neighborhood term", NON_NEGATIVE),
+        Opt("lambda3", float, 0.2, "weight of the sentence neighborhood term", NON_NEGATIVE),
+        Opt("epochs", int, 50, "training epochs", at_least(0)),
+        Opt("batch_size", int, 32, "minibatch size", at_least(2)),
+        Opt("lr", float, 0.01, "learning rate", NON_NEGATIVE),
+        Opt("momentum", float, 0.9, "SGD momentum", ("in [0, 1)", lambda x: 0 <= x < 1)),
         Opt("balanced_batches", bool, False, "force >= 2 groups per batch", flag=True),
-        Opt("rows", str, "all", "which rows to train on: all|train"),
-        Opt("checkpoint_every", int, 0, "save state every N epochs (0: only at end)"),
+        Opt("rows", str, "all", "which rows to train on", one_of("all", "train")),
+        Opt("checkpoint_every", int, 0, "save state every N epochs (0: only at end)",
+            at_least(0)),
         Opt("resume", bool, False, "resume from trainer state in --out", flag=True),
     ],
     "embed": COMMON + [
@@ -126,9 +151,9 @@ COMMANDS: dict[str, list[Opt]] = {
         Opt("data", str, None, "dataset directory (attributes, splits, labels)"),
         Opt("features", str, None, "embedding file aligned with the dataset rows"),
         Opt("out", str, None, "output directory for the model"),
-        Opt("margin", float, 0.1, "ranking margin"),
-        Opt("lr", float, 0.01, "learning rate"),
-        Opt("epochs", int, 100, "training epochs"),
+        Opt("margin", float, 0.1, "ranking margin", POSITIVE),
+        Opt("lr", float, 0.01, "learning rate", NON_NEGATIVE),
+        Opt("epochs", int, 100, "training epochs", at_least(0)),
     ],
     "eval": COMMON + [
         Opt("data", str, None, "dataset directory"),
@@ -137,7 +162,7 @@ COMMANDS: dict[str, list[Opt]] = {
         Opt("out", str, None, "output directory for reports"),
     ],
     "gradcheck": COMMON + [
-        Opt("trials", int, 20, "random configurations per component"),
+        Opt("trials", int, 20, "random configurations per component", at_least(1)),
         Opt("corrupt_gradient", bool, False,
             "deliberately corrupt gradients (negative-control test hook)", flag=True),
     ],
@@ -183,7 +208,7 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             try:
                 resolved[key] = conv(raw)
             except ValueError as exc:
-                raise UsageError(f"config key {key}: {exc}") from exc
+                raise UsageError(f"config key {key} ({o.cli}): {exc}") from exc
         resolved["config"] = args.config
     for name in opts:
         val = getattr(args, name, None)
@@ -193,6 +218,10 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     if missing:
         raise UsageError(f"{command}: missing required option(s): "
                          + ", ".join(opts[n].cli for n in missing))
+    for name, value in resolved.items():
+        bound = opts[name].bound
+        if bound is not None and not bound[1](value):
+            raise UsageError(f"{opts[name].cli} must be {bound[0]}, got {value!r}")
     return resolved
 
 
@@ -209,23 +238,6 @@ def _write_manifest(command: str, cfg: dict, out_dir: str, name: str = "manifest
         lines.append(f"{key}={val}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-# Config fields whose CLI option has another name.
-_OPTION_OF = {"learning_rate": "lr", "cluster_spread": "spread", "n_classes": "classes",
-              "n_seen": "seen", "samples_per_class": "per_class"}
-
-
-def _option(field: str) -> str:
-    return "--" + _OPTION_OF.get(field, field).replace("_", "-")
-
-
-def _usage_error(exc: ValueError) -> UsageError:
-    """A config's "<field> must ..." ValueError as a UsageError naming the option."""
-    field, _, rest = str(exc).partition(" must ")
-    if rest and field.isidentifier():
-        return UsageError(f"{_option(field)} must {rest}")
-    return UsageError(str(exc))
 
 
 def _parse_collide(text: str) -> list[list[int]]:
@@ -257,23 +269,15 @@ def cmd_gen_synth(cfg: dict) -> int:
             attribute_collision_groups=_parse_collide(cfg["collide"]),
             seed=cfg["seed"],
         )
-        synth_cfg.validate()
+        synth_cfg.validate()  # the rules that span options; the table holds the rest
     except ValueError as exc:
-        raise _usage_error(exc) from exc
+        raise UsageError(str(exc)) from exc
     data = generate(synth_cfg)
     save_dataset(data, cfg["out"])
     _write_manifest("gen-synth", cfg, cfg["out"])
     log.info("wrote %d samples, %d classes to %s", len(data.labels),
              synth_cfg.n_classes, cfg["out"])
     return 0
-
-
-def _training_rows(ds: Dataset, rows: str) -> np.ndarray:
-    if rows == "all":
-        return np.arange(len(ds.labels))
-    if rows == "train":
-        return ds.rows("train")
-    raise UsageError(f"--rows must be all|train, got {rows!r}")
 
 
 def _check_resume(state: TrainState, cfg: dict, loss_cfg, train_cfg, rows: int,
@@ -286,13 +290,14 @@ def _check_resume(state: TrainState, cfg: dict, loss_cfg, train_cfg, rows: int,
                or state.changed_hyperparam(loss_cfg, train_cfg, rows))
     if changed is not None:
         name, was, now = changed
+        option = "--" + ("lr" if name == "learning_rate" else name).replace("_", "-")
         raise UsageError(f"--resume: {path} was trained with {name}={was:g}, not "
-                         f"{now:g}; set {_option(name)} as before or drop --resume")
+                         f"{now:g}; set {option} as before or drop --resume")
 
 
 def cmd_train_embed(cfg: dict) -> int:
     ds = load_dataset(cfg["data"])
-    idx = _training_rows(ds, cfg["rows"])
+    idx = np.arange(len(ds.labels)) if cfg["rows"] == "all" else ds.rows("train")
     if len(idx) == 0:
         raise DataError("no training rows selected")
     d_out = cfg["dim"]
@@ -309,15 +314,6 @@ def cmd_train_embed(cfg: dict) -> int:
         balanced_batches=cfg["balanced_batches"],
         checkpoint_every=cfg["checkpoint_every"],
     )
-    try:
-        train_cfg.validate()
-        loss_cfg.validate()
-    except ValueError as exc:
-        raise _usage_error(exc) from exc
-    if d_out < 1:
-        raise UsageError(f"--dim must be >= 1, got {d_out}")
-    if cfg["hidden"] < 0:
-        raise UsageError(f"--hidden must be >= 0 (0: same as --dim), got {cfg['hidden']}")
 
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
@@ -369,19 +365,19 @@ def cmd_embed(cfg: dict) -> int:
     return 0
 
 
-def cmd_train_zsl(cfg: dict) -> int:
-    # The options train-zsl shares with train-embed take train-embed's bounds.
-    try:
-        LossConfig(margin=cfg["margin"]).validate()
-        TrainConfig(epochs=cfg["epochs"], learning_rate=cfg["lr"]).validate()
-    except ValueError as exc:
-        raise _usage_error(exc) from exc
+def _load_embedded(cfg: dict) -> tuple[Dataset, np.ndarray]:
+    """The --data dataset and the --features rows aligned with it."""
     ds = load_dataset(cfg["data"])
     embeddings = read_features(cfg["features"])
     if len(embeddings) != len(ds.labels):
         raise DataError(
             f"{cfg['features']}: {len(embeddings)} rows but dataset has {len(ds.labels)}"
         )
+    return ds, embeddings
+
+
+def cmd_train_zsl(cfg: dict) -> int:
+    ds, embeddings = _load_embedded(cfg)
     idx = ds.rows("train")
     if len(idx) == 0:
         raise DataError("dataset has no train rows")
@@ -399,12 +395,7 @@ def cmd_train_zsl(cfg: dict) -> int:
 
 
 def cmd_eval(cfg: dict) -> int:
-    ds = load_dataset(cfg["data"])
-    embeddings = read_features(cfg["features"])
-    if len(embeddings) != len(ds.labels):
-        raise DataError(
-            f"{cfg['features']}: {len(embeddings)} rows but dataset has {len(ds.labels)}"
-        )
+    ds, embeddings = _load_embedded(cfg)
     model = load_model(cfg["model"])
     seen_idx = ds.rows("test_seen")
     unseen_idx = ds.rows("test_unseen")
@@ -463,9 +454,10 @@ def build_parser() -> _Parser:
                 p.add_argument(o.cli, dest=o.name, action="store_true", default=False,
                                help=o.help)
             else:
+                notes = [f"default {o.default}"] if o.default is not None else []
+                notes += [o.bound[0]] if o.bound is not None else []
                 p.add_argument(o.cli, dest=o.name, type=o.typ, default=None,
-                               help=o.help + (f" (default {o.default})"
-                                              if o.default is not None else ""))
+                               help=o.help + (f" ({'; '.join(notes)})" if notes else ""))
     return parser
 
 

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import os
+import pathlib
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jezsl.cli import _parse_collide, main
-from jezsl.data import read_features
+from jezsl.compat import load_model
+from jezsl.data import load_dataset, read_features
 from jezsl.heads import load_head
 from jezsl.linalg import make_rng
 
@@ -370,16 +377,27 @@ class TestTrainZsl:
     ("train-embed", "--lambda1", "nan"),
     ("train-zsl", "--lr", "nan"),
     ("train-zsl", "--lr", "inf"),
+    # numpy refuses a negative seed with a message naming no option.
+    ("gen-synth", "--seed", "-1"),
+    ("train-embed", "--seed", "-1"),
+    ("train-zsl", "--seed", "-1"),
+    # Past 2**53 the resume bundle's float64 cannot tell two seeds apart.
+    ("train-embed", "--seed", "9007199254740993"),
+    ("train-embed", "--seed", "18446744073709551617"),
+    ("gradcheck", "--trials", "0"),
+    ("gradcheck", "--trials", "-1"),
+    ("train-embed", "--checkpoint-every", "-1"),
 ])
 def test_bad_option_is_usage_error(tmp_path, capsys, command, option, value):
     data = gen(tmp_path)
     capsys.readouterr()
     out = str(tmp_path / "out")
-    inputs = {"gen-synth": [],
-              "train-embed": ["--data", data, "--epochs", "1"],
-              "train-zsl": ["--data", data, "--features", os.path.join(data, "visual.jef")]}
-    code, err = run_without_warnings(capsys, command, *inputs[command], "--out", out,
-                                     option, value)
+    inputs = {"gen-synth": ["--out", out],
+              "train-embed": ["--data", data, "--epochs", "1", "--out", out],
+              "train-zsl": ["--data", data, "--features", os.path.join(data, "visual.jef"),
+                            "--out", out],
+              "gradcheck": []}
+    code, err = run_without_warnings(capsys, command, *inputs[command], option, value)
     assert code == 1
     assert option in err and "Traceback" not in err
     assert not os.path.exists(out)
@@ -417,3 +435,172 @@ class TestTopLevel:
         )
         assert manifest["seen"] == "2"
         assert manifest["classes"] == "5"
+
+
+# --- CLI contract fuzz ----------------------------------------------------------
+
+# Per command and option: (values inside its bound, values outside it), written
+# apart from the CLI's own table. Inside values keep each run to milliseconds;
+# the outside ones include NaN, +-inf, 0, negatives and integers past 2**53.
+SEEDS = (["0", "3", str(2**53)], ["-1", str(2**53 + 1), str(2**64 + 1), "nan", "1.5"])
+POSITIVE = (["0.1", "1e-9", "1e16"], ["0", "-1", "nan", "inf", "-inf"])
+NON_NEGATIVE = (["0", "0.5", "1e16"], ["-1", "-1e-9", "nan", "inf", "-inf"])
+FUZZ = {
+    "gen-synth": {
+        "--seed": SEEDS,
+        "--classes": (["3", "4"], ["1", "0", "-2", "nan"]),
+        "--seen": (["1", "2", "3"], ["0", "-1"]),  # seen >= classes is a cross-option error
+        "--per-class": (["2", "5"], ["1", "0", "-1"]),
+        "--d-visual": (["2", "3"], ["1", "0", "-1"]),
+        "--d-sentence": (["2", "3"], ["1", "0"]),
+        "--d-attr": (["2", "3"], ["1", "-3"]),
+        "--spread": (["0.2", "1e-9", "1e16"], POSITIVE[1]),
+        "--caption-signal": (["0", "0.5", "1"], ["-0.1", "1.5", "nan", "inf"]),
+        "--captions-per-image": (["1", "2"], ["0", "-1"]),
+    },
+    "train-embed": {
+        "--seed": SEEDS,
+        "--dim": (["2", "3"], ["0", "-1"]),
+        "--hidden": (["0", "4"], ["-1"]),
+        "--margin": POSITIVE,
+        "--lambda1": NON_NEGATIVE,
+        "--lambda2": NON_NEGATIVE,
+        "--lambda3": NON_NEGATIVE,
+        "--epochs": (["0", "1", "2"], ["-1", "nan"]),
+        "--batch-size": (["2", "5", "64"], ["1", "0", "-2"]),
+        "--lr": (["0", "0.01", "1e308"], NON_NEGATIVE[1]),
+        "--momentum": (["0", "0.5", "0.99"], ["1", "-0.1", "nan", "inf"]),
+        "--rows": (["all", "train"], ["test", "ALL", ""]),
+        "--checkpoint-every": (["0", "1", str(2**60)], ["-1"]),
+    },
+    "embed": {"--seed": SEEDS},
+    "train-zsl": {
+        "--seed": SEEDS,
+        "--margin": POSITIVE,
+        "--lr": (["0", "0.01", "1e308"], NON_NEGATIVE[1]),
+        "--epochs": (["0", "1", "3"], ["-1", "inf"]),
+    },
+    "eval": {"--seed": SEEDS},
+    "gradcheck": {"--seed": SEEDS, "--trials": (["1"], ["0", "-1", "nan"])},
+}
+FLAGS = {"train-embed": ["--balanced-batches", "--resume"], "embed": ["--raw-passthrough"],
+         "gradcheck": ["--corrupt-gradient"]}
+# Options every run sets (unless drawn) so that it stays small.
+SMALL = {"gen-synth": {"--classes": "4", "--seen": "2", "--per-class": "3",
+                       "--d-visual": "3", "--d-sentence": "3", "--d-attr": "3"},
+         "train-embed": {"--epochs": "1", "--dim": "3"},
+         "train-zsl": {"--epochs": "2"}}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    data = gen(base, **{"--classes": "4", "--seen": "2", "--per-class": "6"})
+    run_dir, emb, zsl = str(base / "run"), str(base / "emb.jef"), str(base / "zsl")
+    assert run("train-embed", "--data", data, "--out", run_dir, "--dim", "3",
+               "--epochs", "1", "--batch-size", "6") == 0
+    assert run("embed", "--checkpoint", os.path.join(run_dir, "head_v.jeh"),
+               "--features", os.path.join(data, "visual.jef"), "--out", emb) == 0
+    assert run("train-zsl", "--data", data, "--features", emb, "--out", zsl,
+               "--epochs", "2") == 0
+    return {"gen-synth": [],
+            "train-embed": ["--data", data],
+            "embed": ["--checkpoint", os.path.join(run_dir, "head_v.jeh"),
+                      "--features", os.path.join(data, "visual.jef")],
+            "train-zsl": ["--data", data, "--features", emb],
+            "eval": ["--data", data, "--features", emb,
+                     "--model", os.path.join(zsl, "model.jec")],
+            "gradcheck": []}
+
+
+@st.composite
+def cli_calls(draw):
+    """(command, option values, flags, the one out-of-bound option or None, via config)."""
+    command = draw(st.sampled_from(sorted(FUZZ)))
+    table = FUZZ[command]
+    names = draw(st.lists(st.sampled_from(sorted(table)), unique=True, max_size=4))
+    values = {**SMALL.get(command, {}),
+              **{n: draw(st.sampled_from(table[n][0])) for n in names}}
+    bad = draw(st.none() | st.sampled_from(sorted(table)))
+    if bad is not None:
+        values[bad] = draw(st.sampled_from(table[bad][1]))
+    flags = draw(st.lists(st.sampled_from(FLAGS[command]), unique=True)
+                 if command in FLAGS else st.just([]))
+    return command, values, flags, bad, draw(st.booleans())
+
+
+def call(*argv):
+    """(exit code, stdout, stderr) of one in-process CLI call; warnings fail it."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(list(argv))
+    assert not caught, [str(w.message) for w in caught]
+    return code, out.getvalue(), err.getvalue()
+
+
+def outputs(command, out):
+    """Bytes of every file a run wrote, manifests aside, by name."""
+    if command == "embed":
+        return {"features": pathlib.Path(out).read_bytes()}
+    return {name: pathlib.Path(out, name).read_bytes()
+            for name in sorted(os.listdir(out)) if not name.endswith("manifest.txt")}
+
+
+def check_outputs(command, out, stdout, values, flags):
+    if command == "gen-synth":
+        load_dataset(out)
+    elif command == "train-embed":
+        for name in ("head_v.jeh", "head_s.jeh"):
+            load_head(os.path.join(out, name))
+        log = pathlib.Path(out, "train_log.txt").read_text().splitlines()
+        assert len(log) == int(values["--epochs"])
+    elif command == "embed":
+        emb = read_features(out)
+        assert np.all(np.isfinite(emb))
+        if "--raw-passthrough" not in flags:
+            np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-9)
+    elif command == "train-zsl":
+        load_model(os.path.join(out, "model.jec"))
+    elif command == "eval":
+        kv = dict(ln.split("=", 1) for ln in pathlib.Path(out, "report.kv").read_text().split())
+        assert all(0.0 <= float(kv[key]) <= 1.0 for key in ("t1", "u", "s", "h"))
+    else:
+        assert "gradcheck passed" in stdout
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(cli_calls())
+def test_cli_contract(fuzz_inputs, drawn):
+    command, values, flags, bad, via_config = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.jef" if command == "embed" else "out")
+        argv = [command, *fuzz_inputs[command]]
+        if command != "gradcheck":
+            argv += ["--out", out]
+        if via_config:
+            with open(os.path.join(tmp, "c.txt"), "w") as fh:
+                fh.writelines(f"{k[2:].replace('-', '_')}={v}\n" for k, v in values.items())
+                fh.writelines(f"{f[2:].replace('-', '_')}=true\n" for f in flags)
+            argv += ["--config", os.path.join(tmp, "c.txt")]
+        else:
+            argv += [x for kv in values.items() for x in kv] + flags
+        code, stdout, err = call(*argv)
+
+        assert code in (0, 1, 2, 3), err
+        assert "Traceback" not in err and "Warning" not in err
+        if bad is not None:
+            assert code == 1 and bad in err, err
+        if code == 1:
+            assert not os.path.exists(out)
+        if code != 0:
+            return
+        check_outputs(command, out, stdout, values, flags)
+        if command == "gradcheck":
+            return
+        manifest = (out + ".manifest.txt" if command == "embed"
+                    else os.path.join(out, "manifest.txt"))
+        again = os.path.join(tmp, "again.jef" if command == "embed" else "again")
+        assert call(command, "--config", manifest, "--out", again)[0] == 0
+        assert outputs(command, again) == outputs(command, out)
