@@ -28,9 +28,10 @@ from . import __version__
 from .alignment import LossConfig
 from .compat import LabeledEmbeddings, load_model, save_model, train_compatibility
 from .data import (
-    Dataset,
+    Annotations,
     SynthConfig,
     generate,
+    load_annotations,
     load_dataset,
     read_features,
     save_dataset,
@@ -46,7 +47,6 @@ from .trainer import (
     TrainConfig,
     TrainState,
     load_train_state,
-    save_checkpoint,
     train_joint,
 )
 
@@ -243,7 +243,10 @@ def _write_manifest(command: str, cfg: dict, out_dir: str, name: str = "manifest
 def _parse_collide(text: str) -> list[list[int]]:
     groups = []
     for part in text.replace(";", " ").split():
-        ids = [int(v) for v in part.split(",") if v != ""]
+        try:
+            ids = [int(v) for v in part.split(",") if v != ""]
+        except ValueError:
+            raise UsageError(f"--collide class ids must be integers, got {part!r}") from None
         if len(ids) >= 2:
             groups.append(ids)
         elif ids:
@@ -255,23 +258,29 @@ def _parse_collide(text: str) -> list[list[int]]:
 
 
 def cmd_gen_synth(cfg: dict) -> int:
-    try:
-        synth_cfg = SynthConfig(
-            n_classes=cfg["classes"],
-            n_seen=cfg["seen"],
-            samples_per_class=cfg["per_class"],
-            d_visual=cfg["d_visual"],
-            d_sentence=cfg["d_sentence"],
-            d_attr=cfg["d_attr"],
-            cluster_spread=cfg["spread"],
-            caption_signal=cfg["caption_signal"],
-            captions_per_image=cfg["captions_per_image"],
-            attribute_collision_groups=_parse_collide(cfg["collide"]),
-            seed=cfg["seed"],
-        )
-        synth_cfg.validate()  # the rules that span options; the table holds the rest
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    # The rules that span options; the option table holds the rest.
+    classes = cfg["classes"]
+    if cfg["seen"] >= classes:
+        raise UsageError(f"--seen must be < --classes, got --seen {cfg['seen']} "
+                         f"--classes {classes}")
+    groups = _parse_collide(cfg["collide"])
+    outside = sorted({c for group in groups for c in group if not 0 <= c < classes})
+    if outside:
+        raise UsageError(f"--collide class ids must be in [0, --classes) = [0, {classes}), "
+                         f"got {outside}")
+    synth_cfg = SynthConfig(
+        n_classes=classes,
+        n_seen=cfg["seen"],
+        samples_per_class=cfg["per_class"],
+        d_visual=cfg["d_visual"],
+        d_sentence=cfg["d_sentence"],
+        d_attr=cfg["d_attr"],
+        cluster_spread=cfg["spread"],
+        caption_signal=cfg["caption_signal"],
+        captions_per_image=cfg["captions_per_image"],
+        attribute_collision_groups=groups,
+        seed=cfg["seed"],
+    )
     data = generate(synth_cfg)
     save_dataset(data, cfg["out"])
     _write_manifest("gen-synth", cfg, cfg["out"])
@@ -335,7 +344,6 @@ def cmd_train_embed(cfg: dict) -> int:
         state.head_v, state.head_s, loss_cfg, train_cfg,
         state=state, checkpoint_dir=out,
     )
-    save_checkpoint(state, out)
 
     log_lines = list(tlog.lines())
     with open(os.path.join(out, "train_log.txt"), "w") as fh:
@@ -365,9 +373,10 @@ def cmd_embed(cfg: dict) -> int:
     return 0
 
 
-def _load_embedded(cfg: dict) -> tuple[Dataset, np.ndarray]:
-    """The --data dataset and the --features rows aligned with it."""
-    ds = load_dataset(cfg["data"])
+def _load_embedded(cfg: dict) -> tuple[Annotations, np.ndarray]:
+    """The --data annotations and the --features rows aligned with them; the
+    dataset's own features and group ids are not read."""
+    ds = load_annotations(cfg["data"])
     embeddings = read_features(cfg["features"])
     if len(embeddings) != len(ds.labels):
         raise DataError(

@@ -97,13 +97,21 @@ def _targets(data: LabeledEmbeddings, table: AttributeTable) -> tuple[np.ndarray
 
 def _hinge_args(
     x: np.ndarray, w: np.ndarray, attrs: np.ndarray, true_col: np.ndarray, margin: float
-) -> np.ndarray:
-    """margin + s_wrong - s_true per (row, seen class); true-class cells are -inf."""
-    scores = (x @ w) @ attrs.T
-    rows = np.arange(len(x))
-    args = margin + scores - scores[rows, true_col][:, None]
-    args[rows, true_col] = -np.inf
-    return args
+) -> tuple[np.ndarray, np.ndarray]:
+    """margin + s_wrong - s_true per (row, seen class), with true-class cells
+    -inf, and the flat indices of those cells.
+
+    The arguments overwrite the score matrix in place; (margin + s) - s_true
+    is the same float operation, in the same order, as on a fresh array.
+    """
+    args = (x @ w) @ attrs.T
+    true_cells = np.arange(len(x)) * args.shape[1] + true_col
+    flat = args.ravel()
+    s_true = flat[true_cells]
+    args += margin
+    args -= s_true[:, None]
+    flat[true_cells] = -np.inf
+    return args, true_cells
 
 
 def _ranking_grad(
@@ -113,11 +121,12 @@ def _ranking_grad(
 
     Each active hinge adds x (a_wrong - a_true)^T; the true-class cell of the
     coefficient matrix holds minus the row's active count, so both parts come
-    out of one product. Hinges at exactly 0 are inactive.
+    out of one product. Hinges at exactly 0 are inactive, and so are the
+    true-class cells (-inf), which hold 0 until the counts are written.
     """
-    coeff = (_hinge_args(x, w, attrs, true_col, margin) > 0.0).astype(np.float64)
-    rows = np.arange(len(x))
-    coeff[rows, true_col] = -coeff.sum(axis=1)
+    coeff, true_cells = _hinge_args(x, w, attrs, true_col, margin)
+    np.greater(coeff, 0.0, out=coeff)
+    coeff.ravel()[true_cells] = -np.add.reduce(coeff, axis=1)
     return x.T @ (coeff @ attrs)
 
 
@@ -126,7 +135,7 @@ def hinge_arguments(
 ) -> np.ndarray:
     """(N, C_seen) hinge arguments margin + s_wrong - s_true; true-class cells -inf."""
     attrs, true_col = _targets(data, table)
-    return _hinge_args(data.embeddings, w, attrs, true_col, margin)
+    return _hinge_args(data.embeddings, w, attrs, true_col, margin)[0]
 
 
 def ranking_loss(
@@ -171,10 +180,13 @@ def train_compatibility(
 
     for _ in range(epochs):
         order = rng.permutation(len(x))
+        x_epoch, col_epoch = x[order], true_col[order]
         for start in range(0, len(x), BATCH_ROWS):
-            rows = order[start:start + BATCH_ROWS]
-            w -= learning_rate * _ranking_grad(x[rows], w, attrs, true_col[rows], margin)
-            if not np.all(np.isfinite(w)):
+            stop = start + BATCH_ROWS
+            step = _ranking_grad(x_epoch[start:stop], w, attrs, col_epoch[start:stop], margin)
+            step *= learning_rate
+            w -= step
+            if not np.isfinite(w).all():
                 raise NumericalError("non-finite compatibility weights during training")
 
     return CompatibilityModel(

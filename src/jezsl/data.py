@@ -321,11 +321,11 @@ def save_dataset(data: SynthData, out_dir: str) -> None:
 
 
 @dataclass
-class Dataset:
-    visual: np.ndarray
-    sentences: np.ndarray
+class Annotations:
+    """What zero-shot training and evaluation read of a dataset directory:
+    per-row labels and assignments, and the class attribute table."""
+
     labels: np.ndarray
-    groups: np.ndarray
     attributes: AttributeTable
     assignments: list[str]
 
@@ -334,22 +334,25 @@ class Dataset:
         return np.nonzero(mask)[0]
 
 
-def load_dataset(data_dir: str) -> Dataset:
+@dataclass
+class Dataset(Annotations):
+    """Annotations plus the paired features and group ids that train-embed reads."""
+
+    visual: np.ndarray
+    sentences: np.ndarray
+    groups: np.ndarray
+
+
+def load_annotations(data_dir: str) -> Annotations:
+    """Labels, attribute table, class split and assignments, split-checked."""
     import os
 
     join = lambda key: os.path.join(data_dir, FILES[key])
-    visual = read_features(join("visual"))
-    sentences = read_features(join("sentences"))
     labels = read_ids(join("labels"))
-    groups = read_ids(join("groups"))
     attrs = read_features(join("attributes"))
     attr_classes = read_ids(join("attribute_classes"))
     seen, unseen = read_split(join("splits"))
     assignments = read_assignments(join("assignments"))
-    if not (len(visual) == len(sentences) == len(labels) == len(groups)):
-        raise DataError(
-            f"{data_dir}: row counts disagree across visual/sentences/labels/groups"
-        )
     validate_split(labels, seen, unseen, assignments)
     table = AttributeTable(
         class_ids=[int(c) for c in attr_classes],
@@ -357,11 +360,20 @@ def load_dataset(data_dir: str) -> Dataset:
         seen_ids=seen,
         unseen_ids=unseen,
     )
-    return Dataset(
-        visual=visual,
-        sentences=sentences,
-        labels=labels,
-        groups=groups,
-        attributes=table,
-        assignments=assignments,
-    )
+    return Annotations(labels=labels, attributes=table, assignments=assignments)
+
+
+def load_dataset(data_dir: str) -> Dataset:
+    """load_annotations, then the visual and sentence features and group ids."""
+    import os
+
+    join = lambda key: os.path.join(data_dir, FILES[key])
+    annotations = load_annotations(data_dir)
+    visual = read_features(join("visual"))
+    sentences = read_features(join("sentences"))
+    groups = read_ids(join("groups"))
+    if not (len(visual) == len(sentences) == len(annotations.labels) == len(groups)):
+        raise DataError(
+            f"{data_dir}: row counts disagree across visual/sentences/labels/groups"
+        )
+    return Dataset(**vars(annotations), visual=visual, sentences=sentences, groups=groups)

@@ -63,8 +63,9 @@ def write_arrays(path: str, magic: bytes, version: int, arrays) -> None:
     A crash mid-write leaves the previous file at `path` intact. The rank
     of each array is not stored; the reader supplies it. Non-finite values,
     which `read_arrays` refuses, are refused here before anything is written.
+    Each payload is written from the array's own C-ordered buffer, not a copy.
     """
-    arrays = [np.asarray(a, "<f8") for a in arrays]
+    arrays = [np.asarray(a, "<f8", order="C") for a in arrays]
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise NumericalError(f"{path}: refusing to write non-finite values")
     dims = [d for a in arrays for d in a.shape]
@@ -75,7 +76,7 @@ def write_arrays(path: str, magic: bytes, version: int, arrays) -> None:
         with open(tmp, "wb") as fh:
             fh.write(magic + struct.pack(f"<B{len(dims)}I", version, *dims))
             for a in arrays:
-                fh.write(a.tobytes())
+                fh.write(a.data)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the write or the replace failed
@@ -83,31 +84,40 @@ def write_arrays(path: str, magic: bytes, version: int, arrays) -> None:
 
 
 def read_arrays(path: str, magic: bytes, version: int, ranks) -> list[np.ndarray]:
-    """Read what `write_arrays` wrote; every malformed file is a DataError."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != magic:
-        raise DataError(f"{path}: bad magic {blob[:4]!r}, expected {magic!r}")
-    if len(blob) > 4 and blob[4] != version:
-        raise DataError(
-            f"{path}: unsupported {magic.decode()} version {blob[4]}, expected {version}"
-        )
+    """Read what `write_arrays` wrote; every malformed file is a DataError.
+
+    The payload is read straight into one float64 array, allocated only once
+    the file's size matches the header; the returned arrays are writeable
+    views of it.
+    """
     header = 5 + 4 * sum(ranks)
-    if len(blob) < header:
-        raise DataError(f"{path}: header truncated at {len(blob)} bytes (need {header})")
-    dims = struct.unpack_from(f"<{sum(ranks)}I", blob, 5)
-    shapes, start = [], 0
-    for rank in ranks:
-        shapes.append(dims[start : start + rank])
-        start += rank
-    expected = header + 8 * sum(math.prod(s) for s in shapes)
-    if len(blob) != expected:
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(header)
+        if head[:4] != magic:
+            raise DataError(f"{path}: bad magic {head[:4]!r}, expected {magic!r}")
+        if len(head) > 4 and head[4] != version:
+            raise DataError(
+                f"{path}: unsupported {magic.decode()} version {head[4]}, expected {version}"
+            )
+        if len(head) < header:
+            raise DataError(f"{path}: header truncated at {len(head)} bytes (need {header})")
+        dims = struct.unpack_from(f"<{sum(ranks)}I", head, 5)
+        shapes, start = [], 0
+        for rank in ranks:
+            shapes.append(dims[start : start + rank])
+            start += rank
+        expected = header + 8 * sum(math.prod(s) for s in shapes)
+        if size == expected:
+            flat = np.empty((expected - header) // 8, dtype="<f8")
+            # What is really there, should the file have changed since fstat.
+            size = header + fh.readinto(flat) + len(fh.read(1))
+    if size != expected:
         raise DataError(
             f"{path}: payload size mismatch, expected {expected} bytes "
             f"(arrays {', '.join('x'.join(map(str, s)) or 'scalar' for s in shapes)} "
-            f"after a {header}-byte header), got {len(blob)}"
+            f"after a {header}-byte header), got {size}"
         )
-    flat = np.frombuffer(blob, dtype="<f8", offset=header).astype(np.float64)
     if not np.all(np.isfinite(flat)):
         raise DataError(f"{path}: payload contains non-finite values")
     out, offset = [], 0

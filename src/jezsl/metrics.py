@@ -24,6 +24,14 @@ class GzslReport:
     per_class: dict[int, tuple[float, int]] = field(default_factory=dict)
 
 
+# np.unique and np.setdiff1d import numpy.ma on first use, which costs more
+# than these checks; np.isin does not.
+def _outside(labels: np.ndarray, allowed) -> list[int]:
+    """Sorted distinct labels that are not in `allowed` (ints)."""
+    allowed = np.fromiter(allowed, dtype=np.int64, count=len(allowed))
+    return sorted(set(labels[~np.isin(labels, allowed)].tolist()))
+
+
 def per_class_accuracy(
     predictions, labels, classes
 ) -> tuple[dict[int, tuple[float, int]], float]:
@@ -38,22 +46,19 @@ def per_class_accuracy(
         raise ValueError(
             f"{len(predictions)} predictions vs {len(labels)} labels"
         )
-    classes = set(int(c) for c in classes)
-    outside = set(int(c) for c in labels) - classes
+    classes = np.array(sorted({int(c) for c in classes}), dtype=np.int64)
+    outside = _outside(labels, classes)
     if outside:
-        raise ValueError(f"labels outside the class set: {sorted(outside)}")
+        raise ValueError(f"labels outside the class set: {outside}")
 
-    per_class: dict[int, tuple[float, int]] = {}
-    accs = []
-    for c in sorted(classes):
-        mask = labels == c
-        count = int(np.count_nonzero(mask))
-        if count == 0:
-            continue
-        acc = float(np.count_nonzero(predictions[mask] == c)) / count
-        per_class[c] = (acc, count)
-        accs.append(acc)
-    mean = float(np.mean(accs)) if accs else 0.0
+    col = np.searchsorted(classes, labels)
+    counts = np.bincount(col, minlength=len(classes))
+    hits = np.bincount(col[predictions == labels], minlength=len(classes))
+    present = np.flatnonzero(counts)
+    accs = hits[present] / counts[present]
+    per_class = dict(zip(classes[present].tolist(),
+                         zip(accs.tolist(), counts[present].tolist())))
+    mean = float(np.mean(accs)) if len(accs) else 0.0
     return per_class, mean
 
 
@@ -77,12 +82,12 @@ def evaluate(
         raise ValueError("evaluate: empty unseen test split")
     if len(test_seen.embeddings) == 0:
         raise ValueError("evaluate: empty seen test split")
-    bad_unseen = set(int(c) for c in test_unseen.labels) - table.unseen_ids
+    bad_unseen = _outside(test_unseen.labels, table.unseen_ids)
     if bad_unseen:
-        raise ValueError(f"unseen test labels not in unseen classes: {sorted(bad_unseen)}")
-    bad_seen = set(int(c) for c in test_seen.labels) - table.seen_ids
+        raise ValueError(f"unseen test labels not in unseen classes: {bad_unseen}")
+    bad_seen = _outside(test_seen.labels, table.seen_ids)
     if bad_seen:
-        raise ValueError(f"seen test labels not in seen classes: {sorted(bad_seen)}")
+        raise ValueError(f"seen test labels not in seen classes: {bad_seen}")
 
     zsl_preds = infer_batch(model, test_unseen.embeddings, table, "zsl")
     _, t1 = per_class_accuracy(zsl_preds, test_unseen.labels, table.unseen_ids)

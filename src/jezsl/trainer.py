@@ -254,8 +254,10 @@ def train_joint(
     Passing a TrainState loaded from disk (its heads must be the ones passed)
     resumes at state.next_epoch and is bit-identical to having trained
     straight through; a state trained under other hyperparameters is refused.
-    With checkpoint_every set, save_checkpoint writes to checkpoint_dir
-    periodically.
+    With checkpoint_dir, save_checkpoint writes there every checkpoint_every
+    epochs (if set) and at the end, unless the last epoch has just written
+    it, so the directory ends with the final state, written once, even when
+    no epoch runs.
     """
     visual = as_matrix(visual, "visual features")
     sentences = as_matrix(sentences, "sentence features")
@@ -285,6 +287,7 @@ def train_joint(
     vel_v = state.velocity_v
     vel_s = state.velocity_s
     train_log = TrainLog()
+    written = None  # next_epoch of the last checkpoint this call wrote
 
     for epoch in range(state.next_epoch, train_cfg.epochs):
         start = time.perf_counter()
@@ -335,5 +338,8 @@ def train_joint(
             and (epoch + 1) % train_cfg.checkpoint_every == 0
         ):
             save_checkpoint(state, checkpoint_dir)
+            written = state.next_epoch
 
+    if checkpoint_dir is not None and written != state.next_epoch:
+        save_checkpoint(state, checkpoint_dir)
     return head_v, head_s, train_log

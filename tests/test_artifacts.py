@@ -132,6 +132,37 @@ def test_every_truncation_is_a_data_error(name, blobs, tmp_path):
             load_blob(name, blobs[name][:n], path)
 
 
+@pytest.mark.parametrize("name", sorted(FORMATS))
+@pytest.mark.parametrize("extra", [b"\x00", b"\x00" * 8, b"\x00" * 4096])
+def test_trailing_bytes_are_a_data_error(name, extra, blobs, tmp_path):
+    size = len(blobs[name])
+    with pytest.raises(DataError, match=rf"expected {size} bytes.*got {size + len(extra)}$"):
+        load_blob(name, blobs[name] + extra, str(tmp_path / f"x.{name}"))
+
+
+def test_strided_arrays_are_written_in_row_major_order(tmp_path):
+    a = np.arange(12.0).reshape(3, 4)
+    path = str(tmp_path / "s.jec")
+    for view in (a.T, a[:, ::2], a[::-1]):
+        write_arrays(path, b"JEC1", 1, [view])
+        with open(path, "rb") as fh:
+            assert fh.read()[13:] == np.ascontiguousarray(view).tobytes()
+        np.testing.assert_array_equal(read_arrays(path, b"JEC1", 1, (2,))[0], view)
+
+
+def test_loaded_arrays_are_writeable(tmp_path):
+    # Resume updates the loaded heads and velocities in place.
+    path = str(tmp_path / "a.jet")
+    write_arrays(path, b"JET1", 2, [np.ones((2, 3)), np.float64(4.0), np.arange(3.0)])
+    arrays = read_arrays(path, b"JET1", 2, (2, 0, 1))
+    for a in arrays:
+        assert a.dtype == np.float64 and a.flags.writeable
+        a += 1.0
+    np.testing.assert_array_equal(arrays[0], np.full((2, 3), 2.0))
+    assert arrays[1] == 5.0 and arrays[1].shape == ()
+    np.testing.assert_array_equal(arrays[2], [1.0, 2.0, 3.0])
+
+
 @pytest.mark.parametrize("name", ["jeh", "jet"])
 def test_inconsistent_head_dims_are_a_data_error(name, blobs, tmp_path):
     # swap the dims of w1 so the payload size still matches

@@ -15,6 +15,7 @@ from jezsl.compat import load_model
 from jezsl.data import load_dataset, read_features
 from jezsl.heads import load_head
 from jezsl.linalg import make_rng
+from jezsl.trainer import load_train_state
 
 
 def run(*argv):
@@ -134,6 +135,49 @@ class TestTrainEmbed:
         a = open(os.path.join(full, "head_v.jeh"), "rb").read()
         b = open(os.path.join(part, "head_v.jeh"), "rb").read()
         assert a == b
+
+    def test_final_checkpoint_is_written_once(self, tmp_path, monkeypatch):
+        data = gen(tmp_path)
+        common = ["--data", data, "--dim", "4", "--hidden", "16", "--batch-size", "8",
+                  "--lr", "0.005", "--seed", "1"]
+        real_replace = os.replace
+        written = []
+
+        def replace(src, dst):
+            written.append(os.path.basename(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        every = str(tmp_path / "every")
+        assert run("train-embed", "--out", every, "--epochs", "4",
+                   "--checkpoint-every", "2", *common) == 0
+        # epochs 2 and 4 each write both heads and the bundle; no third copy
+        assert written == ["head_v.jeh", "head_s.jeh", "trainer_state.jet"] * 2
+        del written[:]
+        straight = str(tmp_path / "straight")
+        assert run("train-embed", "--out", straight, "--epochs", "4", *common) == 0
+        assert written == ["head_v.jeh", "head_s.jeh", "trainer_state.jet"]
+        part = str(tmp_path / "part")
+        assert run("train-embed", "--out", part, "--epochs", "2", *common) == 0
+        assert run("train-embed", "--out", part, "--epochs", "4", "--checkpoint-every", "2",
+                   "--resume", *common) == 0
+        for name in ("head_v.jeh", "head_s.jeh", "trainer_state.jet"):
+            blobs = {open(os.path.join(d, name), "rb").read() for d in (every, straight, part)}
+            assert len(blobs) == 1, name
+
+    @pytest.mark.parametrize("legs", [[["--epochs", "0"]],
+                                      [["--epochs", "2"], ["--epochs", "2", "--resume"]]])
+    def test_no_epochs_to_run_still_writes_heads_and_bundle(self, tmp_path, legs):
+        data = gen(tmp_path)
+        out = str(tmp_path / "run")
+        for leg in legs:
+            assert run("train-embed", "--data", data, "--out", out, "--dim", "4",
+                       "--batch-size", "8", "--checkpoint-every", "2", *leg) == 0
+        state = load_train_state(os.path.join(out, "trainer_state.jet"))
+        assert state.next_epoch == int(legs[-1][1])
+        head = load_head(os.path.join(out, "head_v.jeh"))
+        np.testing.assert_array_equal(head.w1, state.head_v.w1)
+        load_head(os.path.join(out, "head_s.jeh"))
 
     def test_resume_refuses_changed_options(self, tmp_path, capsys):
         data = gen(tmp_path)
@@ -341,6 +385,21 @@ class TestPipelineAndEval:
         b = open(os.path.join(zsl2, "model.jec"), "rb").read()
         assert a == b
 
+    def test_zsl_stages_read_no_dataset_features(self, tmp_path):
+        data, emb, zsl, rep = self.pipeline(tmp_path)
+        for name in ("visual.jef", "sentences.jef", "groups.txt"):
+            os.remove(os.path.join(data, name))
+        zsl2, rep2 = str(tmp_path / "zsl2"), str(tmp_path / "rep2")
+        assert run("train-zsl", "--data", data, "--features", emb,
+                   "--out", zsl2, "--epochs", "20") == 0
+        assert run("eval", "--data", data, "--features", emb,
+                   "--model", os.path.join(zsl2, "model.jec"), "--out", rep2) == 0
+        for a, b, name in ((zsl, zsl2, "model.jec"), (rep, rep2, "report.kv")):
+            assert (pathlib.Path(a, name).read_bytes()
+                    == pathlib.Path(b, name).read_bytes()), name
+        assert run("train-embed", "--data", data, "--out", str(tmp_path / "run2"),
+                   "--epochs", "1") == 2
+
     def test_feature_row_mismatch_is_data_error(self, tmp_path):
         data, emb, zsl, _ = self.pipeline(tmp_path)
         from jezsl.data import write_features
@@ -387,6 +446,13 @@ class TestTrainZsl:
     ("gradcheck", "--trials", "0"),
     ("gradcheck", "--trials", "-1"),
     ("train-embed", "--checkpoint-every", "-1"),
+    # Rules that span options name the options, not the library's fields
+    # (--classes and --seen default to 10 and 7).
+    ("gen-synth", "--seen", "10"),
+    ("gen-synth", "--classes", "7"),
+    ("gen-synth", "--collide", "3,99"),
+    ("gen-synth", "--collide", "3,-1"),
+    ("gen-synth", "--collide", "3,x"),
 ])
 def test_bad_option_is_usage_error(tmp_path, capsys, command, option, value):
     data = gen(tmp_path)

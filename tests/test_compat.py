@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from jezsl.compat import (
     AttributeTable,
     CompatibilityModel,
     LabeledEmbeddings,
+    hinge_arguments,
     infer,
     infer_batch,
     load_model,
@@ -93,6 +95,20 @@ class TestRankingLoss:
         data = LabeledEmbeddings(np.ones((4, 5)), np.array([0, 1, 2, 0]))
         w = np.zeros((5, table.d_attr))
         assert ranking_loss(w, data, table, 0.2) == pytest.approx(4 * 2 * 0.2)
+
+    def test_hinge_arguments_mark_true_class_cells(self):
+        rng = make_rng(15)
+        table = simple_table(n_seen=4, d_attr=3, seed=15)
+        labels = rng.integers(0, 4, size=9)
+        data = LabeledEmbeddings(rng.standard_normal((9, 5)), labels)
+        w = rng.standard_normal((5, 3))
+        args = hinge_arguments(w, data, table, 0.2)
+        true = np.zeros(args.shape, bool)
+        true[np.arange(9), labels] = True
+        assert np.all(args[true] == -np.inf)
+        scores = data.embeddings @ w @ table.attributes[:4].T
+        expected = 0.2 + scores - scores[np.arange(9), labels][:, None]
+        np.testing.assert_allclose(args[~true], expected[~true], rtol=1e-12, atol=1e-12)
 
     def test_gradient_finite_difference(self):
         rng = make_rng(9)
@@ -188,6 +204,25 @@ class TestTraining:
             data, table, margin=margin, learning_rate=lr, epochs=2, seed=seed
         )
         assert np.linalg.norm(model.w - w) <= 1e-12 * np.linalg.norm(w)
+
+    # sha256 of the trained W's bytes: a short final slice (n = 33), the
+    # raw_zsl benchmark's 140 seen classes, and one seen class (W stays 0).
+    # Any change to the step's float operations or their order moves them.
+    @pytest.mark.parametrize("n, n_seen, n_unseen, d, d_attr, digest", [
+        (BATCH_ROWS + 1, 4, 2, 5, 4,
+         "f9097f4b4a299e479213855ba2cdc1e80ed4f569542eeeb0d0e8cb0f4f3c95f7"),
+        (280, 140, 60, 16, 12,
+         "d2ec3c649d0ec25efb106edfa93ec2061323bbdc6f794d210c0b0395960be112"),
+        (7, 1, 1, 5, 3,
+         "6edd9f6f9cc92cded36e6c4a580933f9c9f1b90562b46903b806f21902a1a54f"),
+    ])
+    def test_trained_weights_are_pinned(self, n, n_seen, n_unseen, d, d_attr, digest):
+        rng = make_rng(14)
+        table = simple_table(n_seen=n_seen, n_unseen=n_unseen, d_attr=d_attr, seed=14)
+        data = LabeledEmbeddings(rng.standard_normal((n, d)), rng.integers(0, n_seen, size=n))
+        model = train_compatibility(data, table, margin=0.3, learning_rate=0.05,
+                                    epochs=3, seed=5)
+        assert hashlib.sha256(model.w.tobytes()).hexdigest() == digest
 
     def test_divergence_raises_numerical_error(self):
         rng = make_rng(13)

@@ -175,3 +175,33 @@ class TestFormatting:
         assert float(kv["t1"]) == r.t1
         assert float(kv["u"]) == r.u
         assert float(kv["h"]) == r.h
+
+
+def loop_per_class_accuracy(predictions, labels, classes):
+    """The per-class loop that per_class_accuracy replaced, as an oracle."""
+    predictions = np.asarray(predictions, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    per_class, accs = {}, []
+    for c in sorted(set(int(c) for c in classes)):
+        mask = labels == c
+        count = int(np.count_nonzero(mask))
+        if count == 0:
+            continue
+        acc = float(np.count_nonzero(predictions[mask] == c)) / count
+        per_class[c] = (acc, count)
+        accs.append(acc)
+    return per_class, float(np.mean(accs)) if accs else 0.0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_per_class_accuracy_matches_the_loop(seed):
+    rng = make_rng(seed)
+    classes = rng.choice(400, size=int(rng.integers(1, 60)), replace=False) - 100
+    n = int(rng.integers(0, 300))
+    # Labels from a random subset of the classes, so that some have no rows;
+    # predictions also hit ids outside the class set.
+    present = rng.choice(classes, size=max(1, len(classes) // 2), replace=False)
+    labels = rng.choice(present, size=n)
+    predictions = np.where(rng.random(n) < 0.5, labels, rng.integers(-120, 320, size=n))
+    got = per_class_accuracy(predictions, labels, set(classes.tolist()))
+    assert got == loop_per_class_accuracy(predictions, labels, classes)
