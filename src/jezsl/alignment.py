@@ -77,6 +77,8 @@ def _pairwise_distances(z: np.ndarray) -> np.ndarray:
     # loses precision near d = 0 and would move hinges across zero. Tiles
     # are coordinate-major so every ufunc loop runs over a tile row, and
     # only tiles on or above the diagonal are computed (D is symmetric).
+    # A diagonal tile needs no mirror: a - b == -(b - a) in IEEE
+    # arithmetic, so it is already exactly symmetric.
     n = len(z)
     zt = np.ascontiguousarray(z.T)
     out = np.empty((n, n))
@@ -86,7 +88,8 @@ def _pairwise_distances(z: np.ndarray) -> np.ndarray:
             np.multiply(diff, diff, out=diff)
             tile = out[r : r + ANCHOR_CHUNK, c : c + ANCHOR_CHUNK]
             np.sqrt(np.add.reduce(diff, axis=0), out=tile)
-            out[c : c + ANCHOR_CHUNK, r : r + ANCHOR_CHUNK] = tile.T
+            if c != r:
+                out[c : c + ANCHOR_CHUNK, r : r + ANCHOR_CHUNK] = tile.T
     return out
 
 
@@ -157,10 +160,15 @@ def alignment_loss(
         flat = order + 2 * b * np.arange(len(order))[:, None]
         counts.reshape(-1)[flat] = sorted_counts
         c_pos, c_neg = counts[:, :b], counts[:, b:]
-        row_sums[rows] = np.sum(c_pos * thresh, axis=1) - np.sum(c_neg * d, axis=1)
-        active += int(np.sum(c_pos))
+        row_sums[rows] = np.add.reduce(c_pos * thresh, 1) - np.add.reduce(c_neg * d, 1)
+        active += int(np.add.reduce(c_pos, None))
         coef[rows] = (c_pos - c_neg) * row_weight[rows, None]
-    total = int(np.sum(np.sum(pos, axis=1) * np.sum(neg, axis=1)))
+    # Anchor i, with n_i rows in its group, has n_i positives in its
+    # cross-modal row and n_i - 1 in its within-modal row, each against
+    # b - n_i negatives, once per modality.
+    ids = np.sort(batch.group_ids)
+    n = ids.searchsorted(batch.group_ids, "right") - ids.searchsorted(batch.group_ids, "left")
+    total = 2 * int(np.dot(b - n, 2 * n - 1))
     (t3, t1), (t2, t4) = row_sums.reshape(2, b, 2).sum(axis=1)
     sums = np.array([t1, t2, t3, t4])
     loss = float(sums[0] + cfg.lambda1 * sums[1] + cfg.lambda2 * sums[2] + cfg.lambda3 * sums[3])
@@ -174,5 +182,5 @@ def alignment_loss(
         rows = slice(r, r + ANCHOR_CHUNK)
         np.divide(c[rows] + c[:, rows].T, g[rows], out=g[rows], where=g[rows] > 0.0)
     z = np.concatenate([batch.visual, batch.sentence])
-    dz = np.sum(g, axis=1)[:, None] * z - g @ z
+    dz = np.add.reduce(g, 1)[:, None] * z - g @ z
     return loss, sums, active, total, dz[:b], dz[b:]

@@ -38,7 +38,6 @@ from .data import (
     write_features,
 )
 from .errors import DataError, NumericalError
-from .gradcheck import TOLERANCE, run_all
 from .heads import forward, init_head, load_head
 from .linalg import make_rng
 from .metrics import evaluate, format_kv, format_report
@@ -427,6 +426,9 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_gradcheck(cfg: dict) -> int:
+    # Imported here: no other command needs it, and it costs start-up time.
+    from .gradcheck import TOLERANCE, run_all
+
     results = run_all(trials=cfg["trials"], seed=cfg["seed"],
                       corrupt=cfg["corrupt_gradient"])
     failed = False

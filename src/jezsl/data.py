@@ -92,13 +92,36 @@ def write_ids(ids, path: str) -> None:
         fh.write("".join(f"{v}\n" for v in np.asarray(ids, dtype=np.int64).tolist()))
 
 
-def read_ids(path: str) -> np.ndarray:
+def _read_lines(path: str) -> list[str]:
+    """The file's lines without line ends (text mode reads \r\n and \r as \n)."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        return fh.read().split("\n")
+
+
+def _first_bad_line(lines: list[str], ok) -> tuple[int, str]:
+    """1-based number and stripped text of the first non-blank line failing ok."""
+    return next((n, ln.strip()) for n, ln in enumerate(lines, 1)
+                if ln.strip() and not ok(ln.strip()))
+
+
+def _is_int64(s: str) -> bool:
     try:
-        return np.asarray([int(ln) for ln in lines], dtype=np.int64)
-    except ValueError as exc:
-        raise DataError(f"{path}: non-integer id line") from exc
+        np.int64(s)
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
+def read_ids(path: str) -> np.ndarray:
+    """One integer per line; blank lines are skipped."""
+    lines = _read_lines(path)
+    try:
+        # Casting str to int64 parses with int(), which ignores surrounding
+        # whitespace as strip() does.
+        return np.array(list(filter(str.strip, lines)), dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        n, ln = _first_bad_line(lines, _is_int64)
+        raise DataError(f"{path}:{n}: non-integer id line {ln!r}") from exc
 
 
 def write_split(path: str, seen_ids, unseen_ids) -> None:
@@ -110,19 +133,21 @@ def write_split(path: str, seen_ids, unseen_ids) -> None:
 def read_split(path: str) -> tuple[set[int], set[int]]:
     seen: set[int] | None = None
     unseen: set[int] | None = None
-    with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln:
-                continue
-            key, _, rest = ln.partition(":")
+    for n, ln in enumerate(_read_lines(path), 1):
+        ln = ln.strip()
+        if not ln:
+            continue
+        key, _, rest = ln.partition(":")
+        try:
             ids = {int(v) for v in rest.split()}
-            if key.strip() == "seen":
-                seen = ids
-            elif key.strip() == "unseen":
-                unseen = ids
-            else:
-                raise DataError(f"{path}: unknown split line {ln!r}")
+        except ValueError as exc:
+            raise DataError(f"{path}:{n}: non-integer class id in {ln!r}") from exc
+        if key.strip() == "seen":
+            seen = ids
+        elif key.strip() == "unseen":
+            unseen = ids
+        else:
+            raise DataError(f"{path}:{n}: unknown split line {ln!r}")
     if seen is None or unseen is None:
         raise DataError(f"{path}: missing 'seen:' or 'unseen:' line")
     if seen & unseen:
@@ -139,11 +164,12 @@ def write_assignments(assignments, path: str) -> None:
 
 
 def read_assignments(path: str) -> list[str]:
-    with open(path) as fh:
-        out = [ln.strip() for ln in fh if ln.strip()]
-    for n, a in enumerate(out, 1):
-        if a not in ASSIGNMENTS:
-            raise DataError(f"{path}:{n}: unknown assignment {a!r}")
+    """One assignment name per line; blank lines are skipped."""
+    lines = _read_lines(path)
+    out = list(filter(None, map(str.strip, lines)))
+    if not set(out) <= set(ASSIGNMENTS):
+        n, a = _first_bad_line(lines, ASSIGNMENTS.__contains__)
+        raise DataError(f"{path}:{n}: unknown assignment {a!r}")
     return out
 
 

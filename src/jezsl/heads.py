@@ -157,10 +157,13 @@ def forward(
     pre_bn = post_relu @ head.w2.T + head.b2
 
     if train:
-        batch_mean = pre_bn.mean(axis=0)
-        batch_var = pre_bn.var(axis=0)  # biased; bn_epsilon guards zero variance
+        # np.add.reduce(., 0) / b is what ndarray.mean and .var compute,
+        # without their wrappers' cost.
+        batch_mean = np.add.reduce(pre_bn, 0) / b
+        centered = pre_bn - batch_mean
+        batch_var = np.add.reduce(centered * centered, 0) / b  # biased; bn_epsilon guards 0
         inv_std = 1.0 / np.sqrt(batch_var + head.bn_epsilon)
-        normalized = (pre_bn - batch_mean) * inv_std
+        normalized = centered * inv_std
         if update_running_stats:
             mom = head.bn_momentum
             unbiased = batch_var * b / (b - 1)
@@ -173,8 +176,8 @@ def forward(
         normalized = (pre_bn - batch_mean) * inv_std
 
     pre_l2 = head.bn_gamma * normalized + head.bn_beta
-    row_norms = np.sqrt(np.sum(pre_l2 * pre_l2, axis=1))
-    if np.any(row_norms < EPS_NORM):
+    row_norms = np.sqrt(np.add.reduce(pre_l2 * pre_l2, 1))
+    if (row_norms < EPS_NORM).any():
         bad = int(np.argmin(row_norms))
         raise NumericalError(
             f"forward: embedding row {bad} has norm {row_norms[bad]:g} below {EPS_NORM:g}"
@@ -216,28 +219,28 @@ def backward(
 
     # Row-wise L2 normalization: o = u/|u|, d_u = (g - o(o.g)) / |u|
     out = trace.pre_l2 / trace.row_norms[:, None]
-    dot = np.sum(out * d_embeddings, axis=1, keepdims=True)
+    dot = np.add.reduce(out * d_embeddings, 1, keepdims=True)
     d_pre_l2 = (d_embeddings - out * dot) / trace.row_norms[:, None]
 
     # BN affine
-    d_gamma = np.sum(d_pre_l2 * trace.normalized, axis=0)
-    d_beta = np.sum(d_pre_l2, axis=0)
+    d_gamma = np.add.reduce(d_pre_l2 * trace.normalized, 0)
+    d_beta = np.add.reduce(d_pre_l2, 0)
     d_norm = d_pre_l2 * head.bn_gamma
 
     # BN whitening with batch statistics (biased variance)
-    mean_dnorm = d_norm.mean(axis=0)
-    mean_dnorm_xhat = (d_norm * trace.normalized).mean(axis=0)
+    mean_dnorm = np.add.reduce(d_norm, 0) / b
+    mean_dnorm_xhat = np.add.reduce(d_norm * trace.normalized, 0) / b
     d_pre_bn = trace.inv_std * (d_norm - mean_dnorm - trace.normalized * mean_dnorm_xhat)
 
     # Second FC
     d_w2 = d_pre_bn.T @ trace.post_relu
-    d_b2 = np.sum(d_pre_bn, axis=0)
+    d_b2 = np.add.reduce(d_pre_bn, 0)
     d_post_relu = d_pre_bn @ head.w2
 
     # ReLU and first FC
     d_pre_relu = d_post_relu * (trace.pre_relu > 0.0)
     d_w1 = d_pre_relu.T @ trace.inputs
-    d_b1 = np.sum(d_pre_relu, axis=0)
+    d_b1 = np.add.reduce(d_pre_relu, 0)
     d_input = d_pre_relu @ head.w1
 
     grads = HeadGradients(

@@ -225,13 +225,21 @@ def epoch_order(seed: int, epoch: int, n: int, shuffle: bool) -> np.ndarray:
     return make_rng([seed, epoch]).permutation(n)
 
 
-def _check_finite_params(head_v: EmbeddingHead, head_s: EmbeddingHead, epoch: int) -> None:
-    for label, head in (("visual", head_v), ("sentence", head_s)):
-        for name, p in head.learnable().items():
-            if not np.all(np.isfinite(p)):
-                raise NumericalError(
-                    f"non-finite {label} head parameter {name} after epoch {epoch + 1}"
-                )
+def _pack(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Copy arrays into one contiguous float64 vector; return it and views
+    of it shaped like the arrays, in order."""
+    flat = np.concatenate(arrays, axis=None, dtype=np.float64)
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return flat, views
+
+
+def _first_nonfinite(labelled: list[tuple[str, dict[str, np.ndarray]]]) -> tuple[str, str]:
+    """(head label, parameter name) of the first array holding a non-finite value."""
+    return next((label, name) for label, arrays in labelled
+                for name, a in arrays.items() if not np.isfinite(a).all())
 
 
 # A diverging run overflows in sgd_step and heads.forward. The checks on the
@@ -250,6 +258,10 @@ def train_joint(
     checkpoint_dir: str | None = None,
 ) -> tuple[EmbeddingHead, EmbeddingHead, TrainLog]:
     """Train both heads in place on paired features; returns them with a log.
+
+    The heads' learnable arrays and the state's velocities are replaced by
+    views into two flat vectors that each step updates, so an array taken
+    from a head before the call keeps its old values.
 
     Passing a TrainState loaded from disk (its heads must be the ones passed)
     resumes at state.next_epoch and is bit-identical to having trained
@@ -284,8 +296,19 @@ def train_joint(
     if changed is not None:
         raise ValueError("train_joint: state was trained with %s=%r, not %r" % changed)
     state.hyperparams = trajectory(loss_cfg, train_cfg, len(visual))
-    vel_v = state.velocity_v
-    vel_s = state.velocity_s
+    # Both heads' parameters become views into one vector and both velocity
+    # dicts views into a second, so each step checks and updates all twelve
+    # arrays with one call each. The head and state objects stay the same.
+    slots = [(head, vel, name)
+             for head, vel in ((head_v, state.velocity_v), (head_s, state.velocity_s))
+             for name in PARAM_NAMES]
+    params, param_views = _pack([getattr(head, name) for head, _, name in slots])
+    velocity, vel_views = _pack([vel[name] for _, vel, name in slots])
+    for (head, vel, name), p, v in zip(slots, param_views, vel_views):
+        setattr(head, name, p)
+        vel[name] = v
+    grad = np.empty_like(params)
+    flat_params, flat_grads, flat_velocity = {"all": params}, {"all": grad}, {"all": velocity}
     train_log = TrainLog()
     written = None  # next_epoch of the last checkpoint this call wrote
 
@@ -311,18 +334,23 @@ def train_joint(
                 continue
             grads_v, _ = backward(head_v, trace_v, d_v)
             grads_s, _ = backward(head_s, trace_s, d_s)
-            for label, grads in (("visual", grads_v), ("sentence", grads_s)):
-                for name, g in grads.as_dict().items():
-                    if not np.all(np.isfinite(g)):
-                        raise NumericalError(
-                            f"non-finite gradient in {label} head parameter {name} "
-                            f"at epoch {epoch + 1}, batch {bi + 1}"
-                        )
-            sgd_step(head_v.learnable(), grads_v.as_dict(), vel_v,
+            np.concatenate([getattr(g, n) for g in (grads_v, grads_s) for n in PARAM_NAMES],
+                           axis=None, out=grad)
+            if not np.isfinite(grad).all():
+                label, name = _first_nonfinite([("visual", grads_v.as_dict()),
+                                                ("sentence", grads_s.as_dict())])
+                raise NumericalError(
+                    f"non-finite gradient in {label} head parameter {name} "
+                    f"at epoch {epoch + 1}, batch {bi + 1}"
+                )
+            sgd_step(flat_params, flat_grads, flat_velocity,
                      train_cfg.learning_rate, train_cfg.momentum)
-            sgd_step(head_s.learnable(), grads_s.as_dict(), vel_s,
-                     train_cfg.learning_rate, train_cfg.momentum)
-        _check_finite_params(head_v, head_s, epoch)
+        if not np.isfinite(params).all():
+            label, name = _first_nonfinite([("visual", head_v.learnable()),
+                                            ("sentence", head_s.learnable())])
+            raise NumericalError(
+                f"non-finite {label} head parameter {name} after epoch {epoch + 1}"
+            )
 
         mean_loss = float(np.mean(losses)) if losses else 0.0
         frac = active_total / triple_total if triple_total else 0.0

@@ -2,6 +2,8 @@ import contextlib
 import io
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jezsl
 from jezsl.cli import _parse_collide, main
 from jezsl.compat import load_model
 from jezsl.data import load_dataset, read_features
@@ -478,6 +481,17 @@ class TestGradcheckCommand:
     def test_corrupt_gradient_fails_with_exit_3(self, capsys):
         assert run("gradcheck", "--trials", "2", "--corrupt-gradient") == 3
         assert "[FAIL]" in capsys.readouterr().out
+
+    def test_cli_import_leaves_gradcheck_unloaded(self):
+        # Only the gradcheck command needs the module; every other command's
+        # process start-up should not pay for importing it.
+        src = os.path.dirname(os.path.dirname(jezsl.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, jezsl.cli; print('jezsl.gradcheck' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestTopLevel:

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from jezsl.data import (
     FILES,
     SynthConfig,
     generate,
+    load_annotations,
     load_dataset,
     read_assignments,
     read_features,
@@ -96,10 +98,25 @@ class TestIdAndSplitIo:
         write_ids([3, 1, 4, 1, 5], path)
         np.testing.assert_array_equal(read_ids(path), [3, 1, 4, 1, 5])
 
+    def test_blank_lines_and_surrounding_space_are_skipped(self, tmp_path):
+        path = tmp_path / "ids.txt"
+        path.write_text("\n 3\n\t\n-4  \r\n\n+5\n")
+        np.testing.assert_array_equal(read_ids(str(path)), [3, -4, 5])
+
     def test_non_integer_id(self, tmp_path):
         path = tmp_path / "ids.txt"
         path.write_text("1\ntwo\n")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: non-integer id line 'two'$"):
+            read_ids(str(path))
+
+    @pytest.mark.parametrize("text, line, value", [
+        ("1\n\n  \n2.5\n", 4, "2.5"),  # blank lines count
+        ("7\n99999999999999999999\n", 2, "99999999999999999999"),  # outside int64
+    ])
+    def test_non_integer_id_names_its_line(self, tmp_path, text, line, value):
+        path = tmp_path / "ids.txt"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{line}: non-integer id line '{value}'$"):
             read_ids(str(path))
 
     def test_split_round_trip(self, tmp_path):
@@ -112,6 +129,17 @@ class TestIdAndSplitIo:
         path = tmp_path / "splits.txt"
         path.write_text("seen: 0 1\nunseen: 1 2\n")
         with pytest.raises(DataError):
+            read_split(str(path))
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("seen: 0 x\nunseen: 2\n", 1, "non-integer class id in 'seen: 0 x'"),
+        ("\nseen: 0\nunseen: 2 3.5\n", 3, "non-integer class id in 'unseen: 2 3.5'"),
+        ("seen: 0\nunsen: 2\n", 2, "unknown split line 'unsen: 2'"),
+    ])
+    def test_malformed_split_line_names_its_line(self, tmp_path, text, line, message):
+        path = tmp_path / "splits.txt"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{line}: {message}$"):
             read_split(str(path))
 
     def test_missing_line_rejected(self, tmp_path):
@@ -135,9 +163,14 @@ class TestIdAndSplitIo:
 
     def test_unknown_assignment_rejected(self, tmp_path):
         path = tmp_path / "a.txt"
-        path.write_text("train\nvalidation\n")
-        with pytest.raises(DataError):
+        path.write_text("train\n\n test_seen \nvalidation\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:4: unknown assignment 'validation'$"):
             read_assignments(str(path))
+
+    def test_assignment_blank_lines_and_surrounding_space_are_skipped(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("\ntrain\n  test_unseen\t\r\n\n")
+        assert read_assignments(str(path)) == ["train", "test_unseen"]
 
 
 class TestValidateSplit:
@@ -315,6 +348,14 @@ class TestDatasetDirectory:
         assert all(loaded.assignments[i] == "train" for i in train)
         total = sum(len(loaded.rows(a)) for a in ("train", "test_seen", "test_unseen"))
         assert total == len(loaded.labels)
+
+    def test_malformed_splits_file_named_at_load(self, tmp_path):
+        data = generate(SynthConfig(n_classes=4, n_seen=2, samples_per_class=5, seed=3))
+        save_dataset(data, str(tmp_path))
+        path = tmp_path / FILES["splits"]
+        path.write_text(path.read_text().replace("seen: 0", "seen: x"))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:1: non-integer class id"):
+            load_annotations(str(tmp_path))
 
     def test_corrupt_assignment_rejected_at_load(self, tmp_path):
         data = generate(SynthConfig(n_classes=4, n_seen=2, samples_per_class=5, seed=3))

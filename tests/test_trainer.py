@@ -1,10 +1,14 @@
+import hashlib
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from jezsl import trainer
 from jezsl.alignment import LossConfig
-from jezsl.errors import DataError
+from jezsl.data import SynthConfig, generate
+from jezsl.errors import DataError, NumericalError
 from jezsl.heads import init_head
 from jezsl.linalg import make_rng
 from jezsl.trainer import (
@@ -241,6 +245,33 @@ class TestTrainJoint:
             for k, v in head_arrays(full).items():
                 np.testing.assert_array_equal(getattr(resumed, k), v)
 
+    def test_non_finite_gradient_names_head_and_parameter(self, monkeypatch):
+        visual, sentences, groups = make_problem()
+        hv, hs = fresh_heads()
+        real_backward = trainer.backward
+
+        def backward(head, trace, d_embeddings):
+            grads, d_input = real_backward(head, trace, d_embeddings)
+            if head is hs:
+                grads.b2[1] = np.inf
+            return grads, d_input
+
+        monkeypatch.setattr(trainer, "backward", backward)
+        with pytest.raises(NumericalError, match="^non-finite gradient in sentence head "
+                                                 "parameter b2 at epoch 1, batch 1$"):
+            train_joint(visual, sentences, groups, hv, hs, LossConfig(),
+                        TrainConfig(epochs=2, batch_size=8))
+
+    def test_non_finite_parameter_names_head_and_parameter(self):
+        # One batch per epoch, so the overflowing update is checked only at
+        # the epoch's end.
+        visual, sentences, groups = make_problem()
+        hv, hs = fresh_heads()
+        with pytest.raises(NumericalError, match="^non-finite visual head parameter w1 "
+                                                 "after epoch 1$"):
+            train_joint(visual, sentences, groups, hv, hs, LossConfig(),
+                        TrainConfig(epochs=1, batch_size=40, learning_rate=1e308))
+
     def test_row_count_mismatch(self):
         visual, sentences, groups = make_problem()
         hv, hs = fresh_heads()
@@ -312,3 +343,50 @@ class TestConfigValidation:
 
     def test_allows_zero_lr(self):
         TrainConfig(learning_rate=0.0).validate()
+
+
+class TestTrainedStateIsPinned:
+    # sha256 of trainer_state.jet (both heads, both velocities, next epoch and
+    # hyperparameters), first 16 hex digits, after train_joint on generated
+    # data. Any change to the float operations of a training step, or to
+    # their order, moves a digest; so does a change of numpy or BLAS build.
+    @staticmethod
+    def train(tmp_path, synth, hidden, dim, train_cfg, resume_from=None):
+        data = generate(synth)
+        d_v, d_s = data.visual.shape[1], data.sentences.shape[1]
+        hv = init_head(d_v, hidden, dim, make_rng(synth.seed + 1))
+        hs = init_head(d_s, hidden, dim, make_rng(synth.seed + 2))
+        out = str(tmp_path)
+        args = (data.visual, data.sentences, data.groups)
+        if resume_from is not None:
+            train_joint(*args, hv, hs, LossConfig(), replace(train_cfg, epochs=resume_from),
+                        checkpoint_dir=out)
+            state = load_train_state(os.path.join(out, STATE_FILE))
+            hv, hs = state.head_v, state.head_s
+        else:
+            state = None
+        train_joint(*args, hv, hs, LossConfig(), train_cfg, state=state, checkpoint_dir=out)
+        with open(os.path.join(out, STATE_FILE), "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()[:16]
+
+    def test_default_like(self, tmp_path):
+        digest = self.train(tmp_path, SynthConfig(samples_per_class=16, seed=3), 16, 16,
+                            TrainConfig(epochs=3, batch_size=32, seed=3))
+        assert digest == "1f614e3f71a173b3"
+
+    def test_hidden_wider_than_dim_balanced(self, tmp_path):
+        # Unshuffled rows come in class order, so 8-row batches hold one
+        # class and the balancing swap runs.
+        digest = self.train(tmp_path, SynthConfig(samples_per_class=12, d_sentence=12, seed=5),
+                            24, 8, TrainConfig(epochs=3, batch_size=8, shuffle=False,
+                                               balanced_batches=True, seed=5))
+        assert digest == "294136a18b8d9c18"
+
+    def test_repeated_rows_resumed(self, tmp_path):
+        # Two captions per image repeat each visual row, so the batch holds
+        # zero distances between image embeddings (the d = 0 subgradient).
+        digest = self.train(tmp_path, SynthConfig(samples_per_class=6, captions_per_image=2,
+                                                  seed=7),
+                            16, 16, TrainConfig(epochs=4, batch_size=16, seed=7),
+                            resume_from=2)
+        assert digest == "403f54c3601bfc43"
