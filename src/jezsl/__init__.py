@@ -8,7 +8,6 @@ from .compat import (
     AttributeTable,
     CompatibilityModel,
     LabeledEmbeddings,
-    infer,
     infer_batch,
     load_model,
     save_model,

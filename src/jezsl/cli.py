@@ -167,16 +167,6 @@ COMMANDS: dict[str, list[Opt]] = {
     ],
 }
 
-REQUIRED = {
-    "gen-synth": ["out"],
-    "train-embed": ["data", "out"],
-    "embed": ["checkpoint", "features", "out"],
-    "train-zsl": ["data", "features", "out"],
-    "eval": ["data", "features", "model", "out"],
-    "gradcheck": [],
-}
-
-
 def _read_config(path: str) -> dict[str, str]:
     values = {}
     try:
@@ -213,10 +203,11 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         val = getattr(args, name, None)
         if val is not None and not (opts[name].flag and val is False):
             resolved[name] = val
-    missing = [n for n in REQUIRED[command] if resolved.get(n) is None]
+    # Every option without a default, apart from --config, is required.
+    missing = [o.cli for o in opts.values()
+               if o.default is None and o.name != "config" and resolved[o.name] is None]
     if missing:
-        raise UsageError(f"{command}: missing required option(s): "
-                         + ", ".join(opts[n].cli for n in missing))
+        raise UsageError(f"{command}: missing required option(s): " + ", ".join(missing))
     for name, value in resolved.items():
         bound = opts[name].bound
         if bound is not None and not bound[1](value):

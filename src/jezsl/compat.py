@@ -2,9 +2,10 @@
 
 A bilinear score s(x, a) = x.T W a is trained on seen-class embeddings with
 a multiclass hinge ranking loss, by seeded SGD on 32-row minibatches through
-the same gradient kernel that gradcheck verifies. Inference is 1-nearest-
-neighbor style: argmax over unseen classes (ZSL) or all classes (GZSL), ties
-broken toward the lowest class id.
+the same gradient kernel that gradcheck verifies. Inference scores each
+embedding against every class once, then takes the argmax over unseen
+classes (ZSL) and over all classes (GZSL), ties broken toward the lowest
+class id.
 """
 
 from __future__ import annotations
@@ -77,13 +78,6 @@ class LabeledEmbeddings:
 @dataclass
 class CompatibilityModel:
     w: np.ndarray  # (d_embed, d_attr)
-    margin: float = 0.1
-    learning_rate: float = 0.01
-    epochs: int = 100
-    seed: int = 0
-
-    def scores(self, x: np.ndarray, attrs: np.ndarray) -> np.ndarray:
-        return (x @ self.w) @ attrs.T
 
 
 def _targets(data: LabeledEmbeddings, table: AttributeTable) -> tuple[np.ndarray, np.ndarray]:
@@ -189,48 +183,30 @@ def train_compatibility(
             if not np.isfinite(w).all():
                 raise NumericalError("non-finite compatibility weights during training")
 
-    return CompatibilityModel(
-        w=w, margin=margin, learning_rate=learning_rate, epochs=epochs, seed=seed
-    )
-
-
-def infer(
-    model: CompatibilityModel,
-    x: np.ndarray,
-    table: AttributeTable,
-    regime: str,
-) -> int:
-    """Classify one embedding; regime is "zsl" (unseen only) or "gzsl" (all)."""
-    preds = infer_batch(model, np.asarray(x, dtype=np.float64)[None, :], table, regime)
-    return int(preds[0])
+    return CompatibilityModel(w)
 
 
 def infer_batch(
-    model: CompatibilityModel,
-    x: np.ndarray,
-    table: AttributeTable,
-    regime: str,
-) -> np.ndarray:
+    model: CompatibilityModel, x: np.ndarray, table: AttributeTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """(zsl, gzsl) class ids for the rows of x: the best-scoring unseen class,
+    and the best-scoring class of all.
+
+    Both come from one score matrix over all classes in id order; argmax
+    returns the first maximum, so ties go to the lowest class id.
+    """
     x = as_matrix(x, "inference input")
     if x.shape[1] != model.w.shape[0]:
         raise ValueError(
             f"inference input width {x.shape[1]} != model embedding dim {model.w.shape[0]}"
         )
-    if regime == "zsl":
-        candidates = sorted(table.unseen_ids)
-    elif regime == "gzsl":
-        candidates = sorted(table.seen_ids | table.unseen_ids)
-    else:
-        raise ValueError(f"unknown regime {regime!r}, expected 'zsl' or 'gzsl'")
-    if not candidates:
-        raise ValueError(f"empty candidate class set for regime {regime!r}")
-    attrs = table.rows_for(candidates)
-    scores = model.scores(x, attrs)
-    # argmax returns the first maximum; candidates are sorted, so ties go to
-    # the lowest class id
-    best = np.argmax(scores, axis=1)
-    ids = np.asarray(candidates, dtype=np.int64)
-    return ids[best]
+    if not table.unseen_ids:
+        raise ValueError("no unseen classes to predict")
+    ids = np.array(sorted(table.seen_ids | table.unseen_ids), dtype=np.int64)
+    scores = (x @ model.w) @ table.rows_for(ids.tolist()).T
+    unseen = np.isin(ids, list(table.unseen_ids))
+    zsl = ids[unseen][np.argmax(scores[:, unseen], axis=1)]
+    return zsl, ids[np.argmax(scores, axis=1)]
 
 
 def save_model(model: CompatibilityModel, path: str) -> None:

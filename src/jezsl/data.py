@@ -22,7 +22,7 @@ import numpy as np
 
 from .compat import AttributeTable
 from .errors import DataError
-from .linalg import as_matrix, make_rng, read_arrays, write_arrays
+from .linalg import as_matrix, l2_normalize_rows, make_rng, read_arrays, write_arrays
 
 FEATURE_MAGIC = b"JEF1"
 FEATURE_VERSION = 1
@@ -163,21 +163,21 @@ def write_assignments(assignments, path: str) -> None:
         fh.write("".join(a + "\n" for a in assignments))
 
 
-def read_assignments(path: str) -> list[str]:
-    """One assignment name per line; blank lines are skipped."""
+def read_assignments(path: str) -> np.ndarray:
+    """One assignment name per line, as an array of str; blank lines are skipped."""
     lines = _read_lines(path)
     out = list(filter(None, map(str.strip, lines)))
     if not set(out) <= set(ASSIGNMENTS):
         n, a = _first_bad_line(lines, ASSIGNMENTS.__contains__)
         raise DataError(f"{path}:{n}: unknown assignment {a!r}")
-    return out
+    return np.array(out, dtype=object)
 
 
 def validate_split(
     labels: np.ndarray,
     seen: set[int],
     unseen: set[int],
-    assignments: list[str],
+    assignments: np.ndarray | list[str],
 ) -> None:
     """Load-time split discipline; violations are errors, never warnings."""
     if len(labels) != len(assignments):
@@ -185,7 +185,8 @@ def validate_split(
     if seen & unseen:
         raise DataError(f"seen/unseen classes overlap: {sorted(seen & unseen)}")
     labels = np.asarray(labels)
-    to_unseen = np.array([a == "test_unseen" for a in assignments], dtype=bool)
+    assignments = np.asarray(assignments)
+    to_unseen = assignments == "test_unseen"
     allowed = np.where(to_unseen, np.isin(labels, list(unseen)), np.isin(labels, list(seen)))
     bad = np.flatnonzero(~allowed)
     if bad.size:
@@ -249,11 +250,6 @@ class SynthData:
     prototypes: np.ndarray  # (n_classes, d_visual) visual cluster centers
 
 
-def _unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    m = rng.standard_normal((n, d))
-    return m / np.sqrt(np.sum(m * m, axis=1))[:, None]
-
-
 def generate(cfg: SynthConfig) -> SynthData:
     """Deterministic synthetic dataset; a pure function of the config.
 
@@ -274,15 +270,14 @@ def generate(cfg: SynthConfig) -> SynthData:
     rng = make_rng(cfg.seed)
     C, k = cfg.n_classes, cfg.captions_per_image
 
-    semantic = _unit_rows(rng, C, cfg.d_attr)
-    prototypes = _unit_rows(rng, C, cfg.d_visual)
-    shared = _unit_rows(rng, 1, cfg.d_sentence)[0]
+    semantic = l2_normalize_rows(rng.standard_normal((C, cfg.d_attr)))[0]
+    prototypes = l2_normalize_rows(rng.standard_normal((C, cfg.d_visual)))[0]
+    shared = l2_normalize_rows(rng.standard_normal((1, cfg.d_sentence)))[0][0]
     if cfg.d_sentence == cfg.d_attr:
         caption_dirs = semantic
     else:
         lift = rng.standard_normal((cfg.d_attr, cfg.d_sentence)) / np.sqrt(cfg.d_attr)
-        caption_dirs = semantic @ lift
-        caption_dirs = caption_dirs / np.sqrt(np.sum(caption_dirs**2, axis=1))[:, None]
+        caption_dirs = l2_normalize_rows(semantic @ lift)[0]
 
     attributes = semantic.copy()
     for group in cfg.attribute_collision_groups:
@@ -353,11 +348,10 @@ class Annotations:
 
     labels: np.ndarray
     attributes: AttributeTable
-    assignments: list[str]
+    assignments: np.ndarray  # (N,) str objects, each one of ASSIGNMENTS
 
     def rows(self, assignment: str) -> np.ndarray:
-        mask = np.asarray([a == assignment for a in self.assignments])
-        return np.nonzero(mask)[0]
+        return np.flatnonzero(self.assignments == assignment)
 
 
 @dataclass

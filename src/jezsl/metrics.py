@@ -89,13 +89,12 @@ def evaluate(
     if bad_seen:
         raise ValueError(f"seen test labels not in seen classes: {bad_seen}")
 
-    zsl_preds = infer_batch(model, test_unseen.embeddings, table, "zsl")
-    _, t1 = per_class_accuracy(zsl_preds, test_unseen.labels, table.unseen_ids)
+    zsl_unseen, gzsl_unseen = infer_batch(model, test_unseen.embeddings, table)
+    _, t1 = per_class_accuracy(zsl_unseen, test_unseen.labels, table.unseen_ids)
 
     all_classes = table.seen_ids | table.unseen_ids
-    gzsl_unseen = infer_batch(model, test_unseen.embeddings, table, "gzsl")
     per_u, u = per_class_accuracy(gzsl_unseen, test_unseen.labels, all_classes)
-    gzsl_seen = infer_batch(model, test_seen.embeddings, table, "gzsl")
+    _, gzsl_seen = infer_batch(model, test_seen.embeddings, table)
     per_s, s = per_class_accuracy(gzsl_seen, test_seen.labels, all_classes)
 
     per_class = {**per_u, **per_s}

@@ -73,22 +73,19 @@ class TrainLog:
 
 
 def sgd_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    velocity: dict[str, np.ndarray],
+    params: np.ndarray,
+    grad: np.ndarray,
+    velocity: np.ndarray,
     learning_rate: float,
     momentum: float,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+) -> None:
     """In-place momentum update: v <- mu*v - lr*g; p <- p + v."""
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"sgd_step: gradient shape mismatch for {name}")
-        v = velocity[name]
-        v *= momentum
-        v -= learning_rate * g
-        p += v
-    return params, velocity
+    if grad.shape != params.shape:
+        raise ValueError(f"sgd_step: gradient shape {grad.shape} != parameter shape "
+                         f"{params.shape}")
+    velocity *= momentum
+    velocity -= learning_rate * grad
+    params += velocity
 
 
 def _batch_indices(order: np.ndarray, groups: np.ndarray, cfg: TrainConfig):
@@ -308,7 +305,6 @@ def train_joint(
         setattr(head, name, p)
         vel[name] = v
     grad = np.empty_like(params)
-    flat_params, flat_grads, flat_velocity = {"all": params}, {"all": grad}, {"all": velocity}
     train_log = TrainLog()
     written = None  # next_epoch of the last checkpoint this call wrote
 
@@ -343,8 +339,7 @@ def train_joint(
                     f"non-finite gradient in {label} head parameter {name} "
                     f"at epoch {epoch + 1}, batch {bi + 1}"
                 )
-            sgd_step(flat_params, flat_grads, flat_velocity,
-                     train_cfg.learning_rate, train_cfg.momentum)
+            sgd_step(params, grad, velocity, train_cfg.learning_rate, train_cfg.momentum)
         if not np.isfinite(params).all():
             label, name = _first_nonfinite([("visual", head_v.learnable()),
                                             ("sentence", head_s.learnable())])

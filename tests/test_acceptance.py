@@ -136,7 +136,7 @@ class TestCriterion4GroundedEmbeddingBenefit:
             epochs=60,
             seed=seed,
         )
-        preds = infer_batch(model, features[unseen_idx], table, "zsl")
+        preds, _ = infer_batch(model, features[unseen_idx], table)
         _, t1 = per_class_accuracy(preds, data.labels[unseen_idx], table.unseen_ids)
         return t1
 

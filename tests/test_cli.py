@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import pathlib
@@ -414,6 +415,41 @@ class TestPipelineAndEval:
                    "--out", str(tmp_path / "x")) == 2
 
 
+class TestReportIsPinned:
+    # sha256 of report.kv, first 16 hex digits, after gen-synth, train-embed,
+    # embed, train-zsl and eval, in small versions of the benchmark's
+    # default, wide_batch and raw_zsl pipelines. A change to which class
+    # eval predicts for any test row, ties included, moves a digest; so does
+    # a change of numpy or BLAS build.
+    @pytest.mark.parametrize("synth, embed_argv, zsl_epochs, digest", [
+        ({}, ["--dim", "4", "--hidden", "16", "--epochs", "2", "--batch-size", "8",
+              "--lr", "0.005"], "20", "6a6633f6dcba2e23"),
+        ({"--classes": "20", "--seen": "14", "--per-class": "8"},
+         ["--batch-size", "64", "--hidden", "32", "--epochs", "2"], "5",
+         "32c49a54ba479394"),
+        ({"--classes": "80", "--seen": "56", "--per-class": "6", "--d-visual": "32",
+          "--d-attr": "16"}, None, "5", "ea4e380fa35116a8"),
+    ])
+    def test_report_kv(self, tmp_path, synth, embed_argv, zsl_epochs, digest):
+        data = gen(tmp_path, **synth)
+        emb, run_dir = str(tmp_path / "emb.jef"), str(tmp_path / "run")
+        if embed_argv is None:  # the raw-feature arm
+            embed = ["--raw-passthrough"]
+        else:
+            assert run("train-embed", "--data", data, "--out", run_dir, *embed_argv) == 0
+            embed = []
+        assert run("embed", "--checkpoint", os.path.join(run_dir, "head_v.jeh"),
+                   "--features", os.path.join(data, "visual.jef"), "--out", emb,
+                   *embed) == 0
+        zsl, rep = str(tmp_path / "zsl"), str(tmp_path / "rep")
+        assert run("train-zsl", "--data", data, "--features", emb, "--out", zsl,
+                   "--epochs", zsl_epochs) == 0
+        assert run("eval", "--data", data, "--features", emb,
+                   "--model", os.path.join(zsl, "model.jec"), "--out", rep) == 0
+        kv = pathlib.Path(rep, "report.kv").read_bytes()
+        assert hashlib.sha256(kv).hexdigest()[:16] == digest
+
+
 class TestTrainZsl:
     def test_divergence_is_numerical_error(self, tmp_path, capsys):
         data = gen(tmp_path)
@@ -470,6 +506,19 @@ def test_bad_option_is_usage_error(tmp_path, capsys, command, option, value):
     assert code == 1
     assert option in err and "Traceback" not in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, missing", [
+    ("gen-synth", "--out"),
+    ("train-embed", "--data, --out"),
+    ("embed", "--checkpoint, --features, --out"),
+    ("train-zsl", "--data, --features, --out"),
+    ("eval", "--data, --features, --model, --out"),
+])
+def test_missing_required_options_are_named(capsys, command, missing):
+    assert run(command) == 1
+    assert capsys.readouterr().err == (
+        f"error: {command}: missing required option(s): {missing}\n")
 
 
 class TestGradcheckCommand:

@@ -10,7 +10,6 @@ from jezsl.compat import (
     CompatibilityModel,
     LabeledEmbeddings,
     hinge_arguments,
-    infer,
     infer_batch,
     load_model,
     ranking_loss,
@@ -149,7 +148,7 @@ class TestTraining:
         emb = np.eye(n_seen, d)[labels] + 0.05 * rng.standard_normal((40, d))
         data = LabeledEmbeddings(emb, labels)
         model = train_compatibility(data, table, epochs=50, seed=0)
-        preds = infer_batch(model, emb, table, "gzsl")
+        _, preds = infer_batch(model, emb, table)
         assert np.mean(preds == labels) == 1.0
 
     def test_single_seen_class_leaves_w_zero(self):
@@ -253,42 +252,57 @@ class TestInference:
         rng = make_rng(7)
         table = simple_table(n_seen=3, n_unseen=2, seed=7)
         model = CompatibilityModel(w=rng.standard_normal((5, table.d_attr)))
-        preds = infer_batch(model, rng.standard_normal((30, 5)), table, "zsl")
-        assert set(int(p) for p in preds) <= table.unseen_ids
+        zsl, _ = infer_batch(model, rng.standard_normal((30, 5)), table)
+        assert set(zsl.tolist()) <= table.unseen_ids
 
     def test_gzsl_covers_all_classes(self):
         table = simple_table()
         model = CompatibilityModel(w=np.zeros((5, table.d_attr)))
-        p = infer(model, np.ones(5), table, "gzsl")
-        assert p in table.seen_ids | table.unseen_ids
+        _, gzsl = infer_batch(model, np.ones((1, 5)), table)
+        assert gzsl.tolist()[0] in table.seen_ids | table.unseen_ids
 
     def test_tie_breaks_to_lowest_class_id(self):
         # W = 0 scores every class identically
         table = simple_table(n_seen=3, n_unseen=2)
         model = CompatibilityModel(w=np.zeros((5, table.d_attr)))
-        assert infer(model, np.ones(5), table, "gzsl") == 0
-        assert infer(model, np.ones(5), table, "zsl") == 3
+        zsl, gzsl = infer_batch(model, np.ones((2, 5)), table)
+        assert gzsl.tolist() == [0, 0]
+        assert zsl.tolist() == [3, 3]
+
+    def test_matches_argmax_over_each_candidate_set(self):
+        # Class ids out of order in the table, and coarse values so that
+        # about a third of the rows tie.
+        rng = make_rng(9)
+        ids = [4, 0, 6, 1, 3, 5, 2]
+        table = AttributeTable(class_ids=ids, attributes=rng.integers(-1, 2, (7, 3)),
+                               seen_ids={0, 1, 3, 4}, unseen_ids={2, 5, 6})
+        w = rng.integers(-1, 2, (4, 3)).astype(float)
+        x = rng.integers(-1, 2, (50, 4)).astype(float)
+        zsl, gzsl = infer_batch(CompatibilityModel(w=w), x, table)
+        for got, candidates in ((zsl, [2, 5, 6]), (gzsl, list(range(7)))):
+            scores = x @ w @ table.rows_for(candidates).T
+            np.testing.assert_array_equal(got, np.array(candidates)[scores.argmax(axis=1)])
 
     def test_score_scale_invariant_prediction(self):
         rng = make_rng(8)
         table = simple_table(seed=8)
         w = rng.standard_normal((5, table.d_attr))
         x = rng.standard_normal((10, 5))
-        p1 = infer_batch(CompatibilityModel(w=w), x, table, "gzsl")
-        p2 = infer_batch(CompatibilityModel(w=3.0 * w), x, table, "gzsl")
+        p1 = infer_batch(CompatibilityModel(w=w), x, table)
+        p2 = infer_batch(CompatibilityModel(w=3.0 * w), x, table)
         np.testing.assert_array_equal(p1, p2)
-
-    def test_unknown_regime(self):
-        table = simple_table()
-        model = CompatibilityModel(w=np.zeros((5, table.d_attr)))
-        with pytest.raises(ValueError):
-            infer(model, np.ones(5), table, "both")
 
     def test_width_mismatch(self):
         table = simple_table()
         model = CompatibilityModel(w=np.zeros((5, table.d_attr)))
         with pytest.raises(ValueError):
-            infer(model, np.ones(6), table, "zsl")
+            infer_batch(model, np.ones((1, 6)), table)
+
+    def test_no_unseen_classes(self):
+        table = AttributeTable(class_ids=[0, 1], attributes=np.eye(2),
+                               seen_ids={0, 1}, unseen_ids=set())
+        with pytest.raises(ValueError, match="no unseen classes"):
+            infer_batch(CompatibilityModel(w=np.zeros((3, 2))), np.ones((1, 3)), table)
 
 
 class TestModelIo:

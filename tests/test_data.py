@@ -152,7 +152,7 @@ class TestIdAndSplitIo:
         path = str(tmp_path / "a.txt")
         names = ["train", "test_seen", "test_unseen", "train"]
         write_assignments(names, path)
-        assert read_assignments(path) == names
+        assert read_assignments(path).tolist() == names
 
     def test_unknown_assignment_is_refused_before_writing(self, tmp_path):
         path = tmp_path / "a.txt"
@@ -170,7 +170,7 @@ class TestIdAndSplitIo:
     def test_assignment_blank_lines_and_surrounding_space_are_skipped(self, tmp_path):
         path = tmp_path / "a.txt"
         path.write_text("\ntrain\n  test_unseen\t\r\n\n")
-        assert read_assignments(str(path)) == ["train", "test_unseen"]
+        assert read_assignments(str(path)).tolist() == ["train", "test_unseen"]
 
 
 class TestValidateSplit:
@@ -338,7 +338,7 @@ class TestDatasetDirectory:
             loaded.attributes.attributes, data.attributes.attributes
         )
         assert loaded.attributes.seen_ids == data.attributes.seen_ids
-        assert loaded.assignments == data.assignments
+        assert loaded.assignments.tolist() == data.assignments
 
     def test_rows_selector(self, tmp_path):
         data = generate(SynthConfig(n_classes=4, n_seen=2, samples_per_class=5, seed=3))

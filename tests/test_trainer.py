@@ -56,30 +56,26 @@ def untrained_state(seed=0):
 
 class TestSgdStep:
     def test_zero_momentum_plain_step(self):
-        p = {"w": np.array([1.0, 2.0])}
-        g = {"w": np.array([0.5, -0.5])}
-        v = {"w": np.zeros(2)}
-        sgd_step(p, g, v, learning_rate=0.1, momentum=0.0)
-        np.testing.assert_allclose(p["w"], [0.95, 2.05], atol=1e-15)
+        p = np.array([1.0, 2.0])
+        sgd_step(p, np.array([0.5, -0.5]), np.zeros(2), learning_rate=0.1, momentum=0.0)
+        np.testing.assert_allclose(p, [0.95, 2.05], atol=1e-15)
 
     def test_two_step_momentum_recurrence(self):
         # v1 = -lr*g1; v2 = mu*v1 - lr*g2; p = p0 + v1 + v2, hand-computed
-        p = {"w": np.array([0.0])}
-        v = {"w": np.zeros(1)}
+        p = np.array([0.0])
+        v = np.zeros(1)
         lr, mu = 0.1, 0.9
         g1, g2 = np.array([1.0]), np.array([2.0])
-        sgd_step(p, {"w": g1}, v, lr, mu)
-        sgd_step(p, {"w": g2}, v, lr, mu)
+        sgd_step(p, g1, v, lr, mu)
+        sgd_step(p, g2, v, lr, mu)
         v1 = -lr * g1
         v2 = mu * v1 - lr * g2
-        np.testing.assert_allclose(p["w"], v1 + v2, atol=1e-12)
-        np.testing.assert_allclose(v["w"], v2, atol=1e-12)
+        np.testing.assert_allclose(p, v1 + v2, atol=1e-12)
+        np.testing.assert_allclose(v, v2, atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            sgd_step(
-                {"w": np.zeros(2)}, {"w": np.zeros(3)}, {"w": np.zeros(2)}, 0.1, 0.9
-            )
+            sgd_step(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 0.9)
 
 
 class TestEpochOrder:
