@@ -131,8 +131,7 @@ def write_split(path: str, seen_ids, unseen_ids) -> None:
 
 
 def read_split(path: str) -> tuple[set[int], set[int]]:
-    seen: set[int] | None = None
-    unseen: set[int] | None = None
+    split: dict[str, set[int]] = {}
     for n, ln in enumerate(_read_lines(path), 1):
         ln = ln.strip()
         if not ln:
@@ -142,14 +141,15 @@ def read_split(path: str) -> tuple[set[int], set[int]]:
             ids = {int(v) for v in rest.split()}
         except ValueError as exc:
             raise DataError(f"{path}:{n}: non-integer class id in {ln!r}") from exc
-        if key.strip() == "seen":
-            seen = ids
-        elif key.strip() == "unseen":
-            unseen = ids
-        else:
+        key = key.strip()
+        if key not in ("seen", "unseen"):
             raise DataError(f"{path}:{n}: unknown split line {ln!r}")
-    if seen is None or unseen is None:
+        if key in split:
+            raise DataError(f"{path}:{n}: repeated '{key}:' line")
+        split[key] = ids
+    if len(split) < 2:
         raise DataError(f"{path}: missing 'seen:' or 'unseen:' line")
+    seen, unseen = split["seen"], split["unseen"]
     if seen & unseen:
         raise DataError(f"{path}: seen/unseen classes overlap: {sorted(seen & unseen)}")
     return seen, unseen
@@ -270,14 +270,14 @@ def generate(cfg: SynthConfig) -> SynthData:
     rng = make_rng(cfg.seed)
     C, k = cfg.n_classes, cfg.captions_per_image
 
-    semantic = l2_normalize_rows(rng.standard_normal((C, cfg.d_attr)))[0]
-    prototypes = l2_normalize_rows(rng.standard_normal((C, cfg.d_visual)))[0]
-    shared = l2_normalize_rows(rng.standard_normal((1, cfg.d_sentence)))[0][0]
+    semantic = l2_normalize_rows(rng.standard_normal((C, cfg.d_attr)))
+    prototypes = l2_normalize_rows(rng.standard_normal((C, cfg.d_visual)))
+    shared = l2_normalize_rows(rng.standard_normal((1, cfg.d_sentence)))[0]
     if cfg.d_sentence == cfg.d_attr:
         caption_dirs = semantic
     else:
         lift = rng.standard_normal((cfg.d_attr, cfg.d_sentence)) / np.sqrt(cfg.d_attr)
-        caption_dirs = l2_normalize_rows(semantic @ lift)[0]
+        caption_dirs = l2_normalize_rows(semantic @ lift)
 
     attributes = semantic.copy()
     for group in cfg.attribute_collision_groups:

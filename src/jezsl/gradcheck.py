@@ -89,25 +89,17 @@ def check_heads(trials: int = 20, seed: int = 0, corrupt: bool = False) -> Check
             if np.min(np.abs(pre)) > 10.0 * FD_STEP:
                 break
 
-        emb, trace = forward(head, batch, train=True, update_running_stats=False)
+        emb, trace = forward(head, batch, train=True)
         grads, d_input = backward(head, trace, upstream)
         if corrupt:
-            grads.w1 = grads.w1 + 1e-3
+            grads = (grads[0] + 1e-3, *grads[1:])
 
         def loss() -> float:
-            out, _ = forward(head, batch, train=True, update_running_stats=False)
+            out, _ = forward(head, batch, train=True)
             return float(np.sum(out * upstream))
 
         base = loss()
-        for arr, analytic in [
-            (head.w1, grads.w1),
-            (head.b1, grads.b1),
-            (head.w2, grads.w2),
-            (head.b2, grads.b2),
-            (head.bn_gamma, grads.bn_gamma),
-            (head.bn_beta, grads.bn_beta),
-            (batch, d_input),
-        ]:
+        for arr, analytic in zip((*head.learnable(), batch), (*grads, d_input)):
             worst = max(worst, _rel_err(analytic, _central_diff(loss, arr), base))
     return CheckResult("embedding-heads", worst, trials)
 
@@ -130,8 +122,8 @@ def check_alignment(trials: int = 20, seed: int = 1, corrupt: bool = False) -> C
         groups = rng.integers(0, n_groups, size=b)
         while len(np.unique(groups)) < 2:
             groups = rng.integers(0, n_groups, size=b)
-        x, _ = l2_normalize_rows(rng.standard_normal((b, d)))
-        y, _ = l2_normalize_rows(rng.standard_normal((b, d)))
+        x = l2_normalize_rows(rng.standard_normal((b, d)))
+        y = l2_normalize_rows(rng.standard_normal((b, d)))
         cfg = LossConfig(
             margin=float(rng.uniform(0.05, 0.4)),
             lambda1=float(rng.uniform(0.5, 2.5)),

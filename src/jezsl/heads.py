@@ -9,7 +9,7 @@ in the test suite and by the `gradcheck` CLI command.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,36 +50,10 @@ class EmbeddingHead:
     def d_out(self) -> int:
         return self.w2.shape[0]
 
-    def learnable(self) -> dict[str, np.ndarray]:
-        """Parameters updated by the optimizer (BN running stats excluded)."""
-        return {name: getattr(self, name) for name in PARAM_NAMES}
-
-    def copy(self) -> "EmbeddingHead":
-        return EmbeddingHead(
-            w1=self.w1.copy(),
-            b1=self.b1.copy(),
-            w2=self.w2.copy(),
-            b2=self.b2.copy(),
-            bn_gamma=self.bn_gamma.copy(),
-            bn_beta=self.bn_beta.copy(),
-            bn_running_mean=self.bn_running_mean.copy(),
-            bn_running_var=self.bn_running_var.copy(),
-            bn_momentum=self.bn_momentum,
-            bn_epsilon=self.bn_epsilon,
-        )
-
-
-@dataclass
-class HeadGradients:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    bn_gamma: np.ndarray
-    bn_beta: np.ndarray
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in PARAM_NAMES}
+    def learnable(self) -> list[np.ndarray]:
+        """Parameters updated by the optimizer (BN running stats excluded),
+        in PARAM_NAMES order."""
+        return [getattr(self, name) for name in PARAM_NAMES]
 
 
 @dataclass
@@ -89,7 +63,6 @@ class ForwardTrace:
     inputs: np.ndarray  # (b, d_in)
     pre_relu: np.ndarray  # (b, d_hidden)
     post_relu: np.ndarray  # (b, d_hidden)
-    pre_bn: np.ndarray  # (b, d_out)
     batch_mean: np.ndarray  # (d_out,)
     batch_var: np.ndarray  # biased, (d_out,)
     inv_std: np.ndarray  # 1/sqrt(var + eps), (d_out,)
@@ -135,13 +108,12 @@ def forward(
     head: EmbeddingHead,
     batch: np.ndarray,
     train: bool,
-    update_running_stats: bool = True,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Run the head on a batch of rows; returns unit-norm embeddings.
 
-    Train mode normalizes with batch statistics (biased variance) and, unless
-    `update_running_stats` is disabled, folds them into the running averages.
-    Eval mode uses the stored running statistics and mutates nothing.
+    Train mode normalizes with batch statistics (biased variance), which it
+    folds into the running averages. Eval mode uses the stored running
+    statistics and mutates nothing.
     """
     batch = as_matrix(batch, "forward input")
     if batch.shape[1] != head.d_in:
@@ -164,11 +136,10 @@ def forward(
         batch_var = np.add.reduce(centered * centered, 0) / b  # biased; bn_epsilon guards 0
         inv_std = 1.0 / np.sqrt(batch_var + head.bn_epsilon)
         normalized = centered * inv_std
-        if update_running_stats:
-            mom = head.bn_momentum
-            unbiased = batch_var * b / (b - 1)
-            head.bn_running_mean[:] = (1.0 - mom) * head.bn_running_mean + mom * batch_mean
-            head.bn_running_var[:] = (1.0 - mom) * head.bn_running_var + mom * unbiased
+        mom = head.bn_momentum
+        unbiased = batch_var * b / (b - 1)
+        head.bn_running_mean[:] = (1.0 - mom) * head.bn_running_mean + mom * batch_mean
+        head.bn_running_var[:] = (1.0 - mom) * head.bn_running_var + mom * unbiased
     else:
         batch_mean = head.bn_running_mean.copy()
         batch_var = head.bn_running_var.copy()
@@ -188,7 +159,6 @@ def forward(
         inputs=batch,
         pre_relu=pre_relu,
         post_relu=post_relu,
-        pre_bn=pre_bn,
         batch_mean=batch_mean,
         batch_var=batch_var,
         inv_std=inv_std,
@@ -202,11 +172,12 @@ def forward(
 
 def backward(
     head: EmbeddingHead, trace: ForwardTrace, d_embeddings: np.ndarray
-) -> tuple[HeadGradients, np.ndarray]:
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Exact gradients of a scalar loss through the head.
 
     `d_embeddings` is the upstream gradient w.r.t. the unit-norm output rows.
-    Returns parameter gradients and the gradient w.r.t. the input batch.
+    Returns the parameter gradients, in PARAM_NAMES order, and the gradient
+    w.r.t. the input batch.
     """
     if not trace.train_mode:
         raise ValueError("backward: trace must come from a train-mode forward")
@@ -243,10 +214,7 @@ def backward(
     d_b1 = np.add.reduce(d_pre_relu, 0)
     d_input = d_pre_relu @ head.w1
 
-    grads = HeadGradients(
-        w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2, bn_gamma=d_gamma, bn_beta=d_beta
-    )
-    return grads, d_input
+    return (d_w1, d_b1, d_w2, d_b2, d_gamma, d_beta), d_input
 
 
 # --- checkpoint serialization ------------------------------------------------

@@ -42,8 +42,8 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def l2_normalize_rows(m) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize each row to unit norm; returns (normalized, row norms)."""
+def l2_normalize_rows(m) -> np.ndarray:
+    """Normalize each row to unit norm."""
     m = as_matrix(m, "l2_normalize_rows input")
     norms = np.sqrt(np.sum(m * m, axis=1))
     if np.any(norms < EPS_NORM):
@@ -51,7 +51,7 @@ def l2_normalize_rows(m) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError(
             f"l2_normalize_rows: row {bad} has norm {norms[bad]:g} below {EPS_NORM:g}"
         )
-    return m / norms[:, None], norms
+    return m / norms[:, None]
 
 
 # --- binary artifact codec ---------------------------------------------------

@@ -18,6 +18,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, fields
+from itertools import product
 
 import numpy as np
 
@@ -91,8 +92,9 @@ def sgd_step(
 def _batch_indices(order: np.ndarray, groups: np.ndarray, cfg: TrainConfig):
     """Split a permutation into batches, dropping a trailing batch of < 2.
 
-    With balanced_batches, single-group batches get one sample swapped with a
-    later batch so that every anchor has at least one negative.
+    With balanced_batches, a single-group batch trades its last row for the
+    first other-group row of another batch that holds two such rows, so both
+    batches have two groups and every anchor has at least one negative.
     """
     batches = [
         order[start : start + cfg.batch_size]
@@ -109,7 +111,7 @@ def _batch_indices(order: np.ndarray, groups: np.ndarray, cfg: TrainConfig):
                 if bj == bi:
                     continue
                 cand = np.nonzero(groups[other] != g)[0]
-                if len(cand):
+                if len(cand) >= 2:
                     idx[-1], other[cand[0]] = other[cand[0]], idx[-1]
                     break
     return batches
@@ -134,6 +136,9 @@ TRAJECTORY_FIELDS = (
 # next_epoch, then the TRAJECTORY_FIELDS values.
 _N_HEAD, _N_PARAM = len(HEAD_RANKS), len(PARAM_NAMES)
 STATE_RANKS = HEAD_RANKS * 2 + HEAD_RANKS[:_N_PARAM] * 2 + (0, 1)
+# (head, parameter) of each of the twelve arrays in the flat parameter and
+# velocity vectors, in order.
+_LABELS = tuple(product(("visual", "sentence"), PARAM_NAMES))
 
 
 def trajectory(loss_cfg: LossConfig, train_cfg: TrainConfig, rows: int) -> np.ndarray:
@@ -146,25 +151,21 @@ def trajectory(loss_cfg: LossConfig, train_cfg: TrainConfig, rows: int) -> np.nd
 class TrainState:
     """Everything a resume needs; saved as one bundle by save_train_state.
 
+    `velocity` is the momentum of both heads' learnable arrays, head_v's then
+    head_s's, each in PARAM_NAMES order, flattened into one float64 vector.
     `hyperparams` holds the TRAJECTORY_FIELDS values of the run that trained
     the heads; it is None until train_joint first runs with this state.
     """
 
     head_v: EmbeddingHead
     head_s: EmbeddingHead
-    velocity_v: dict[str, np.ndarray]
-    velocity_s: dict[str, np.ndarray]
+    velocity: np.ndarray
     next_epoch: int = 0
     hyperparams: np.ndarray | None = None
 
     @classmethod
     def fresh(cls, head_v: EmbeddingHead, head_s: EmbeddingHead) -> "TrainState":
-        return cls(
-            head_v=head_v,
-            head_s=head_s,
-            velocity_v={k: np.zeros_like(v) for k, v in head_v.learnable().items()},
-            velocity_s={k: np.zeros_like(v) for k, v in head_s.learnable().items()},
-        )
+        return cls(head_v, head_s, np.zeros(sum(a.size for a in _learnable(head_v, head_s))))
 
     def changed_hyperparam(self, loss_cfg, train_cfg, rows) -> tuple[str, float, float] | None:
         """(name, saved, given) of the first trajectory hyperparameter that
@@ -184,8 +185,7 @@ def save_train_state(state: TrainState, path: str) -> None:
     write_arrays(path, STATE_MAGIC, STATE_VERSION, [
         *head_arrays(state.head_v),
         *head_arrays(state.head_s),
-        *(state.velocity_v[name] for name in PARAM_NAMES),
-        *(state.velocity_s[name] for name in PARAM_NAMES),
+        *_views(state.velocity, _learnable(state.head_v, state.head_s)),
         np.float64(state.next_epoch),
         state.hyperparams,
     ])
@@ -194,18 +194,17 @@ def save_train_state(state: TrainState, path: str) -> None:
 def load_train_state(path: str) -> TrainState:
     arrays = read_arrays(path, STATE_MAGIC, STATE_VERSION, STATE_RANKS)
     heads = [head_from_arrays(arrays[i : i + _N_HEAD], path) for i in (0, _N_HEAD)]
-    velocities = []
-    for head, i in zip(heads, (2 * _N_HEAD, 2 * _N_HEAD + _N_PARAM)):
-        velocities.append(dict(zip(PARAM_NAMES, arrays[i : i + _N_PARAM])))
-        if any(velocities[-1][k].shape != p.shape for k, p in head.learnable().items()):
-            raise DataError(f"{path}: velocity shapes do not match the head")
+    velocities = arrays[2 * _N_HEAD : -2]
+    if [v.shape for v in velocities] != [p.shape for p in _learnable(*heads)]:
+        raise DataError(f"{path}: velocity shapes do not match the head")
     next_epoch, hyperparams = arrays[-2:]
     if next_epoch < 0 or next_epoch != int(next_epoch):
         raise DataError(f"{path}: next epoch {float(next_epoch)!r} is not a count")
     if len(hyperparams) != len(TRAJECTORY_FIELDS):
         raise DataError(f"{path}: {len(hyperparams)} hyperparameters, "
                         f"expected {len(TRAJECTORY_FIELDS)}")
-    return TrainState(*heads, *velocities, int(next_epoch), hyperparams)
+    return TrainState(*heads, np.concatenate(velocities, axis=None),
+                      int(next_epoch), hyperparams)
 
 
 def save_checkpoint(state: TrainState, out_dir: str) -> None:
@@ -222,21 +221,24 @@ def epoch_order(seed: int, epoch: int, n: int, shuffle: bool) -> np.ndarray:
     return make_rng([seed, epoch]).permutation(n)
 
 
-def _pack(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Copy arrays into one contiguous float64 vector; return it and views
-    of it shaped like the arrays, in order."""
-    flat = np.concatenate(arrays, axis=None, dtype=np.float64)
+def _learnable(head_v: EmbeddingHead, head_s: EmbeddingHead) -> list[np.ndarray]:
+    """Both heads' learnable arrays, in _LABELS order."""
+    return head_v.learnable() + head_s.learnable()
+
+
+def _views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Views of consecutive slices of `flat`, shaped like `like`, in order."""
     views, start = [], 0
-    for a in arrays:
+    for a in like:
         views.append(flat[start : start + a.size].reshape(a.shape))
         start += a.size
-    return flat, views
+    return views
 
 
-def _first_nonfinite(labelled: list[tuple[str, dict[str, np.ndarray]]]) -> tuple[str, str]:
-    """(head label, parameter name) of the first array holding a non-finite value."""
-    return next((label, name) for label, arrays in labelled
-                for name, a in arrays.items() if not np.isfinite(a).all())
+def _first_nonfinite(arrays) -> tuple[str, str]:
+    """(head label, parameter name) of the first of the twelve arrays, in
+    _LABELS order, that holds a non-finite value."""
+    return next(label for label, a in zip(_LABELS, arrays) if not np.isfinite(a).all())
 
 
 # A diverging run overflows in sgd_step and heads.forward. The checks on the
@@ -256,9 +258,9 @@ def train_joint(
 ) -> tuple[EmbeddingHead, EmbeddingHead, TrainLog]:
     """Train both heads in place on paired features; returns them with a log.
 
-    The heads' learnable arrays and the state's velocities are replaced by
-    views into two flat vectors that each step updates, so an array taken
-    from a head before the call keeps its old values.
+    The heads' learnable arrays are replaced by views into one flat vector
+    that each step updates, alongside the state's flat velocity, so an array
+    taken from a head before the call keeps its old values.
 
     Passing a TrainState loaded from disk (its heads must be the ones passed)
     resumes at state.next_epoch and is bit-identical to having trained
@@ -293,17 +295,14 @@ def train_joint(
     if changed is not None:
         raise ValueError("train_joint: state was trained with %s=%r, not %r" % changed)
     state.hyperparams = trajectory(loss_cfg, train_cfg, len(visual))
-    # Both heads' parameters become views into one vector and both velocity
-    # dicts views into a second, so each step checks and updates all twelve
-    # arrays with one call each. The head and state objects stay the same.
-    slots = [(head, vel, name)
-             for head, vel in ((head_v, state.velocity_v), (head_s, state.velocity_s))
-             for name in PARAM_NAMES]
-    params, param_views = _pack([getattr(head, name) for head, _, name in slots])
-    velocity, vel_views = _pack([vel[name] for _, vel, name in slots])
-    for (head, vel, name), p, v in zip(slots, param_views, vel_views):
-        setattr(head, name, p)
-        vel[name] = v
+    # Both heads' parameters become views into one vector, laid out like the
+    # state's velocity, so each step checks and updates all twelve arrays
+    # with one call each. The head objects stay the same.
+    arrays = _learnable(head_v, head_s)
+    params = np.concatenate(arrays, axis=None, dtype=np.float64)
+    for (head, name), view in zip(product((head_v, head_s), PARAM_NAMES),
+                                  _views(params, arrays)):
+        setattr(head, name, view)
     grad = np.empty_like(params)
     train_log = TrainLog()
     written = None  # next_epoch of the last checkpoint this call wrote
@@ -330,19 +329,16 @@ def train_joint(
                 continue
             grads_v, _ = backward(head_v, trace_v, d_v)
             grads_s, _ = backward(head_s, trace_s, d_s)
-            np.concatenate([getattr(g, n) for g in (grads_v, grads_s) for n in PARAM_NAMES],
-                           axis=None, out=grad)
+            np.concatenate((*grads_v, *grads_s), axis=None, out=grad)
             if not np.isfinite(grad).all():
-                label, name = _first_nonfinite([("visual", grads_v.as_dict()),
-                                                ("sentence", grads_s.as_dict())])
+                label, name = _first_nonfinite((*grads_v, *grads_s))
                 raise NumericalError(
                     f"non-finite gradient in {label} head parameter {name} "
                     f"at epoch {epoch + 1}, batch {bi + 1}"
                 )
-            sgd_step(params, grad, velocity, train_cfg.learning_rate, train_cfg.momentum)
+            sgd_step(params, grad, state.velocity, train_cfg.learning_rate, train_cfg.momentum)
         if not np.isfinite(params).all():
-            label, name = _first_nonfinite([("visual", head_v.learnable()),
-                                            ("sentence", head_s.learnable())])
+            label, name = _first_nonfinite(_learnable(head_v, head_s))
             raise NumericalError(
                 f"non-finite {label} head parameter {name} after epoch {epoch + 1}"
             )

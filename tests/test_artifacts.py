@@ -25,9 +25,7 @@ from jezsl.trainer import TrainConfig, TrainState, load_train_state, save_train_
 def small_state():
     rng = make_rng(4)
     state = TrainState.fresh(init_head(3, 2, 2, rng), init_head(4, 2, 2, rng))
-    for vel in (state.velocity_v, state.velocity_s):
-        for v in vel.values():
-            v[...] = rng.standard_normal(v.shape)
+    state.velocity[:] = rng.standard_normal(state.velocity.shape)
     state.next_epoch = 5
     state.hyperparams = trajectory(LossConfig(), TrainConfig(), 20)
     return state

@@ -135,6 +135,7 @@ class TestIdAndSplitIo:
         ("seen: 0 x\nunseen: 2\n", 1, "non-integer class id in 'seen: 0 x'"),
         ("\nseen: 0\nunseen: 2 3.5\n", 3, "non-integer class id in 'unseen: 2 3.5'"),
         ("seen: 0\nunsen: 2\n", 2, "unknown split line 'unsen: 2'"),
+        ("seen: 0 1 2 3 4 5 6\nunseen: 7 8\nunseen: 9\n", 3, "repeated 'unseen:' line"),
     ])
     def test_malformed_split_line_names_its_line(self, tmp_path, text, line, message):
         path = tmp_path / "splits.txt"

@@ -1,8 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
 from jezsl.errors import DataError, NumericalError
 from jezsl.heads import (
+    PARAM_NAMES,
     EmbeddingHead,
     backward,
     forward,
@@ -78,7 +81,7 @@ class TestForward:
         head = init_head(6, 5, 4, rng)
         batch = rng.standard_normal((3, 6))
         for train in (True, False):
-            out, _ = forward(head.copy(), batch, train=train)
+            out, _ = forward(copy.deepcopy(head), batch, train=train)
             ref = reference_forward(head, batch, train)
             assert np.max(np.abs(out - ref)) <= 1e-10
 
@@ -144,7 +147,7 @@ class TestBackward:
         batch = rng.standard_normal((3, 5))
         _, trace = forward(head, batch, train=True)
         grads, d_input = backward(head, trace, np.zeros((3, 3)))
-        for g in grads.as_dict().values():
+        for g in grads:
             assert np.all(g == 0.0)
         assert np.all(d_input == 0.0)
 
@@ -152,11 +155,11 @@ class TestBackward:
         rng = make_rng(6)
         head = init_head(5, 4, 3, rng)
         batch = rng.standard_normal((4, 5))
-        _, trace = forward(head, batch, train=True, update_running_stats=False)
+        _, trace = forward(head, batch, train=True)
         up = rng.standard_normal((4, 3))
         g1, d1 = backward(head, trace, up)
         g2, d2 = backward(head, trace, 2.0 * up)
-        for a, b in zip(g1.as_dict().values(), g2.as_dict().values()):
+        for a, b in zip(g1, g2):
             np.testing.assert_array_equal(2.0 * a, b)
         np.testing.assert_array_equal(2.0 * d1, d2)
 
@@ -190,19 +193,18 @@ class TestBackward:
             if np.min(np.abs(batch @ head.w1.T + head.b1)) < 1e-4:
                 continue
             try:
-                _, trace = forward(head, batch, train=True, update_running_stats=False)
+                _, trace = forward(head, batch, train=True)
             except NumericalError:
                 continue
             break
         grads, _ = backward(head, trace, up)
 
         def loss():
-            out, _ = forward(head, batch, train=True, update_running_stats=False)
+            out, _ = forward(head, batch, train=True)
             return float(np.sum(out * up))
 
         h = 1e-5
-        for name, arr in head.learnable().items():
-            analytic = grads.as_dict()[name]
+        for name, arr, analytic in zip(PARAM_NAMES, head.learnable(), grads):
             fd = np.zeros_like(arr)
             flat, fdflat = arr.reshape(-1), fd.reshape(-1)
             for i in range(flat.size):

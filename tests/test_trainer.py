@@ -9,10 +9,12 @@ from jezsl import trainer
 from jezsl.alignment import LossConfig
 from jezsl.data import SynthConfig, generate
 from jezsl.errors import DataError, NumericalError
-from jezsl.heads import init_head
-from jezsl.linalg import make_rng
+from jezsl.heads import PARAM_NAMES, head_arrays, init_head
+from jezsl.linalg import make_rng, write_arrays
 from jezsl.trainer import (
     STATE_FILE,
+    STATE_MAGIC,
+    STATE_VERSION,
     TrainConfig,
     TrainState,
     _batch_indices,
@@ -44,7 +46,7 @@ def fresh_heads(seed=0, d_in=6, d_out=4):
     )
 
 
-def head_arrays(head):
+def snapshot(head):
     return {k: v.copy() for k, v in vars(head).items() if isinstance(v, np.ndarray)}
 
 
@@ -110,12 +112,20 @@ class TestBatchIndices:
         for idx in batches:
             assert len(np.unique(groups[idx])) >= 2
 
+    def test_balancing_swap_keeps_the_donor_batch_mixed(self):
+        # The first batch's only group-1 row must not be the donor: taking
+        # it would leave that batch with no negatives.
+        groups = np.array([0, 0, 1, 0, 0, 0, 1, 1, 2])
+        cfg = TrainConfig(batch_size=3, balanced_batches=True)
+        batches = _batch_indices(np.arange(9), groups, cfg)
+        assert [groups[idx].tolist() for idx in batches] == [[0, 0, 1], [0, 0, 1], [0, 1, 2]]
+
 
 class TestTrainJoint:
     def test_zero_epochs_leaves_heads_bit_identical(self):
         visual, sentences, groups = make_problem()
         hv, hs = fresh_heads()
-        before_v, before_s = head_arrays(hv), head_arrays(hs)
+        before_v, before_s = snapshot(hv), snapshot(hs)
         train_joint(
             visual, sentences, groups, hv, hs,
             LossConfig(), TrainConfig(epochs=0, batch_size=8, seed=0),
@@ -128,7 +138,7 @@ class TestTrainJoint:
     def test_zero_lr_changes_only_running_stats(self):
         visual, sentences, groups = make_problem()
         hv, hs = fresh_heads()
-        before = head_arrays(hv)
+        before = snapshot(hv)
         train_joint(
             visual, sentences, groups, hv, hs,
             LossConfig(), TrainConfig(epochs=2, batch_size=8, learning_rate=0.0, seed=0),
@@ -151,7 +161,7 @@ class TestTrainJoint:
             visual, sentences, groups, hv2, hs2, LossConfig(), cfg
         )
         assert log1.epoch_loss == log2.epoch_loss
-        for k, v in head_arrays(hv1).items():
+        for k, v in snapshot(hv1).items():
             np.testing.assert_array_equal(getattr(hv2, k), v)
 
     def test_loss_decreases_on_separable_problem(self):
@@ -187,9 +197,9 @@ class TestTrainJoint:
             visual, sentences, groups, resumed.head_v, resumed.head_s,
             loss_cfg, TrainConfig(epochs=6, batch_size=8, seed=2), state=resumed,
         )
-        for k, v in head_arrays(hv_full).items():
+        for k, v in snapshot(hv_full).items():
             np.testing.assert_array_equal(getattr(resumed.head_v, k), v)
-        for k, v in head_arrays(hs_full).items():
+        for k, v in snapshot(hs_full).items():
             np.testing.assert_array_equal(getattr(resumed.head_s, k), v)
 
     def test_resume_refuses_changed_hyperparameters(self):
@@ -238,7 +248,7 @@ class TestTrainJoint:
         train_joint(visual, sentences, groups, state.head_v, state.head_s,
                     LossConfig(), cfg, state=state)
         for full, resumed in ((hv_full, state.head_v), (hs_full, state.head_s)):
-            for k, v in head_arrays(full).items():
+            for k, v in snapshot(full).items():
                 np.testing.assert_array_equal(getattr(resumed, k), v)
 
     def test_non_finite_gradient_names_head_and_parameter(self, monkeypatch):
@@ -249,7 +259,7 @@ class TestTrainJoint:
         def backward(head, trace, d_embeddings):
             grads, d_input = real_backward(head, trace, d_embeddings)
             if head is hs:
-                grads.b2[1] = np.inf
+                grads[3][1] = np.inf  # b2
             return grads, d_input
 
         monkeypatch.setattr(trainer, "backward", backward)
@@ -292,9 +302,7 @@ class TestTrainStateIo:
     def test_round_trip(self, tmp_path):
         state = untrained_state(seed=7)
         rng = make_rng(7)
-        for vel in (state.velocity_v, state.velocity_s):
-            for k in vel:
-                vel[k][...] = rng.standard_normal(vel[k].shape)
+        state.velocity[:] = rng.standard_normal(state.velocity.shape)
         state.head_v.bn_running_var[:] = rng.random(4) + 0.5
         state.next_epoch = 12
         path = str(tmp_path / "s.jet")
@@ -302,10 +310,7 @@ class TestTrainStateIo:
         loaded = load_train_state(path)
         assert loaded.next_epoch == 12
         np.testing.assert_array_equal(loaded.hyperparams, state.hyperparams)
-        for a, b in ((state.velocity_v, loaded.velocity_v),
-                     (state.velocity_s, loaded.velocity_s)):
-            for k in a:
-                np.testing.assert_array_equal(a[k], b[k])
+        np.testing.assert_array_equal(loaded.velocity, state.velocity)
         for a, b in ((state.head_v, loaded.head_v), (state.head_s, loaded.head_s)):
             for k, v in vars(a).items():
                 np.testing.assert_array_equal(getattr(b, k), v)
@@ -322,6 +327,19 @@ class TestTrainStateIo:
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(DataError):
             load_train_state(str(path))
+
+    def test_velocity_shapes_must_match_the_heads(self, tmp_path):
+        # The visual w1 velocity is stored transposed: the bundle's total
+        # size is right, but its shape is not the head's.
+        hv, hs = fresh_heads()
+        velocity = [np.zeros_like(getattr(h, name)) for h in (hv, hs) for name in PARAM_NAMES]
+        velocity[0] = velocity[0].T
+        path = str(tmp_path / "s.jet")
+        write_arrays(path, STATE_MAGIC, STATE_VERSION,
+                     [*head_arrays(hv), *head_arrays(hs), *velocity, np.float64(0),
+                      trajectory(LossConfig(), TrainConfig(), 40)])
+        with pytest.raises(DataError, match="velocity shapes do not match"):
+            load_train_state(path)
 
     def test_untrained_state_has_no_hyperparameters_to_save(self, tmp_path):
         with pytest.raises(ValueError, match="hyperparameters"):
