@@ -6,14 +6,13 @@ __version__ = "0.1.0"
 from .alignment import LossConfig, MiniBatch, alignment_loss
 from .compat import (
     AttributeTable,
-    CompatibilityModel,
     LabeledEmbeddings,
     infer_batch,
     load_model,
     save_model,
     train_compatibility,
 )
-from .data import Dataset, SynthConfig, SynthData, generate, load_dataset, read_features, save_dataset, write_features
+from .data import Dataset, SynthConfig, generate, load_dataset, read_features, save_dataset, write_features
 from .errors import DataError, JezslError, NumericalError
 from .heads import EmbeddingHead, backward, forward, init_head, load_head, save_head
 from .metrics import GzslReport, evaluate, harmonic_mean, per_class_accuracy

@@ -3,9 +3,11 @@
 Subcommands: gen-synth, train-embed, embed, train-zsl, eval, gradcheck.
 
 Every option can also come from a plain-text key=value config file
-(`--config FILE`); explicit flags win on conflict. Each command writes a
-manifest of its fully resolved configuration next to its outputs; feeding
-that manifest back through --config reproduces the run bit-exactly.
+(`--config FILE`); explicit flags win on conflict. A key that names none of
+the command's options (nor a manifest's `command` or `version`), or a key
+given twice, is a usage error. Each command writes a manifest of its fully
+resolved configuration next to its outputs; feeding that manifest back
+through --config reproduces the run bit-exactly.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
 failure. Every numeric option has a bound in the option table (shown by
@@ -167,7 +169,12 @@ COMMANDS: dict[str, list[Opt]] = {
     ],
 }
 
-def _read_config(path: str) -> dict[str, str]:
+# Keys a manifest carries besides the command's options; a config ignores them.
+MANIFEST_KEYS = ("command", "version")
+
+
+def _read_config(path: str, known) -> dict[str, str]:
+    """key=value lines; a key not in `known`, or given twice, is a usage error."""
     values = {}
     try:
         with open(path) as fh:
@@ -178,7 +185,12 @@ def _read_config(path: str) -> dict[str, str]:
                 if "=" not in ln:
                     raise DataError(f"{path}:{n}: expected key=value, got {ln!r}")
                 key, _, val = ln.partition("=")
-                values[key.strip()] = val.strip()
+                key = key.strip()
+                if key in values:
+                    raise UsageError(f"{path}:{n}: repeated config key {key!r}")
+                if key not in known:
+                    raise UsageError(f"{path}:{n}: unknown config key {key!r}")
+                values[key] = val.strip()
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     return values
@@ -189,9 +201,9 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     opts = {o.name: o for o in COMMANDS[command]}
     resolved = {name: o.default for name, o in opts.items()}
     if args.config is not None:
-        for key, raw in _read_config(args.config).items():
-            if key in ("command", "version") or key not in opts:
-                continue  # manifests carry extra bookkeeping keys
+        for key, raw in _read_config(args.config, [*opts, *MANIFEST_KEYS]).items():
+            if key in MANIFEST_KEYS:
+                continue
             o = opts[key]
             conv = _parse_bool if o.typ is bool else o.typ
             try:
@@ -381,25 +393,25 @@ def cmd_train_zsl(cfg: dict) -> int:
     if len(idx) == 0:
         raise DataError("dataset has no train rows")
     data = LabeledEmbeddings(embeddings[idx], ds.labels[idx])
-    model = train_compatibility(
+    w = train_compatibility(
         data, ds.attributes,
         margin=cfg["margin"], learning_rate=cfg["lr"],
         epochs=cfg["epochs"], seed=cfg["seed"],
     )
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
-    save_model(model, os.path.join(out, "model.jec"))
+    save_model(w, os.path.join(out, "model.jec"))
     _write_manifest("train-zsl", cfg, out)
     return 0
 
 
 def cmd_eval(cfg: dict) -> int:
     ds, embeddings = _load_embedded(cfg)
-    model = load_model(cfg["model"])
+    w = load_model(cfg["model"])
     seen_idx = ds.rows("test_seen")
     unseen_idx = ds.rows("test_unseen")
     report = evaluate(
-        model,
+        w,
         LabeledEmbeddings(embeddings[seen_idx], ds.labels[seen_idx]),
         LabeledEmbeddings(embeddings[unseen_idx], ds.labels[unseen_idx]),
         ds.attributes,

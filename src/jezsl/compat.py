@@ -23,14 +23,20 @@ MODEL_VERSION = 1
 BATCH_ROWS = 32
 
 
+def id_array(ids) -> np.ndarray:
+    """The distinct class ids of any iterable of ints, as a sorted int64 array."""
+    return np.array(sorted({int(c) for c in ids}), dtype=np.int64)
+
+
 @dataclass
 class AttributeTable:
-    """Per-class semantic vectors plus the seen/unseen class split."""
+    """Per-class semantic vectors plus the seen/unseen class split, whose ids
+    may be given as any iterables and are stored as id_array gives them."""
 
     class_ids: list[int]
     attributes: np.ndarray  # (C, d_attr)
-    seen_ids: set[int]
-    unseen_ids: set[int]
+    seen: np.ndarray
+    unseen: np.ndarray
 
     def __post_init__(self):
         self.attributes = as_matrix(self.attributes, "attributes")
@@ -40,25 +46,27 @@ class AttributeTable:
             )
         if len(set(self.class_ids)) != len(self.class_ids):
             raise ValueError("duplicate class ids in attribute table")
-        if self.seen_ids & self.unseen_ids:
-            raise DataError(
-                f"seen/unseen classes overlap: {sorted(self.seen_ids & self.unseen_ids)}"
-            )
-        known = set(self.class_ids)
-        missing = (self.seen_ids | self.unseen_ids) - known
-        if missing:
-            raise DataError(f"classes without attribute rows: {sorted(missing)}")
+        self.seen, self.unseen = id_array(self.seen), id_array(self.unseen)
+        overlap = self.seen[np.isin(self.seen, self.unseen)]
+        if overlap.size:
+            raise DataError(f"seen/unseen classes overlap: {overlap.tolist()}")
+        missing = self.split_ids[~np.isin(self.split_ids, self.class_ids)]
+        if missing.size:
+            raise DataError(f"classes without attribute rows: {missing.tolist()}")
         self._row = {cid: i for i, cid in enumerate(self.class_ids)}
 
     @property
     def d_attr(self) -> int:
         return self.attributes.shape[1]
 
-    def attribute(self, class_id: int) -> np.ndarray:
-        return self.attributes[self._row[class_id]]
+    @property
+    def split_ids(self) -> np.ndarray:
+        """The seen and unseen class ids together, sorted."""
+        return np.sort(np.concatenate((self.seen, self.unseen)))
 
-    def rows_for(self, class_ids: list[int]) -> np.ndarray:
-        return self.attributes[[self._row[c] for c in class_ids]]
+    def rows_for(self, class_ids: np.ndarray) -> np.ndarray:
+        """Attribute rows of an int array of class ids, in its order."""
+        return self.attributes[[self._row[c] for c in class_ids.tolist()]]
 
 
 @dataclass
@@ -75,18 +83,12 @@ class LabeledEmbeddings:
             )
 
 
-@dataclass
-class CompatibilityModel:
-    w: np.ndarray  # (d_embed, d_attr)
-
-
 def _targets(data: LabeledEmbeddings, table: AttributeTable) -> tuple[np.ndarray, np.ndarray]:
     """Seen attribute rows in class-id order, and each row's true column among them."""
-    seen = np.array(sorted(table.seen_ids), dtype=np.int64)
-    outside = data.labels[~np.isin(data.labels, seen)]
+    outside = data.labels[~np.isin(data.labels, table.seen)]
     if len(outside):
         raise ValueError(f"labels outside seen classes: {sorted(set(outside.tolist()))}")
-    return table.rows_for(seen.tolist()), np.searchsorted(seen, data.labels)
+    return table.rows_for(table.seen), np.searchsorted(table.seen, data.labels)
 
 
 def _hinge_args(
@@ -157,8 +159,8 @@ def train_compatibility(
     learning_rate: float = 0.01,
     epochs: int = 100,
     seed: int = 0,
-) -> CompatibilityModel:
-    """Seeded minibatch SGD on the ranking loss, starting from W = 0.
+) -> np.ndarray:
+    """Seeded minibatch SGD on the ranking loss, starting from W = 0; returns W.
 
     Each epoch shuffles the rows and steps once per slice of BATCH_ROWS rows
     (the last slice may be shorter) with the gradient summed over the slice,
@@ -183,11 +185,11 @@ def train_compatibility(
             if not np.isfinite(w).all():
                 raise NumericalError("non-finite compatibility weights during training")
 
-    return CompatibilityModel(w)
+    return w
 
 
 def infer_batch(
-    model: CompatibilityModel, x: np.ndarray, table: AttributeTable
+    w: np.ndarray, x: np.ndarray, table: AttributeTable
 ) -> tuple[np.ndarray, np.ndarray]:
     """(zsl, gzsl) class ids for the rows of x: the best-scoring unseen class,
     and the best-scoring class of all.
@@ -196,22 +198,22 @@ def infer_batch(
     returns the first maximum, so ties go to the lowest class id.
     """
     x = as_matrix(x, "inference input")
-    if x.shape[1] != model.w.shape[0]:
+    if x.shape[1] != w.shape[0]:
         raise ValueError(
-            f"inference input width {x.shape[1]} != model embedding dim {model.w.shape[0]}"
+            f"inference input width {x.shape[1]} != model embedding dim {w.shape[0]}"
         )
-    if not table.unseen_ids:
+    if not table.unseen.size:
         raise ValueError("no unseen classes to predict")
-    ids = np.array(sorted(table.seen_ids | table.unseen_ids), dtype=np.int64)
-    scores = (x @ model.w) @ table.rows_for(ids.tolist()).T
-    unseen = np.isin(ids, list(table.unseen_ids))
+    ids = table.split_ids
+    scores = (x @ w) @ table.rows_for(ids).T
+    unseen = np.isin(ids, table.unseen)
     zsl = ids[unseen][np.argmax(scores[:, unseen], axis=1)]
     return zsl, ids[np.argmax(scores, axis=1)]
 
 
-def save_model(model: CompatibilityModel, path: str) -> None:
-    write_arrays(path, MODEL_MAGIC, MODEL_VERSION, [model.w])
+def save_model(w: np.ndarray, path: str) -> None:
+    write_arrays(path, MODEL_MAGIC, MODEL_VERSION, [w])
 
 
-def load_model(path: str) -> CompatibilityModel:
-    return CompatibilityModel(w=read_arrays(path, MODEL_MAGIC, MODEL_VERSION, (2,))[0])
+def load_model(path: str) -> np.ndarray:
+    return read_arrays(path, MODEL_MAGIC, MODEL_VERSION, (2,))[0]

@@ -16,11 +16,12 @@ classes unresolvable from attributes alone while captions stay informative.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compat import AttributeTable
+from .compat import AttributeTable, id_array
 from .errors import DataError
 from .linalg import as_matrix, l2_normalize_rows, make_rng, read_arrays, write_arrays
 
@@ -124,21 +125,22 @@ def read_ids(path: str) -> np.ndarray:
         raise DataError(f"{path}:{n}: non-integer id line {ln!r}") from exc
 
 
-def write_split(path: str, seen_ids, unseen_ids) -> None:
+def write_split(path: str, seen, unseen) -> None:
     with open(path, "w") as fh:
-        fh.write("seen: " + " ".join(str(int(c)) for c in sorted(seen_ids)) + "\n")
-        fh.write("unseen: " + " ".join(str(int(c)) for c in sorted(unseen_ids)) + "\n")
+        fh.write("seen: " + " ".join(str(int(c)) for c in sorted(seen)) + "\n")
+        fh.write("unseen: " + " ".join(str(int(c)) for c in sorted(unseen)) + "\n")
 
 
-def read_split(path: str) -> tuple[set[int], set[int]]:
-    split: dict[str, set[int]] = {}
+def read_split(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The seen and unseen class ids, each as id_array gives them."""
+    split: dict[str, np.ndarray] = {}
     for n, ln in enumerate(_read_lines(path), 1):
         ln = ln.strip()
         if not ln:
             continue
         key, _, rest = ln.partition(":")
         try:
-            ids = {int(v) for v in rest.split()}
+            ids = id_array(rest.split())
         except ValueError as exc:
             raise DataError(f"{path}:{n}: non-integer class id in {ln!r}") from exc
         key = key.strip()
@@ -150,8 +152,9 @@ def read_split(path: str) -> tuple[set[int], set[int]]:
     if len(split) < 2:
         raise DataError(f"{path}: missing 'seen:' or 'unseen:' line")
     seen, unseen = split["seen"], split["unseen"]
-    if seen & unseen:
-        raise DataError(f"{path}: seen/unseen classes overlap: {sorted(seen & unseen)}")
+    overlap = seen[np.isin(seen, unseen)]
+    if overlap.size:
+        raise DataError(f"{path}: seen/unseen classes overlap: {overlap.tolist()}")
     return seen, unseen
 
 
@@ -175,19 +178,17 @@ def read_assignments(path: str) -> np.ndarray:
 
 def validate_split(
     labels: np.ndarray,
-    seen: set[int],
-    unseen: set[int],
+    table: AttributeTable,
     assignments: np.ndarray | list[str],
 ) -> None:
-    """Load-time split discipline; violations are errors, never warnings."""
+    """Load-time split discipline against the table's (disjoint) class split;
+    violations are errors, never warnings."""
     if len(labels) != len(assignments):
         raise DataError(f"{len(labels)} labels vs {len(assignments)} assignments")
-    if seen & unseen:
-        raise DataError(f"seen/unseen classes overlap: {sorted(seen & unseen)}")
     labels = np.asarray(labels)
     assignments = np.asarray(assignments)
     to_unseen = assignments == "test_unseen"
-    allowed = np.where(to_unseen, np.isin(labels, list(unseen)), np.isin(labels, list(seen)))
+    allowed = np.where(to_unseen, np.isin(labels, table.unseen), np.isin(labels, table.seen))
     bad = np.flatnonzero(~allowed)
     if bad.size:
         i = int(bad[0])
@@ -239,18 +240,7 @@ class SynthConfig:
                     raise ValueError(f"collision class {cid} outside [0, {self.n_classes})")
 
 
-@dataclass
-class SynthData:
-    visual: np.ndarray
-    sentences: np.ndarray
-    labels: np.ndarray  # class id per row
-    groups: np.ndarray  # positive-pair group id per row
-    attributes: AttributeTable
-    assignments: list[str]
-    prototypes: np.ndarray  # (n_classes, d_visual) visual cluster centers
-
-
-def generate(cfg: SynthConfig) -> SynthData:
+def generate(cfg: SynthConfig) -> Dataset:
     """Deterministic synthetic dataset; a pure function of the config.
 
     Per class: a random unit visual prototype, a unit semantic direction that
@@ -298,17 +288,16 @@ def generate(cfg: SynthConfig) -> SynthData:
     table = AttributeTable(
         class_ids=list(range(C)),
         attributes=attributes,
-        seen_ids=set(range(cfg.n_seen)),
-        unseen_ids=set(range(cfg.n_seen, C)),
+        seen=range(cfg.n_seen),
+        unseen=range(cfg.n_seen, C),
     )
-    return SynthData(
+    return Dataset(
         visual=np.repeat(vis, k, axis=1).reshape(C * n * k, d_v),
         sentences=caps.reshape(C * n * k, d_s),
         labels=labels,
         groups=labels.copy(),
         attributes=table,
-        assignments=assignments,
-        prototypes=prototypes,
+        assignments=np.array(assignments, dtype=object),
     )
 
 
@@ -326,9 +315,7 @@ FILES = {
 }
 
 
-def save_dataset(data: SynthData, out_dir: str) -> None:
-    import os
-
+def save_dataset(data: Dataset, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     join = lambda key: os.path.join(out_dir, FILES[key])
     write_features(data.visual, join("visual"))
@@ -337,7 +324,7 @@ def save_dataset(data: SynthData, out_dir: str) -> None:
     write_ids(data.groups, join("groups"))
     write_features(data.attributes.attributes, join("attributes"))
     write_ids(data.attributes.class_ids, join("attribute_classes"))
-    write_split(join("splits"), data.attributes.seen_ids, data.attributes.unseen_ids)
+    write_split(join("splits"), data.attributes.seen, data.attributes.unseen)
     write_assignments(data.assignments, join("assignments"))
 
 
@@ -365,28 +352,24 @@ class Dataset(Annotations):
 
 def load_annotations(data_dir: str) -> Annotations:
     """Labels, attribute table, class split and assignments, split-checked."""
-    import os
-
     join = lambda key: os.path.join(data_dir, FILES[key])
     labels = read_ids(join("labels"))
     attrs = read_features(join("attributes"))
     attr_classes = read_ids(join("attribute_classes"))
     seen, unseen = read_split(join("splits"))
     assignments = read_assignments(join("assignments"))
-    validate_split(labels, seen, unseen, assignments)
     table = AttributeTable(
         class_ids=[int(c) for c in attr_classes],
         attributes=attrs,
-        seen_ids=seen,
-        unseen_ids=unseen,
+        seen=seen,
+        unseen=unseen,
     )
+    validate_split(labels, table, assignments)
     return Annotations(labels=labels, attributes=table, assignments=assignments)
 
 
 def load_dataset(data_dir: str) -> Dataset:
     """load_annotations, then the visual and sentence features and group ids."""
-    import os
-
     join = lambda key: os.path.join(data_dir, FILES[key])
     annotations = load_annotations(data_dir)
     visual = read_features(join("visual"))

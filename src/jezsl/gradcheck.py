@@ -175,8 +175,8 @@ def check_compatibility(trials: int = 20, seed: int = 2, corrupt: bool = False) 
         table = AttributeTable(
             class_ids=list(range(C)),
             attributes=rng.standard_normal((C, d_attr)),
-            seen_ids=set(range(n_seen)),
-            unseen_ids=set(range(n_seen, C)),
+            seen=range(n_seen),
+            unseen=range(n_seen, C),
         )
         data = LabeledEmbeddings(
             embeddings=rng.standard_normal((n, d_embed)),

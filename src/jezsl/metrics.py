@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compat import AttributeTable, CompatibilityModel, LabeledEmbeddings, infer_batch
+from .compat import AttributeTable, LabeledEmbeddings, infer_batch
 
 
 @dataclass
@@ -26,9 +26,8 @@ class GzslReport:
 
 # np.unique and np.setdiff1d import numpy.ma on first use, which costs more
 # than these checks; np.isin does not.
-def _outside(labels: np.ndarray, allowed) -> list[int]:
-    """Sorted distinct labels that are not in `allowed` (ints)."""
-    allowed = np.fromiter(allowed, dtype=np.int64, count=len(allowed))
+def _outside(labels: np.ndarray, allowed: np.ndarray) -> list[int]:
+    """Sorted distinct labels that are not in the id array `allowed`."""
     return sorted(set(labels[~np.isin(labels, allowed)].tolist()))
 
 
@@ -37,7 +36,8 @@ def per_class_accuracy(
 ) -> tuple[dict[int, tuple[float, int]], float]:
     """Accuracy per class and the class-balanced mean.
 
-    Classes without test samples are excluded from the mean (0/0 undefined).
+    `classes` is an array-like of class ids in any order. Classes without
+    test samples are excluded from the mean (0/0 undefined).
     Returns ({class_id: (accuracy, sample_count)}, mean).
     """
     predictions = np.asarray(predictions, dtype=np.int64)
@@ -46,7 +46,7 @@ def per_class_accuracy(
         raise ValueError(
             f"{len(predictions)} predictions vs {len(labels)} labels"
         )
-    classes = np.array(sorted({int(c) for c in classes}), dtype=np.int64)
+    classes = np.sort(np.asarray(classes, dtype=np.int64))
     outside = _outside(labels, classes)
     if outside:
         raise ValueError(f"labels outside the class set: {outside}")
@@ -72,29 +72,26 @@ def harmonic_mean(u: float, s: float) -> float:
 
 
 def evaluate(
-    model: CompatibilityModel,
+    w: np.ndarray,
     test_seen: LabeledEmbeddings,
     test_unseen: LabeledEmbeddings,
     table: AttributeTable,
 ) -> GzslReport:
-    """Full protocol: T1 in the ZSL regime, u/s/H in the GZSL regime."""
-    if len(test_unseen.embeddings) == 0:
-        raise ValueError("evaluate: empty unseen test split")
-    if len(test_seen.embeddings) == 0:
-        raise ValueError("evaluate: empty seen test split")
-    bad_unseen = _outside(test_unseen.labels, table.unseen_ids)
-    if bad_unseen:
-        raise ValueError(f"unseen test labels not in unseen classes: {bad_unseen}")
-    bad_seen = _outside(test_seen.labels, table.seen_ids)
-    if bad_seen:
-        raise ValueError(f"seen test labels not in seen classes: {bad_seen}")
+    """Full protocol for W: T1 in the ZSL regime, u/s/H in the GZSL regime."""
+    for name, split, classes in (("unseen", test_unseen, table.unseen),
+                                 ("seen", test_seen, table.seen)):
+        if len(split.embeddings) == 0:
+            raise ValueError(f"evaluate: empty {name} test split")
+        bad = _outside(split.labels, classes)
+        if bad:
+            raise ValueError(f"{name} test labels not in {name} classes: {bad}")
 
-    zsl_unseen, gzsl_unseen = infer_batch(model, test_unseen.embeddings, table)
-    _, t1 = per_class_accuracy(zsl_unseen, test_unseen.labels, table.unseen_ids)
+    zsl_unseen, gzsl_unseen = infer_batch(w, test_unseen.embeddings, table)
+    _, t1 = per_class_accuracy(zsl_unseen, test_unseen.labels, table.unseen)
 
-    all_classes = table.seen_ids | table.unseen_ids
+    all_classes = table.split_ids
     per_u, u = per_class_accuracy(gzsl_unseen, test_unseen.labels, all_classes)
-    _, gzsl_seen = infer_batch(model, test_seen.embeddings, table)
+    _, gzsl_seen = infer_batch(w, test_seen.embeddings, table)
     per_s, s = per_class_accuracy(gzsl_seen, test_seen.labels, all_classes)
 
     per_class = {**per_u, **per_s}

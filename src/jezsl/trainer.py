@@ -18,7 +18,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, fields
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 
@@ -64,12 +64,15 @@ class TrainConfig:
 
 @dataclass
 class TrainLog:
+    """Per-epoch figures of one train_joint call, from its first epoch (1-based)."""
+
+    first_epoch: int = 1
     epoch_loss: list[float] = field(default_factory=list)
     epoch_seconds: list[float] = field(default_factory=list)
     active_fraction: list[float] = field(default_factory=list)
 
     def lines(self):
-        for e, (loss, frac) in enumerate(zip(self.epoch_loss, self.active_fraction), 1):
+        for e, loss, frac in zip(count(self.first_epoch), self.epoch_loss, self.active_fraction):
             yield f"{e}\t{loss:.17g}\t{frac:.17g}"
 
 
@@ -304,7 +307,7 @@ def train_joint(
                                   _views(params, arrays)):
         setattr(head, name, view)
     grad = np.empty_like(params)
-    train_log = TrainLog()
+    train_log = TrainLog(first_epoch=state.next_epoch + 1)
     written = None  # next_epoch of the last checkpoint this call wrote
 
     for epoch in range(state.next_epoch, train_cfg.epochs):

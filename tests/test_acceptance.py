@@ -12,12 +12,7 @@ import pytest
 
 from jezsl.alignment import LossConfig, MiniBatch, alignment_loss
 from jezsl.cli import main as cli_main
-from jezsl.compat import (
-    CompatibilityModel,
-    LabeledEmbeddings,
-    infer_batch,
-    train_compatibility,
-)
+from jezsl.compat import LabeledEmbeddings, infer_batch, train_compatibility
 from jezsl.data import SynthConfig, generate
 from jezsl.gradcheck import TOLERANCE, run_all
 from jezsl.heads import forward, init_head
@@ -130,14 +125,14 @@ class TestCriterion4GroundedEmbeddingBenefit:
         unseen_idx = np.array(
             [i for i, a in enumerate(data.assignments) if a == "test_unseen"]
         )
-        model = train_compatibility(
+        w = train_compatibility(
             LabeledEmbeddings(features[train_idx], data.labels[train_idx]),
             table,
             epochs=60,
             seed=seed,
         )
-        preds, _ = infer_batch(model, features[unseen_idx], table)
-        _, t1 = per_class_accuracy(preds, data.labels[unseen_idx], table.unseen_ids)
+        preds, _ = infer_batch(w, features[unseen_idx], table)
+        _, t1 = per_class_accuracy(preds, data.labels[unseen_idx], table.unseen)
         return t1
 
     def test_grounded_t1_exceeds_raw_by_10_points(self):
@@ -221,23 +216,23 @@ class TestCriterion6MetricProtocol:
         table = AttributeTable(
             class_ids=list(range(6)),
             attributes=rng.standard_normal((6, 5)),
-            seen_ids={0, 1, 2, 3},
-            unseen_ids={4, 5},
+            seen={0, 1, 2, 3},
+            unseen={4, 5},
         )
-        model = CompatibilityModel(w=rng.standard_normal((7, 5)))
+        w = rng.standard_normal((7, 5))
         test_seen = LabeledEmbeddings(
             rng.standard_normal((20, 7)), rng.integers(0, 4, size=20)
         )
         test_unseen = LabeledEmbeddings(
             rng.standard_normal((16, 7)), rng.integers(4, 6, size=16)
         )
-        return model, test_seen, test_unseen, table
+        return w, test_seen, test_unseen, table
 
     def test_protocol_properties(self):
         ok = True
         for seed in range(10):
-            model, test_seen, test_unseen, table = self.setting(seed)
-            r = evaluate(model, test_seen, test_unseen, table)
+            w, test_seen, test_unseen, table = self.setting(seed)
+            r = evaluate(w, test_seen, test_unseen, table)
             # restricting candidates to unseen classes can only help
             ok = ok and r.t1 >= r.u - 1e-12
             ok = ok and min(r.u, r.s) - 1e-12 <= r.h <= max(r.u, r.s) + 1e-12
@@ -245,7 +240,7 @@ class TestCriterion6MetricProtocol:
             perm_s = make_rng(seed).permutation(len(test_seen.labels))
             perm_u = make_rng(seed + 1).permutation(len(test_unseen.labels))
             r2 = evaluate(
-                model,
+                w,
                 LabeledEmbeddings(
                     test_seen.embeddings[perm_s], test_seen.labels[perm_s]
                 ),

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jezsl.alignment import LossConfig
-from jezsl.compat import CompatibilityModel, load_model, save_model
+from jezsl.compat import load_model, save_model
 from jezsl.data import read_features, write_features
 from jezsl.errors import DataError, NumericalError
 from jezsl.heads import init_head, load_head, save_head
@@ -35,8 +35,7 @@ def small_state():
 FORMATS = {
     "jef": (lambda p: write_features(make_rng(1).standard_normal((3, 2)), p), read_features),
     "jeh": (lambda p: save_head(init_head(3, 2, 2, make_rng(2)), p), load_head),
-    "jec": (lambda p: save_model(CompatibilityModel(make_rng(3).standard_normal((2, 3))), p),
-            load_model),
+    "jec": (lambda p: save_model(make_rng(3).standard_normal((2, 3)), p), load_model),
     "jet": (lambda p: save_train_state(small_state(), p), load_train_state),
 }
 
@@ -62,7 +61,7 @@ class TestLayout:
     def test_matrix_header_is_pinned(self, tmp_path):
         m = np.arange(6.0).reshape(3, 2)
         for magic, write in ((b"JEF1", write_features),
-                             (b"JEC1", lambda m, p: save_model(CompatibilityModel(m), p))):
+                             (b"JEC1", save_model)):
             path = str(tmp_path / "m")
             write(m, path)
             blob = open(path, "rb").read()
@@ -76,7 +75,7 @@ class TestLayout:
         (tmp_path / "m.jef").write_bytes(b"JEF1" + body)
         (tmp_path / "m.jec").write_bytes(b"JEC1" + body)
         np.testing.assert_array_equal(read_features(str(tmp_path / "m.jef")), m)
-        np.testing.assert_array_equal(load_model(str(tmp_path / "m.jec")).w, m)
+        np.testing.assert_array_equal(load_model(str(tmp_path / "m.jec")), m)
 
     @pytest.mark.parametrize("name", ["jeh", "jet"])
     def test_version_1_head_and_bundle_are_refused(self, name, blobs, tmp_path):
@@ -99,26 +98,26 @@ class TestLayout:
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = str(tmp_path / "m.jec")
-        save_model(CompatibilityModel(np.ones((2, 2))), path)
+        save_model(np.ones((2, 2)), path)
 
         def fail(src, dst):
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError):
-            save_model(CompatibilityModel(np.zeros((5, 5))), path)
+            save_model(np.zeros((5, 5)), path)
         monkeypatch.undo()
         assert os.listdir(tmp_path) == ["m.jec"]
-        np.testing.assert_array_equal(load_model(path).w, np.ones((2, 2)))
+        np.testing.assert_array_equal(load_model(path), np.ones((2, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_write_is_refused_and_keeps_previous_file(self, tmp_path, bad):
         path = str(tmp_path / "m.jec")
-        save_model(CompatibilityModel(np.ones((2, 2))), path)
+        save_model(np.ones((2, 2)), path)
         with pytest.raises(NumericalError, match="non-finite"):
             write_arrays(path, b"JEC1", 1, [np.ones((3, 2)), np.array([1.0, bad])])
         assert os.listdir(tmp_path) == ["m.jec"]
-        np.testing.assert_array_equal(load_model(path).w, np.ones((2, 2)))
+        np.testing.assert_array_equal(load_model(path), np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("name", sorted(FORMATS))

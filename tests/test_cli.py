@@ -126,7 +126,7 @@ class TestTrainEmbed:
         assert len(log) == 2
         assert os.path.exists(os.path.join(out, "trainer_state.jet"))
 
-    def test_resume_matches_straight_run(self, tmp_path):
+    def test_resume_matches_straight_run(self, tmp_path, capsys):
         data = gen(tmp_path)
         common = ["--data", data, "--dim", "4", "--hidden", "16", "--batch-size", "8",
                   "--lr", "0.005", "--seed", "1"]
@@ -134,11 +134,17 @@ class TestTrainEmbed:
         assert run("train-embed", "--out", full, "--epochs", "4", *common) == 0
         part = str(tmp_path / "part")
         assert run("train-embed", "--out", part, "--epochs", "2", *common) == 0
+        capsys.readouterr()
         assert run("train-embed", "--out", part, "--epochs", "4", "--resume",
                    *common) == 0
         a = open(os.path.join(full, "head_v.jeh"), "rb").read()
         b = open(os.path.join(part, "head_v.jeh"), "rb").read()
         assert a == b
+        # The resumed log goes on with epochs 3 and 4, as the full run wrote them.
+        full_log = pathlib.Path(full, "train_log.txt").read_bytes().splitlines(keepends=True)
+        assert len(full_log) == 4
+        assert pathlib.Path(part, "train_log.txt").read_bytes() == b"".join(full_log[2:])
+        assert capsys.readouterr().out.encode() == b"".join(full_log[2:])
 
     def test_final_checkpoint_is_written_once(self, tmp_path, monkeypatch):
         data = gen(tmp_path)
@@ -542,6 +548,39 @@ class TestGradcheckCommand:
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
 
+    def test_pipeline_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.unique, setdiff1d, intersect1d and union1d import numpy.ma, which
+        # costs every command's process more than its own work on small data.
+        src = os.path.dirname(os.path.dirname(jezsl.__file__))
+        env = {**os.environ, "JEZSL_LOG": "quiet", "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = """if True:
+            import os, sys
+            from jezsl.cli import main
+            t = sys.argv[1]
+            j = lambda *p: os.path.join(t, *p)
+            for argv in (
+                ["gen-synth", "--out", j("d"), "--classes", "4", "--seen", "2",
+                 "--per-class", "6"],
+                ["train-embed", "--data", j("d"), "--out", j("r"), "--epochs", "2",
+                 "--batch-size", "8", "--checkpoint-every", "1"],
+                ["train-embed", "--data", j("d"), "--out", j("r"), "--epochs", "3",
+                 "--batch-size", "8", "--resume"],
+                ["embed", "--checkpoint", j("r", "head_v.jeh"),
+                 "--features", j("d", "visual.jef"), "--out", j("e.jef")],
+                ["train-zsl", "--data", j("d"), "--features", j("e.jef"),
+                 "--out", j("z"), "--epochs", "2"],
+                ["eval", "--data", j("d"), "--features", j("e.jef"),
+                 "--model", j("z", "model.jec"), "--out", j("v")],
+            ):
+                assert main(argv) == 0, argv
+            print("numpy.ma" in sys.modules)
+        """
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert out.splitlines()[-1] == "False"
+        assert (tmp_path / "v" / "report.kv").exists()
+
 
 class TestTopLevel:
     def test_no_command_is_usage_error(self, capsys):
@@ -564,6 +603,24 @@ class TestTopLevel:
         )
         assert manifest["seen"] == "2"
         assert manifest["classes"] == "5"
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("classes=4\nclases=4\n", 2, "unknown config key 'clases'"),
+        ("seed=1\n# the seed\nseed=2\n", 3, "repeated config key 'seed'"),
+        ("command=gen-synth\nversion=0.1.0\ncommand=eval\n", 3,
+         "repeated config key 'command'"),
+        ("checkpoint=h.jeh\n", 1, "unknown config key 'checkpoint'"),
+    ])
+    def test_config_key_errors_name_file_line_and_key(self, tmp_path, capsys, text, line,
+                                                      message):
+        cfgfile = tmp_path / "c.txt"
+        cfgfile.write_text(text)
+        out = str(tmp_path / "d")
+        code, err = run_without_warnings(capsys, "gen-synth", "--config", str(cfgfile),
+                                         "--out", out)
+        assert code == 1
+        assert err == f"error: {cfgfile}:{line}: {message}\n"
+        assert not os.path.exists(out)
 
 
 # --- CLI contract fuzz ----------------------------------------------------------

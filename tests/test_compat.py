@@ -7,7 +7,6 @@ import pytest
 from jezsl.compat import (
     BATCH_ROWS,
     AttributeTable,
-    CompatibilityModel,
     LabeledEmbeddings,
     hinge_arguments,
     infer_batch,
@@ -27,21 +26,20 @@ def simple_table(n_seen=3, n_unseen=2, d_attr=4, seed=0):
     return AttributeTable(
         class_ids=list(range(C)),
         attributes=rng.standard_normal((C, d_attr)),
-        seen_ids=set(range(n_seen)),
-        unseen_ids=set(range(n_seen, C)),
+        seen=range(n_seen),
+        unseen=range(n_seen, C),
     )
 
 
 def brute_force_ranking_loss(w, data, table, margin):
     """Scalar loop oracle over samples and wrong seen classes."""
     total = 0.0
-    seen = sorted(table.seen_ids)
     for x, y in zip(data.embeddings, data.labels):
-        s_true = float(x @ w @ table.attribute(int(y)))
-        for c in seen:
+        s_true = float(x @ w @ table.attributes[table.class_ids.index(int(y))])
+        for c in table.seen.tolist():
             if c == int(y):
                 continue
-            s = float(x @ w @ table.attribute(c))
+            s = float(x @ w @ table.attributes[table.class_ids.index(c)])
             total += max(0.0, margin + s - s_true)
     return total
 
@@ -64,10 +62,34 @@ class TestAttributeTable:
 
     def test_lookup(self):
         table = simple_table()
-        np.testing.assert_array_equal(table.attribute(2), table.attributes[2])
         np.testing.assert_array_equal(
-            table.rows_for([1, 0]), table.attributes[[1, 0]]
+            table.rows_for(np.array([1, 0])), table.attributes[[1, 0]]
         )
+
+    @pytest.mark.parametrize("seen, unseen", [
+        ({3, 0, 1}, {4, 2}),
+        ([3, 0, 1, 0], [4, 2]),
+        (range(2), range(2, 5)),
+        (np.array([1, 3, 0]), np.array([4, 2], dtype=np.int32)),
+    ])
+    def test_any_id_iterable_gives_sorted_int64_arrays(self, seen, unseen):
+        table = AttributeTable([4, 0, 2, 1, 3], make_rng(0).standard_normal((5, 3)),
+                               seen, unseen)
+        want = {"seen": sorted({int(c) for c in seen}),
+                "unseen": sorted({int(c) for c in unseen})}
+        for name, ids in want.items():
+            got = getattr(table, name)
+            assert isinstance(got, np.ndarray) and got.dtype == np.int64
+            assert got.tolist() == ids
+        assert table.split_ids.tolist() == sorted(want["seen"] + want["unseen"])
+
+    @pytest.mark.parametrize("kind", [set, list, np.array])
+    def test_split_errors_name_the_classes(self, kind):
+        attrs = make_rng(0).standard_normal((3, 2))
+        with pytest.raises(DataError, match=r"^seen/unseen classes overlap: \[1, 2\]$"):
+            AttributeTable([0, 1, 2], attrs, kind([2, 0, 1]), kind([2, 1]))
+        with pytest.raises(DataError, match=r"^classes without attribute rows: \[3, 5\]$"):
+            AttributeTable([0, 1, 2], attrs, kind([0, 5]), kind([3, 1]))
 
 
 class TestRankingLoss:
@@ -80,7 +102,7 @@ class TestRankingLoss:
             n = int(rng.integers(2, 8))
             data = LabeledEmbeddings(
                 rng.standard_normal((n, 5)),
-                rng.integers(0, len(table.seen_ids), size=n),
+                rng.integers(0, len(table.seen), size=n),
             )
             w = rng.standard_normal((5, 3))
             margin = float(rng.uniform(0.05, 0.5))
@@ -141,26 +163,26 @@ class TestTraining:
         table = AttributeTable(
             class_ids=list(range(5)),
             attributes=np.eye(5, 4),
-            seen_ids=set(range(4)),
-            unseen_ids={4},
+            seen=range(4),
+            unseen=[4],
         )
         labels = np.repeat(np.arange(n_seen), 10)
         emb = np.eye(n_seen, d)[labels] + 0.05 * rng.standard_normal((40, d))
         data = LabeledEmbeddings(emb, labels)
-        model = train_compatibility(data, table, epochs=50, seed=0)
-        _, preds = infer_batch(model, emb, table)
+        w = train_compatibility(data, table, epochs=50, seed=0)
+        _, preds = infer_batch(w, emb, table)
         assert np.mean(preds == labels) == 1.0
 
     def test_single_seen_class_leaves_w_zero(self):
         table = AttributeTable(
             class_ids=[0, 1],
             attributes=np.eye(2),
-            seen_ids={0},
-            unseen_ids={1},
+            seen=[0],
+            unseen=[1],
         )
         data = LabeledEmbeddings(np.ones((3, 4)), np.zeros(3, int))
-        model = train_compatibility(data, table, epochs=10)
-        assert np.all(model.w == 0.0)
+        w = train_compatibility(data, table, epochs=10)
+        assert np.all(w == 0.0)
 
     def test_deterministic(self):
         rng = make_rng(6)
@@ -170,7 +192,7 @@ class TestTraining:
         )
         m1 = train_compatibility(data, table, epochs=20, seed=3)
         m2 = train_compatibility(data, table, epochs=20, seed=3)
-        np.testing.assert_array_equal(m1.w, m2.w)
+        np.testing.assert_array_equal(m1, m2)
 
     @pytest.mark.parametrize("n", [1, 12, BATCH_ROWS])
     def test_one_slice_epochs_are_checked_gradient_steps(self, n):
@@ -181,11 +203,11 @@ class TestTraining:
         w = np.zeros((5, table.d_attr))
         for _ in range(2):
             w -= lr * ranking_loss_grad(w, data, table, margin)
-        model = train_compatibility(
+        trained = train_compatibility(
             data, table, margin=margin, learning_rate=lr, epochs=2, seed=2
         )
         assert np.any(w != 0.0)
-        assert np.linalg.norm(model.w - w) <= 1e-12 * np.linalg.norm(w)
+        assert np.linalg.norm(trained - w) <= 1e-12 * np.linalg.norm(w)
 
     def test_short_final_slice_is_its_own_step(self):
         n, lr, margin, seed = BATCH_ROWS + 1, 0.05, 0.3, 2
@@ -199,10 +221,10 @@ class TestTraining:
             for rows in (order[:BATCH_ROWS], order[BATCH_ROWS:]):
                 part = LabeledEmbeddings(data.embeddings[rows], data.labels[rows])
                 w -= lr * ranking_loss_grad(w, part, table, margin)
-        model = train_compatibility(
+        trained = train_compatibility(
             data, table, margin=margin, learning_rate=lr, epochs=2, seed=seed
         )
-        assert np.linalg.norm(model.w - w) <= 1e-12 * np.linalg.norm(w)
+        assert np.linalg.norm(trained - w) <= 1e-12 * np.linalg.norm(w)
 
     # sha256 of the trained W's bytes: a short final slice (n = 33), the
     # raw_zsl benchmark's 140 seen classes, and one seen class (W stays 0).
@@ -219,9 +241,9 @@ class TestTraining:
         rng = make_rng(14)
         table = simple_table(n_seen=n_seen, n_unseen=n_unseen, d_attr=d_attr, seed=14)
         data = LabeledEmbeddings(rng.standard_normal((n, d)), rng.integers(0, n_seen, size=n))
-        model = train_compatibility(data, table, margin=0.3, learning_rate=0.05,
-                                    epochs=3, seed=5)
-        assert hashlib.sha256(model.w.tobytes()).hexdigest() == digest
+        w = train_compatibility(data, table, margin=0.3, learning_rate=0.05,
+                                epochs=3, seed=5)
+        assert hashlib.sha256(w.tobytes()).hexdigest() == digest
 
     def test_divergence_raises_numerical_error(self):
         rng = make_rng(13)
@@ -251,21 +273,21 @@ class TestInference:
     def test_zsl_never_returns_seen_class(self):
         rng = make_rng(7)
         table = simple_table(n_seen=3, n_unseen=2, seed=7)
-        model = CompatibilityModel(w=rng.standard_normal((5, table.d_attr)))
-        zsl, _ = infer_batch(model, rng.standard_normal((30, 5)), table)
-        assert set(zsl.tolist()) <= table.unseen_ids
+        w = rng.standard_normal((5, table.d_attr))
+        zsl, _ = infer_batch(w, rng.standard_normal((30, 5)), table)
+        assert set(zsl.tolist()) <= set(table.unseen.tolist())
 
     def test_gzsl_covers_all_classes(self):
         table = simple_table()
-        model = CompatibilityModel(w=np.zeros((5, table.d_attr)))
-        _, gzsl = infer_batch(model, np.ones((1, 5)), table)
-        assert gzsl.tolist()[0] in table.seen_ids | table.unseen_ids
+        w = np.zeros((5, table.d_attr))
+        _, gzsl = infer_batch(w, np.ones((1, 5)), table)
+        assert gzsl.tolist()[0] in table.seen.tolist() + table.unseen.tolist()
 
     def test_tie_breaks_to_lowest_class_id(self):
         # W = 0 scores every class identically
         table = simple_table(n_seen=3, n_unseen=2)
-        model = CompatibilityModel(w=np.zeros((5, table.d_attr)))
-        zsl, gzsl = infer_batch(model, np.ones((2, 5)), table)
+        w = np.zeros((5, table.d_attr))
+        zsl, gzsl = infer_batch(w, np.ones((2, 5)), table)
         assert gzsl.tolist() == [0, 0]
         assert zsl.tolist() == [3, 3]
 
@@ -275,44 +297,43 @@ class TestInference:
         rng = make_rng(9)
         ids = [4, 0, 6, 1, 3, 5, 2]
         table = AttributeTable(class_ids=ids, attributes=rng.integers(-1, 2, (7, 3)),
-                               seen_ids={0, 1, 3, 4}, unseen_ids={2, 5, 6})
+                               seen={0, 1, 3, 4}, unseen={2, 5, 6})
         w = rng.integers(-1, 2, (4, 3)).astype(float)
         x = rng.integers(-1, 2, (50, 4)).astype(float)
-        zsl, gzsl = infer_batch(CompatibilityModel(w=w), x, table)
-        for got, candidates in ((zsl, [2, 5, 6]), (gzsl, list(range(7)))):
+        zsl, gzsl = infer_batch(w, x, table)
+        for got, candidates in ((zsl, np.array([2, 5, 6])), (gzsl, np.arange(7))):
             scores = x @ w @ table.rows_for(candidates).T
-            np.testing.assert_array_equal(got, np.array(candidates)[scores.argmax(axis=1)])
+            np.testing.assert_array_equal(got, candidates[scores.argmax(axis=1)])
 
     def test_score_scale_invariant_prediction(self):
         rng = make_rng(8)
         table = simple_table(seed=8)
         w = rng.standard_normal((5, table.d_attr))
         x = rng.standard_normal((10, 5))
-        p1 = infer_batch(CompatibilityModel(w=w), x, table)
-        p2 = infer_batch(CompatibilityModel(w=3.0 * w), x, table)
+        p1 = infer_batch(w, x, table)
+        p2 = infer_batch(3.0 * w, x, table)
         np.testing.assert_array_equal(p1, p2)
 
     def test_width_mismatch(self):
         table = simple_table()
-        model = CompatibilityModel(w=np.zeros((5, table.d_attr)))
+        w = np.zeros((5, table.d_attr))
         with pytest.raises(ValueError):
-            infer_batch(model, np.ones((1, 6)), table)
+            infer_batch(w, np.ones((1, 6)), table)
 
     def test_no_unseen_classes(self):
         table = AttributeTable(class_ids=[0, 1], attributes=np.eye(2),
-                               seen_ids={0, 1}, unseen_ids=set())
+                               seen={0, 1}, unseen=set())
         with pytest.raises(ValueError, match="no unseen classes"):
-            infer_batch(CompatibilityModel(w=np.zeros((3, 2))), np.ones((1, 3)), table)
+            infer_batch(np.zeros((3, 2)), np.ones((1, 3)), table)
 
 
 class TestModelIo:
     def test_round_trip_bit_identical(self, tmp_path):
         rng = make_rng(10)
-        model = CompatibilityModel(w=rng.standard_normal((6, 4)))
+        w = rng.standard_normal((6, 4))
         path = str(tmp_path / "m.jec")
-        save_model(model, path)
-        loaded = load_model(path)
-        np.testing.assert_array_equal(loaded.w, model.w)
+        save_model(w, path)
+        np.testing.assert_array_equal(load_model(path), w)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.jec"
@@ -321,9 +342,8 @@ class TestModelIo:
             load_model(str(path))
 
     def test_truncation_reports_byte_counts(self, tmp_path):
-        model = CompatibilityModel(w=np.ones((3, 3)))
         path = tmp_path / "m.jec"
-        save_model(model, str(path))
+        save_model(np.ones((3, 3)), str(path))
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(DataError, match="bytes"):
             load_model(str(path))

@@ -1,12 +1,15 @@
 import hashlib
 import os
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from jezsl.compat import AttributeTable
 from jezsl.data import (
     FILES,
+    Dataset,
     SynthConfig,
     generate,
     load_annotations,
@@ -123,7 +126,8 @@ class TestIdAndSplitIo:
         path = str(tmp_path / "splits.txt")
         write_split(path, {0, 2, 1}, {3, 4})
         seen, unseen = read_split(path)
-        assert seen == {0, 1, 2} and unseen == {3, 4}
+        assert seen.dtype == unseen.dtype == np.int64
+        assert seen.tolist() == [0, 1, 2] and unseen.tolist() == [3, 4]
 
     def test_overlapping_split_rejected(self, tmp_path):
         path = tmp_path / "splits.txt"
@@ -174,36 +178,40 @@ class TestIdAndSplitIo:
         assert read_assignments(str(path)).tolist() == ["train", "test_unseen"]
 
 
+# Class 0 is seen, class 5 unseen.
+SPLIT = AttributeTable([0, 5], np.eye(2), seen=[0], unseen=[5])
+
+
 class TestValidateSplit:
     def test_clean_split_passes(self):
         validate_split(
-            np.array([0, 0, 5]), {0}, {5}, ["train", "test_seen", "test_unseen"]
+            np.array([0, 0, 5]), SPLIT, ["train", "test_seen", "test_unseen"]
         )
 
     def test_unseen_class_in_train_rejected(self):
         with pytest.raises(DataError, match="sample 0"):
-            validate_split(np.array([5]), {0}, {5}, ["train"])
+            validate_split(np.array([5]), SPLIT, ["train"])
 
     def test_seen_class_in_test_unseen_rejected(self):
         with pytest.raises(DataError):
-            validate_split(np.array([0]), {0}, {5}, ["test_unseen"])
+            validate_split(np.array([0]), SPLIT, ["test_unseen"])
 
     def test_unseen_class_in_test_seen_rejected(self):
         with pytest.raises(DataError, match="sample 1: test_seen sample has unseen-class label 5"):
-            validate_split(np.array([0, 5]), {0}, {5}, ["train", "test_seen"])
+            validate_split(np.array([0, 5]), SPLIT, ["train", "test_seen"])
 
     def test_first_offending_sample_is_named(self):
         labels = np.array([0, 0, 5, 0, 5])
         assignments = ["train", "test_seen", "train", "test_unseen", "test_seen"]
         with pytest.raises(DataError, match=r"^sample 2: train sample has unseen-class label 5$"):
-            validate_split(labels, {0}, {5}, assignments)
+            validate_split(labels, SPLIT, assignments)
         assignments[2] = "test_unseen"
         with pytest.raises(DataError, match=r"^sample 3: test_unseen .* seen-class label 0$"):
-            validate_split(labels, {0}, {5}, assignments)
+            validate_split(labels, SPLIT, assignments)
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
-            validate_split(np.array([0, 0]), {0}, {5}, ["train"])
+            validate_split(np.array([0, 0]), SPLIT, ["train"])
 
 
 class TestGenerate:
@@ -228,7 +236,7 @@ class TestGenerate:
         np.testing.assert_array_equal(a.visual, b.visual)
         np.testing.assert_array_equal(a.sentences, b.sentences)
         np.testing.assert_array_equal(a.attributes.attributes, b.attributes.attributes)
-        assert a.assignments == b.assignments
+        np.testing.assert_array_equal(a.assignments, b.assignments)
 
     def test_seed_changes_data(self):
         a = generate(self.small_cfg(seed=0))
@@ -245,12 +253,7 @@ class TestGenerate:
 
     def test_split_discipline(self):
         data = generate(self.small_cfg())
-        validate_split(
-            data.labels,
-            data.attributes.seen_ids,
-            data.attributes.unseen_ids,
-            data.assignments,
-        )
+        validate_split(data.labels, data.attributes, data.assignments)
         # unseen classes are exactly test_unseen
         for label, a in zip(data.labels, data.assignments):
             if int(label) >= 3:
@@ -268,12 +271,9 @@ class TestGenerate:
     def test_collision_rows_bit_identical(self):
         cfg = self.small_cfg(attribute_collision_groups=[[1, 4]])
         data = generate(cfg)
-        np.testing.assert_array_equal(
-            data.attributes.attribute(1), data.attributes.attribute(4)
-        )
-        assert not np.array_equal(
-            data.attributes.attribute(0), data.attributes.attribute(1)
-        )
+        attrs = data.attributes.attributes  # class ids are 0..C-1 in row order
+        np.testing.assert_array_equal(attrs[1], attrs[4])
+        assert not np.array_equal(attrs[0], attrs[1])
 
     def test_attributes_are_unit_semantic_directions(self):
         data = generate(self.small_cfg())
@@ -283,8 +283,11 @@ class TestGenerate:
     def test_tiny_spread_gives_perfect_nearest_prototype(self):
         cfg = self.small_cfg(cluster_spread=1e-6)
         data = generate(cfg)
+        # Each class's mean visual row stands in for its prototype.
+        means = np.stack([data.visual[data.labels == c].mean(axis=0)
+                          for c in range(cfg.n_classes)])
         d = np.linalg.norm(
-            data.visual[:, None, :] - data.prototypes[None, :, :], axis=2
+            data.visual[:, None, :] - means[None, :, :], axis=2
         )
         np.testing.assert_array_equal(np.argmin(d, axis=1), data.labels)
 
@@ -293,7 +296,7 @@ class TestGenerate:
         data = generate(cfg)
         for c in range(cfg.n_classes):
             mean = data.sentences[data.labels == c].mean(axis=0)
-            direction = data.attributes.attribute(c)
+            direction = data.attributes.attributes[c]
             cos = mean @ direction / (np.linalg.norm(mean) * np.linalg.norm(direction))
             assert cos >= 0.95
 
@@ -331,15 +334,19 @@ class TestDatasetDirectory:
         data = generate(SynthConfig(n_classes=4, n_seen=2, samples_per_class=5, seed=3))
         save_dataset(data, str(tmp_path))
         loaded = load_dataset(str(tmp_path))
-        np.testing.assert_array_equal(loaded.visual, data.visual)
-        np.testing.assert_array_equal(loaded.sentences, data.sentences)
-        np.testing.assert_array_equal(loaded.labels, data.labels)
-        np.testing.assert_array_equal(loaded.groups, data.groups)
-        np.testing.assert_array_equal(
-            loaded.attributes.attributes, data.attributes.attributes
-        )
-        assert loaded.attributes.seen_ids == data.attributes.seen_ids
-        assert loaded.assignments.tolist() == data.assignments
+        assert type(data) is type(loaded) is Dataset
+
+        def assert_same(a, b, name):
+            assert type(a) is type(b), name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+            assert getattr(a, "dtype", None) == getattr(b, "dtype", None), name
+
+        for f in fields(Dataset):
+            if f.name != "attributes":
+                assert_same(getattr(loaded, f.name), getattr(data, f.name), f.name)
+        for f in fields(AttributeTable):
+            assert_same(getattr(loaded.attributes, f.name), getattr(data.attributes, f.name),
+                        f.name)
 
     def test_rows_selector(self, tmp_path):
         data = generate(SynthConfig(n_classes=4, n_seen=2, samples_per_class=5, seed=3))
