@@ -16,8 +16,10 @@ distance how many active hinges it enters, in O(b^2 log b).
 
 All four terms share one pass. With z = [x; y], one (2b, 2b) distance
 matrix viewed as (4b, b) holds every term's anchor rows (`term_inputs`).
-Each row's thresholds and distances become packed uint64 sort keys, one
-default-kind argsort per chunk of rows counts the active hinges, and the
+Each cell of a row gets one packed uint64 sort key: a positive its
+threshold, a negative its distance, and a within-modal row's own column
+an all-ones key that sorts last and counts nothing. One default-kind
+argsort of (rows, b) keys per chunk counts the active hinges, and the
 gradient of all four terms is one matmul with (C + C^T) / D. The loss and
 its exact (sub)gradient are checked against an enumerating oracle, a
 brute-force loop and finite differences in the tests.
@@ -113,10 +115,8 @@ def term_inputs(batch: MiniBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return dist.reshape(4 * b, b), pos.reshape(4 * b, b), neg.reshape(4 * b, b)
 
 
-# Sort-key padding of slots that are not positives (below every threshold
-# key) and of slots that are not negatives (above every distance key).
-_NOT_POS = np.uint64(0)
-_NOT_NEG = np.uint64(2**64 - 1)
+# Sort key of a within-modal row's own column, above every other key.
+_SELF = np.uint64(2**64 - 1)
 
 
 def alignment_loss(
@@ -132,9 +132,17 @@ def alignment_loss(
     cfg.validate()
     dist, pos, neg = term_inputs(batch)
     b = dist.shape[1]
-    # Weight of each stacked row: term3, term1 for images, term2, term4 for sentences.
+    # Anchor i, with n_i rows in its group, has n_i positives in its
+    # cross-modal row and n_i - 1 in its within-modal row, each against
+    # b - n_i negatives, once per modality.
+    ids = np.sort(batch.group_ids)
+    n = ids.searchsorted(batch.group_ids, "right") - ids.searchsorted(batch.group_ids, "left")
+    total = 2 * int(np.dot(b - n, 2 * n - 1))
+    # Weight and positive count of each stacked row: term3, term1 for
+    # images, term2, term4 for sentences.
     row_weight = np.repeat([[cfg.lambda2, 1.0], [cfg.lambda1, cfg.lambda3]], b, axis=0).ravel()
-    tail = b - 1 - np.arange(2 * b)
+    row_pos = np.tile(np.repeat(n, 2), 2) - np.repeat([[1, 0], [0, 1]], b, axis=0).ravel()
+    upto = np.arange(1, b + 1)
     coef = np.empty(dist.shape)
     row_sums = np.empty(len(dist))
     active = 0
@@ -142,33 +150,30 @@ def alignment_loss(
         rows = slice(r, r + 2 * ANCHOR_CHUNK)
         d = dist[rows]
         thresh = cfg.margin + d
-        # Non-negative float64s sort like their bit patterns; the low bit
-        # puts a threshold before a distance equal to it. Equal keys are of
-        # one kind, so the counts do not depend on the sort algorithm.
-        keys = np.concatenate([np.where(pos[rows], thresh.view(np.uint64) << 1, _NOT_POS),
-                               np.where(neg[rows], d.view(np.uint64) << 1 | 1, _NOT_NEG)], axis=1)
+        # One key per cell. Non-negative float64s sort like their bit
+        # patterns; the low bit puts a threshold before a distance equal
+        # to it. Equal keys are of one kind, so the counts do not depend on
+        # the sort algorithm.
+        keys = np.where(neg[rows], d.view(np.uint64) << 1 | 1,
+                        np.where(pos[rows], thresh.view(np.uint64) << 1, _SELF))
         order = np.argsort(keys, axis=1)
-        is_neg = order >= b
+        flat = order + b * np.arange(len(order))[:, None]
+        is_neg = neg[rows].reshape(-1)[flat]
         # A threshold's count is the negatives sorted before it, a
-        # distance's the thresholds sorted after it (at slot k: b - 1 - k
-        # plus the negatives up to k): exactly the triples with
-        # fl(m + d_pos) > d_neg, so hinges at exactly zero are inactive.
-        # Padding sorts outside the real keys and counts zero.
+        # distance's the thresholds sorted after it: at slot k, the row's
+        # positives less the k + 1 slots up to k, plus the negatives there.
+        # These are exactly the triples with fl(m + d_pos) > d_neg, so
+        # hinges at exactly zero are inactive. The self key sorts last, so
+        # it is never among the slots before a distance, and the masks
+        # drop its own count.
         sorted_counts = np.cumsum(is_neg, axis=1, dtype=np.float64)
-        sorted_counts += is_neg * tail
+        sorted_counts += is_neg * (row_pos[rows, None] - upto)
         counts = np.empty(keys.shape)
-        flat = order + 2 * b * np.arange(len(order))[:, None]
         counts.reshape(-1)[flat] = sorted_counts
-        c_pos, c_neg = counts[:, :b], counts[:, b:]
+        c_pos, c_neg = counts * pos[rows], counts * neg[rows]
         row_sums[rows] = np.add.reduce(c_pos * thresh, 1) - np.add.reduce(c_neg * d, 1)
         active += int(np.add.reduce(c_pos, None))
         coef[rows] = (c_pos - c_neg) * row_weight[rows, None]
-    # Anchor i, with n_i rows in its group, has n_i positives in its
-    # cross-modal row and n_i - 1 in its within-modal row, each against
-    # b - n_i negatives, once per modality.
-    ids = np.sort(batch.group_ids)
-    n = ids.searchsorted(batch.group_ids, "right") - ids.searchsorted(batch.group_ids, "left")
-    total = 2 * int(np.dot(b - n, 2 * n - 1))
     (t3, t1), (t2, t4) = row_sums.reshape(2, b, 2).sum(axis=1)
     sums = np.array([t1, t2, t3, t4])
     loss = float(sums[0] + cfg.lambda1 * sums[1] + cfg.lambda2 * sums[2] + cfg.lambda3 * sums[3])

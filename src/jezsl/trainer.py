@@ -107,7 +107,7 @@ def _batch_indices(order: np.ndarray, groups: np.ndarray, cfg: TrainConfig):
         batches.pop()
     if cfg.balanced_batches:
         for bi, idx in enumerate(batches):
-            if len(np.unique(groups[idx])) >= 2:
+            if (groups[idx] != groups[idx[0]]).any():
                 continue
             g = groups[idx[0]]
             for bj, other in enumerate(batches):

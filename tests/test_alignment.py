@@ -236,10 +236,18 @@ class TestKernelMatchesEnumeration:
         rng = make_rng(42)
         b = 300
         assert b > 4 * ANCHOR_CHUNK
-        batch = random_batch(rng, b=b, d=8, n_groups=60)
-        batch.visual[1] = batch.visual[0]
-        batch.group_ids[1] = batch.group_ids[0]
-        assert_matches_oracle(batch, LossConfig(margin=0.8, lambda1=1.5, lambda2=0.3, lambda3=0.4))
+        batches = [random_batch(rng, b=b, d=8, n_groups=60)]
+        batches[0].group_ids[1] = batches[0].group_ids[0]
+        # Every row its own group, so within-modal rows have no positive;
+        # and one group holding every row but one.
+        for groups in (np.arange(b), (np.arange(b) == b - 1).astype(int)):
+            batches.append(MiniBatch(unit_rows(rng, b, 8), unit_rows(rng, b, 8), groups))
+        for batch in batches:
+            # A repeated row: d = 0 between positives, or between negatives
+            # when every row is its own group.
+            batch.visual[1] = batch.visual[0]
+            assert_matches_oracle(batch, LossConfig(margin=0.8, lambda1=1.5, lambda2=0.3,
+                                                    lambda3=0.4))
 
     def test_memory_bounded_at_large_batch(self):
         rng = make_rng(43)
@@ -313,12 +321,17 @@ class TestStackedPass:
         calls = []
 
         def stable_argsort(a, axis=-1, kind=None):
-            calls.append(kind)
+            calls.append((kind, a.shape))
             return real_argsort(a, axis=axis, kind="stable")
 
         monkeypatch.setattr(np, "argsort", stable_argsort)
-        stable = [alignment_loss(batch, cfg) for batch, cfg in zip(batches, cfgs)]
-        assert calls and all(kind is None for kind in calls)
+        stable = []
+        for batch, cfg in zip(batches, cfgs):
+            calls.clear()
+            stable.append(alignment_loss(batch, cfg))
+            # One key per cell: every sorted row holds exactly b keys.
+            assert calls and all(kind is None and shape[1:] == (len(batch.group_ids),)
+                                 for kind, shape in calls)
         for got, want in zip(stable, default):
             assert got[0] == want[0] and got[2:4] == want[2:4]
             for a, b in zip(got[1:2] + got[4:], want[1:2] + want[4:]):

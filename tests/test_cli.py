@@ -563,9 +563,9 @@ class TestGradcheckCommand:
                 ["gen-synth", "--out", j("d"), "--classes", "4", "--seen", "2",
                  "--per-class", "6"],
                 ["train-embed", "--data", j("d"), "--out", j("r"), "--epochs", "2",
-                 "--batch-size", "8", "--checkpoint-every", "1"],
+                 "--batch-size", "8", "--checkpoint-every", "1", "--balanced-batches"],
                 ["train-embed", "--data", j("d"), "--out", j("r"), "--epochs", "3",
-                 "--batch-size", "8", "--resume"],
+                 "--batch-size", "8", "--resume", "--balanced-batches"],
                 ["embed", "--checkpoint", j("r", "head_v.jeh"),
                  "--features", j("d", "visual.jef"), "--out", j("e.jef")],
                 ["train-zsl", "--data", j("d"), "--features", j("e.jef"),
