@@ -7,6 +7,7 @@ from .alignment import LossConfig, MiniBatch, alignment_loss
 from .compat import (
     AttributeTable,
     LabeledEmbeddings,
+    ZslConfig,
     infer_batch,
     load_model,
     save_model,

@@ -27,12 +27,11 @@ brute-force loop and finite differences in the tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import NON_NEGATIVE, POSITIVE, Config, as_matrix, option
 
 # Rows per distance tile and per chunk of the sort and gradient passes.
 # Temporaries stay O(b^2 + ANCHOR_CHUNK * (b + ANCHOR_CHUNK * d)).
@@ -40,18 +39,11 @@ ANCHOR_CHUNK = 64
 
 
 @dataclass
-class LossConfig:
-    margin: float = 0.1
-    lambda1: float = 2.0
-    lambda2: float = 0.1
-    lambda3: float = 0.2
-
-    def validate(self) -> None:
-        if not 0 < self.margin < math.inf:
-            raise ValueError(f"margin must be finite and > 0, got {self.margin}")
-        for name in ("lambda1", "lambda2", "lambda3"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+class LossConfig(Config):
+    margin: float = option(0.1, "hinge margin", POSITIVE)
+    lambda1: float = option(2.0, "weight of the sentence-anchored ranking term", NON_NEGATIVE)
+    lambda2: float = option(0.1, "weight of the visual neighborhood term", NON_NEGATIVE)
+    lambda3: float = option(0.2, "weight of the sentence neighborhood term", NON_NEGATIVE)
 
 
 @dataclass
@@ -127,9 +119,9 @@ def alignment_loss(
 
     Returns (loss, term_sums[4], active, total, dx, dy). Active hinges enter
     the gradient through d||u - v||/du = (u - v)/||u - v||, taken as zero
-    where u == v (a valid subgradient of the norm).
+    where u == v (a valid subgradient of the norm). `cfg` is not checked
+    here, once per batch; `train_joint` validates it once per run.
     """
-    cfg.validate()
     dist, pos, neg = term_inputs(batch)
     b = dist.shape[1]
     # Anchor i, with n_i rows in its group, has n_i positives in its

@@ -10,25 +10,27 @@ resolved configuration next to its outputs; feeding that manifest back
 through --config reproduces the run bit-exactly.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
-failure. Every numeric option has a bound in the option table (shown by
---help); a value outside it, from a flag, config file or manifest, exits 1
-before any file is read or written. Logging verbosity comes from
-JEZSL_LOG=debug|info|quiet.
+failure. Every numeric option is bounded, and --help shows each bound. The
+options that set a config field are built from the field, and the config's
+`validate` checks them together with its cross-field rules; the others have
+their bound in the option table. A value outside one, from a flag, config
+file or manifest, exits 1 before any file is read or written. Logging
+verbosity comes from JEZSL_LOG=debug|info|quiet.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
 from . import __version__
 from .alignment import LossConfig
-from .compat import LabeledEmbeddings, load_model, save_model, train_compatibility
+from .compat import LabeledEmbeddings, ZslConfig, load_model, save_model, train_compatibility
 from .data import (
     Annotations,
     SynthConfig,
@@ -41,7 +43,7 @@ from .data import (
 )
 from .errors import DataError, NumericalError
 from .heads import forward, init_head, load_head
-from .linalg import make_rng
+from .linalg import SEED, at_least, make_rng, one_of
 from .metrics import evaluate, format_kv, format_report
 from .trainer import (
     STATE_FILE,
@@ -72,36 +74,33 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-# A bound is (text, test): the value must be <text>. Each test is written so
-# that NaN, for which every comparison is false, fails it.
-POSITIVE = ("finite and > 0", lambda x: 0 < x < math.inf)
-NON_NEGATIVE = ("finite and >= 0", lambda x: 0 <= x < math.inf)
-UNIT = ("in [0, 1]", lambda x: 0 <= x <= 1)
-# The resume bundle stores the seed as float64, which holds every integer
-# only up to 2**53; past it two seeds can look the same.
-SEED = ("in [0, 2**53]", lambda x: 0 <= x <= 2**53)
-
-
-def at_least(n):
-    return (f">= {n}", lambda x: x >= n)
-
-
-def one_of(*choices):
-    return ("one of " + "|".join(choices), lambda x: x in choices)
-
-
 class Opt:
-    def __init__(self, name, typ, default, help="", bound=None, flag=False):
+    def __init__(self, name, typ, default, help="", bound=None, flag=False, field=False):
         self.name = name  # dest / manifest key, underscores
         self.typ = typ
         self.default = default
         self.help = help
         self.bound = bound  # (text, test) or None
         self.flag = flag  # boolean store_true option
+        self.field = field  # sets a config field, whose validate applies the bound
 
     @property
     def cli(self) -> str:
         return "--" + self.name.replace("_", "-")
+
+
+def _options(config) -> list[Opt]:
+    """An Opt for each field of `config` that an option sets, in field order,
+    typed as its default: a False default makes a flag, and a list field (the
+    collision groups) is text, empty by default, that its command parses."""
+    opts = []
+    for f in fields(config):
+        meta = f.metadata
+        if meta["cli"] != "":
+            default = "" if f.default is MISSING else f.default
+            opts.append(Opt(meta["cli"] or f.name, type(default), default, meta["help"],
+                            meta["bound"], flag=default is False, field=True))
+    return opts
 
 
 COMMON = [Opt("seed", int, 0, "master seed for all randomness", SEED),
@@ -109,17 +108,7 @@ COMMON = [Opt("seed", int, 0, "master seed for all randomness", SEED),
 
 
 COMMANDS: dict[str, list[Opt]] = {
-    "gen-synth": COMMON + [
-        Opt("classes", int, 10, "total number of classes", at_least(2)),
-        Opt("seen", int, 7, "number of seen classes (ids 0..seen-1)", at_least(1)),
-        Opt("per_class", int, 50, "samples per class", at_least(2)),
-        Opt("d_visual", int, 16, "visual feature dimensionality", at_least(2)),
-        Opt("d_sentence", int, 16, "sentence feature dimensionality", at_least(2)),
-        Opt("d_attr", int, 16, "attribute dimensionality", at_least(2)),
-        Opt("spread", float, 0.3, "cluster noise scale", POSITIVE),
-        Opt("caption_signal", float, 0.8, "class-unique share of caption direction", UNIT),
-        Opt("captions_per_image", int, 1, "caption variants per image", at_least(1)),
-        Opt("collide", str, "", "attribute collision groups, e.g. '3,4' or '3,4;5,6'"),
+    "gen-synth": COMMON + _options(SynthConfig) + [
         Opt("out", str, None, "output dataset directory"),
     ],
     "train-embed": COMMON + [
@@ -127,19 +116,8 @@ COMMANDS: dict[str, list[Opt]] = {
         Opt("out", str, None, "output directory for checkpoints and log"),
         Opt("dim", int, 16, "joint embedding dimensionality", at_least(1)),
         Opt("hidden", int, 0, "hidden width (0: same as --dim)", at_least(0)),
-        Opt("margin", float, 0.1, "hinge margin", POSITIVE),
-        Opt("lambda1", float, 2.0, "weight of the sentence-anchored ranking term",
-            NON_NEGATIVE),
-        Opt("lambda2", float, 0.1, "weight of the visual neighborhood term", NON_NEGATIVE),
-        Opt("lambda3", float, 0.2, "weight of the sentence neighborhood term", NON_NEGATIVE),
-        Opt("epochs", int, 50, "training epochs", at_least(0)),
-        Opt("batch_size", int, 32, "minibatch size", at_least(2)),
-        Opt("lr", float, 0.01, "learning rate", NON_NEGATIVE),
-        Opt("momentum", float, 0.9, "SGD momentum", ("in [0, 1)", lambda x: 0 <= x < 1)),
-        Opt("balanced_batches", bool, False, "force >= 2 groups per batch", flag=True),
+    ] + _options(LossConfig) + _options(TrainConfig) + [
         Opt("rows", str, "all", "which rows to train on", one_of("all", "train")),
-        Opt("checkpoint_every", int, 0, "save state every N epochs (0: only at end)",
-            at_least(0)),
         Opt("resume", bool, False, "resume from trainer state in --out", flag=True),
     ],
     "embed": COMMON + [
@@ -152,10 +130,7 @@ COMMANDS: dict[str, list[Opt]] = {
         Opt("data", str, None, "dataset directory (attributes, splits, labels)"),
         Opt("features", str, None, "embedding file aligned with the dataset rows"),
         Opt("out", str, None, "output directory for the model"),
-        Opt("margin", float, 0.1, "ranking margin", POSITIVE),
-        Opt("lr", float, 0.01, "learning rate", NON_NEGATIVE),
-        Opt("epochs", int, 100, "training epochs", at_least(0)),
-    ],
+    ] + _options(ZslConfig),
     "eval": COMMON + [
         Opt("data", str, None, "dataset directory"),
         Opt("features", str, None, "embedding file aligned with the dataset rows"),
@@ -222,9 +197,25 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         raise UsageError(f"{command}: missing required option(s): " + ", ".join(missing))
     for name, value in resolved.items():
         bound = opts[name].bound
-        if bound is not None and not bound[1](value):
+        if bound is not None and not opts[name].field and not bound[1](value):
             raise UsageError(f"{opts[name].cli} must be {bound[0]}, got {value!r}")
     return resolved
+
+
+def _config(config, cfg: dict, **values):
+    """A `config` from `values` and the resolved options named like its
+    fields (--seed too), validated under the options' names; a value it
+    refuses is a usage error."""
+    for f in fields(config):
+        key = f.metadata["cli"] or f.name
+        if f.name not in values and key in cfg:
+            values[f.name] = cfg[key]
+    made = config(**values)
+    try:
+        made.validate(config.cli_name)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return made
 
 
 def _write_manifest(command: str, cfg: dict, out_dir: str, name: str = "manifest.txt"):
@@ -260,29 +251,8 @@ def _parse_collide(text: str) -> list[list[int]]:
 
 
 def cmd_gen_synth(cfg: dict) -> int:
-    # The rules that span options; the option table holds the rest.
-    classes = cfg["classes"]
-    if cfg["seen"] >= classes:
-        raise UsageError(f"--seen must be < --classes, got --seen {cfg['seen']} "
-                         f"--classes {classes}")
-    groups = _parse_collide(cfg["collide"])
-    outside = sorted({c for group in groups for c in group if not 0 <= c < classes})
-    if outside:
-        raise UsageError(f"--collide class ids must be in [0, --classes) = [0, {classes}), "
-                         f"got {outside}")
-    synth_cfg = SynthConfig(
-        n_classes=classes,
-        n_seen=cfg["seen"],
-        samples_per_class=cfg["per_class"],
-        d_visual=cfg["d_visual"],
-        d_sentence=cfg["d_sentence"],
-        d_attr=cfg["d_attr"],
-        cluster_spread=cfg["spread"],
-        caption_signal=cfg["caption_signal"],
-        captions_per_image=cfg["captions_per_image"],
-        attribute_collision_groups=groups,
-        seed=cfg["seed"],
-    )
+    synth_cfg = _config(SynthConfig, cfg,
+                        attribute_collision_groups=_parse_collide(cfg["collide"]))
     data = generate(synth_cfg)
     save_dataset(data, cfg["out"])
     _write_manifest("gen-synth", cfg, cfg["out"])
@@ -301,30 +271,18 @@ def _check_resume(state: TrainState, cfg: dict, loss_cfg, train_cfg, rows: int,
                or state.changed_hyperparam(loss_cfg, train_cfg, rows))
     if changed is not None:
         name, was, now = changed
-        option = "--" + ("lr" if name == "learning_rate" else name).replace("_", "-")
+        option = TrainConfig.cli_name(name)  # dim, hidden, rows, LossConfig's: --<name>
         raise UsageError(f"--resume: {path} was trained with {name}={was:g}, not "
                          f"{now:g}; set {option} as before or drop --resume")
 
 
 def cmd_train_embed(cfg: dict) -> int:
+    loss_cfg = _config(LossConfig, cfg)
+    train_cfg = _config(TrainConfig, cfg)
     ds = load_dataset(cfg["data"])
     idx = np.arange(len(ds.labels)) if cfg["rows"] == "all" else ds.rows("train")
-    if len(idx) == 0:
-        raise DataError("no training rows selected")
     d_out = cfg["dim"]
     d_hidden = cfg["hidden"] or d_out
-
-    loss_cfg = LossConfig(margin=cfg["margin"], lambda1=cfg["lambda1"],
-                          lambda2=cfg["lambda2"], lambda3=cfg["lambda3"])
-    train_cfg = TrainConfig(
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        learning_rate=cfg["lr"],
-        momentum=cfg["momentum"],
-        seed=cfg["seed"],
-        balanced_batches=cfg["balanced_batches"],
-        checkpoint_every=cfg["checkpoint_every"],
-    )
 
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
@@ -388,16 +346,13 @@ def _load_embedded(cfg: dict) -> tuple[Annotations, np.ndarray]:
 
 
 def cmd_train_zsl(cfg: dict) -> int:
+    zsl_cfg = _config(ZslConfig, cfg)
     ds, embeddings = _load_embedded(cfg)
     idx = ds.rows("train")
     if len(idx) == 0:
         raise DataError("dataset has no train rows")
     data = LabeledEmbeddings(embeddings[idx], ds.labels[idx])
-    w = train_compatibility(
-        data, ds.attributes,
-        margin=cfg["margin"], learning_rate=cfg["lr"],
-        epochs=cfg["epochs"], seed=cfg["seed"],
-    )
+    w = train_compatibility(data, ds.attributes, zsl_cfg)
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     save_model(w, os.path.join(out, "model.jec"))

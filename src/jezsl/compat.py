@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .linalg import as_matrix, make_rng, read_arrays, write_arrays
+from .linalg import (NON_NEGATIVE, POSITIVE, SEED, Config, as_matrix, at_least, make_rng,
+                     option, read_arrays, write_arrays)
 
 MODEL_MAGIC = b"JEC1"
 MODEL_VERSION = 1
@@ -67,6 +68,14 @@ class AttributeTable:
     def rows_for(self, class_ids: np.ndarray) -> np.ndarray:
         """Attribute rows of an int array of class ids, in its order."""
         return self.attributes[[self._row[c] for c in class_ids.tolist()]]
+
+
+@dataclass
+class ZslConfig(Config):
+    margin: float = option(0.1, "ranking margin", POSITIVE)
+    learning_rate: float = option(0.01, "learning rate", NON_NEGATIVE, cli="lr")
+    epochs: int = option(100, "training epochs", at_least(0))
+    seed: int = option(0, bound=SEED, cli="")
 
 
 @dataclass
@@ -153,12 +162,7 @@ def ranking_loss_grad(
 # numpy's warnings are off.
 @np.errstate(over="ignore", invalid="ignore")
 def train_compatibility(
-    data: LabeledEmbeddings,
-    table: AttributeTable,
-    margin: float = 0.1,
-    learning_rate: float = 0.01,
-    epochs: int = 100,
-    seed: int = 0,
+    data: LabeledEmbeddings, table: AttributeTable, cfg: ZslConfig = ZslConfig()
 ) -> np.ndarray:
     """Seeded minibatch SGD on the ranking loss, starting from W = 0; returns W.
 
@@ -167,14 +171,16 @@ def train_compatibility(
     so the learning rate is per row. The step uses the gradient that
     ranking_loss_grad returns and gradcheck verifies.
     """
+    cfg.validate()
     if len(data.embeddings) == 0:
         raise ValueError("train_compatibility: empty training data")
     attrs, true_col = _targets(data, table)
     x = data.embeddings
     w = np.zeros((x.shape[1], table.d_attr))
-    rng = make_rng(seed)
+    rng = make_rng(cfg.seed)
+    margin, learning_rate = cfg.margin, cfg.learning_rate
 
-    for _ in range(epochs):
+    for _ in range(cfg.epochs):
         order = rng.permutation(len(x))
         x_epoch, col_epoch = x[order], true_col[order]
         for start in range(0, len(x), BATCH_ROWS):

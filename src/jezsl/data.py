@@ -15,15 +15,15 @@ classes unresolvable from attributes alone while captions stay informative.
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .compat import AttributeTable, id_array
 from .errors import DataError
-from .linalg import as_matrix, l2_normalize_rows, make_rng, read_arrays, write_arrays
+from .linalg import (POSITIVE, SEED, UNIT, Config, as_matrix, at_least, l2_normalize_rows,
+                     make_rng, option, read_arrays, write_arrays)
 
 FEATURE_MAGIC = b"JEF1"
 FEATURE_VERSION = 1
@@ -202,42 +202,31 @@ def validate_split(
 
 
 @dataclass
-class SynthConfig:
-    n_classes: int = 10
-    n_seen: int = 7
-    samples_per_class: int = 50
-    d_visual: int = 16
-    d_sentence: int = 16
-    d_attr: int = 16
-    cluster_spread: float = 0.3
-    caption_signal: float = 0.8
-    captions_per_image: int = 1
-    attribute_collision_groups: list[list[int]] = field(default_factory=list)
-    train_fraction: float = 0.8
-    seed: int = 0
+class SynthConfig(Config):
+    n_classes: int = option(10, "total number of classes", at_least(2), cli="classes")
+    n_seen: int = option(7, "number of seen classes (ids 0..seen-1)", at_least(1), cli="seen")
+    samples_per_class: int = option(50, "samples per class", at_least(2), cli="per_class")
+    d_visual: int = option(16, "visual feature dimensionality", at_least(2))
+    d_sentence: int = option(16, "sentence feature dimensionality", at_least(2))
+    d_attr: int = option(16, "attribute dimensionality", at_least(2))
+    cluster_spread: float = option(0.3, "cluster noise scale", POSITIVE, cli="spread")
+    caption_signal: float = option(0.8, "class-unique share of caption direction", UNIT)
+    captions_per_image: int = option(1, "caption variants per image", at_least(1))
+    attribute_collision_groups: list[list[int]] = option(
+        [], "attribute collision groups, e.g. '3,4' or '3,4;5,6'", cli="collide")
+    train_fraction: float = option(0.8, bound=("in (0, 1)", lambda x: 0 < x < 1), cli="")
+    seed: int = option(0, bound=SEED, cli="")
 
-    def validate(self) -> None:
-        if not 0 < self.n_seen < self.n_classes:
-            raise ValueError(
-                f"need 0 < n_seen < n_classes, got {self.n_seen}/{self.n_classes}"
-            )
-        for name in ("d_visual", "d_sentence", "d_attr"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be >= 2")
-        if not 0 < self.cluster_spread < math.inf:
-            raise ValueError(f"cluster_spread must be finite and > 0, got {self.cluster_spread}")
-        if not 0.0 <= self.caption_signal <= 1.0:
-            raise ValueError("caption_signal must be in [0, 1]")
-        if self.samples_per_class < 2:
-            raise ValueError("samples_per_class must be >= 2")
-        if self.captions_per_image < 1:
-            raise ValueError("captions_per_image must be >= 1")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
-        for group in self.attribute_collision_groups:
-            for cid in group:
-                if not 0 <= cid < self.n_classes:
-                    raise ValueError(f"collision class {cid} outside [0, {self.n_classes})")
+    def rules(self, name) -> None:
+        seen, classes = name("n_seen"), name("n_classes")
+        if self.n_seen >= self.n_classes:
+            raise ValueError(f"{seen} must be < {classes}, got {seen} {self.n_seen} "
+                             f"{classes} {self.n_classes}")
+        outside = sorted({c for group in self.attribute_collision_groups for c in group
+                          if not 0 <= c < self.n_classes})
+        if outside:
+            raise ValueError(f"{name('attribute_collision_groups')} class ids must be in "
+                             f"[0, {classes}) = [0, {self.n_classes}), got {outside}")
 
 
 def generate(cfg: SynthConfig) -> Dataset:

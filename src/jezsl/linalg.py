@@ -1,4 +1,4 @@
-"""Dense float64 linear algebra, RNG helpers, and the binary artifact codec.
+"""Dense float64 linear algebra, RNG helpers, the artifact codec, and configs.
 
 Everything is backed by numpy with float64 storage. Reductions rely on
 numpy's fixed-order kernels, so repeated runs on the same build are
@@ -10,6 +10,9 @@ arrays written by `write_arrays` and read back by `read_arrays`: a 4-byte
 magic, a version byte, the uint32 LE dims of every array in order, then
 the arrays' row-major float64 LE payloads in the same order. The reader is
 told each array's rank, so the header carries no per-array bookkeeping.
+
+A config dataclass (`Config`) declares each field once, with `option`: its
+default, help, bound and CLI name. The CLI builds its options from them.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from dataclasses import field, fields
 
 import numpy as np
 
@@ -126,3 +130,58 @@ def read_arrays(path: str, magic: bytes, version: int, ranks) -> list[np.ndarray
         out.append(flat[offset : offset + n].reshape(shape))
         offset += n
     return out
+
+
+# --- config fields -----------------------------------------------------------
+
+# A bound is (text, test): the value must be <text>. Each test is written so
+# that NaN, for which every comparison is false, fails it.
+POSITIVE = ("finite and > 0", lambda x: 0 < x < math.inf)
+NON_NEGATIVE = ("finite and >= 0", lambda x: 0 <= x < math.inf)
+UNIT = ("in [0, 1]", lambda x: 0 <= x <= 1)
+# The resume bundle stores the seed as float64, which holds every integer
+# only up to 2**53; past it two seeds can look the same.
+SEED = ("in [0, 2**53]", lambda x: 0 <= x <= 2**53)
+
+
+def at_least(n):
+    return (f">= {n}", lambda x: x >= n)
+
+
+def one_of(*choices):
+    return ("one of " + "|".join(choices), lambda x: x in choices)
+
+
+def option(default, help: str = "", bound=None, cli: str | None = None):
+    """A dataclass field that holds its help text, bound and CLI name.
+
+    `cli` names the field's option when it differs from the field name
+    ("lr" for learning_rate); "" marks a field that no option sets. A list
+    default gives each instance its own copy.
+    """
+    meta = {"help": help, "bound": bound, "cli": cli}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+class Config:
+    """Base of the config dataclasses, whose fields are made by `option`."""
+
+    @classmethod
+    def cli_name(cls, name: str) -> str:
+        """The CLI option of field `name`; a name that is no field keeps its own."""
+        cli = next((f.metadata["cli"] for f in fields(cls) if f.name == name), None)
+        return "--" + (cli or name).replace("_", "-")
+
+    def validate(self, name=str) -> None:
+        """ValueError for the first field outside its bound, then for a
+        broken rule. `name` turns a field name into the one messages use."""
+        for f in fields(self):
+            bound, value = f.metadata["bound"], getattr(self, f.name)
+            if bound is not None and not bound[1](value):
+                raise ValueError(f"{name(f.name)} must be {bound[0]}, got {value!r}")
+        self.rules(name)
+
+    def rules(self, name) -> None:
+        """The rules that span fields; none unless a config adds them."""

@@ -14,7 +14,6 @@ uninterrupted run, and a resume under changed hyperparameters is refused.
 from __future__ import annotations
 
 import logging
-import math
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -34,32 +33,25 @@ from .heads import (
     head_from_arrays,
     save_head,
 )
-from .linalg import as_matrix, make_rng, read_arrays, write_arrays
+from .linalg import (NON_NEGATIVE, SEED, Config, as_matrix, at_least, make_rng, option,
+                     read_arrays, write_arrays)
 
 log = logging.getLogger("jezsl.trainer")
 
 
 @dataclass
-class TrainConfig:
-    epochs: int = 50
-    batch_size: int = 32
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    seed: int = 0
-    shuffle: bool = True
-    balanced_batches: bool = False
-    checkpoint_every: int = 0
-
-    def validate(self) -> None:
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 (batch statistics need variance)")
-        # learning_rate 0 is allowed: it exercises the no-op update path.
-        if not 0 <= self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+class TrainConfig(Config):
+    epochs: int = option(50, "training epochs", at_least(0))
+    # Batch statistics need variance, so a batch holds at least two rows.
+    batch_size: int = option(32, "minibatch size", at_least(2))
+    # learning_rate 0 is allowed: it exercises the no-op update path.
+    learning_rate: float = option(0.01, "learning rate", NON_NEGATIVE, cli="lr")
+    momentum: float = option(0.9, "SGD momentum", ("in [0, 1)", lambda x: 0 <= x < 1))
+    seed: int = option(0, bound=SEED, cli="")
+    shuffle: bool = option(True, cli="")
+    balanced_batches: bool = option(False, "force >= 2 groups per batch")
+    checkpoint_every: int = option(0, "save state every N epochs (0: only at end)",
+                                   at_least(0))
 
 
 @dataclass
@@ -281,6 +273,9 @@ def train_joint(
             f"row counts disagree: {len(visual)} visual, {len(sentences)} sentence, "
             f"{len(groups)} groups"
         )
+    if not (groups != groups[:1]).any():
+        raise ValueError(f"{len(groups)} training rows hold fewer than two groups, "
+                         "so no triplet has a negative")
     if visual.shape[1] != head_v.d_in:
         raise ValueError("visual feature width does not match visual head input")
     if sentences.shape[1] != head_s.d_in:

@@ -12,7 +12,7 @@ import pytest
 
 from jezsl.alignment import LossConfig, MiniBatch, alignment_loss
 from jezsl.cli import main as cli_main
-from jezsl.compat import LabeledEmbeddings, infer_batch, train_compatibility
+from jezsl.compat import LabeledEmbeddings, ZslConfig, infer_batch, train_compatibility
 from jezsl.data import SynthConfig, generate
 from jezsl.gradcheck import TOLERANCE, run_all
 from jezsl.heads import forward, init_head
@@ -128,8 +128,7 @@ class TestCriterion4GroundedEmbeddingBenefit:
         w = train_compatibility(
             LabeledEmbeddings(features[train_idx], data.labels[train_idx]),
             table,
-            epochs=60,
-            seed=seed,
+            ZslConfig(epochs=60, seed=seed),
         )
         preds, _ = infer_batch(w, features[unseen_idx], table)
         _, t1 = per_class_accuracy(preds, data.labels[unseen_idx], table.unseen)

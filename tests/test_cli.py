@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -14,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jezsl
-from jezsl.cli import _parse_collide, main
-from jezsl.compat import load_model
-from jezsl.data import load_dataset, read_features
+from jezsl.alignment import LossConfig
+from jezsl.cli import COMMANDS, _parse_collide, main
+from jezsl.compat import ZslConfig, load_model
+from jezsl.data import SynthConfig, load_dataset, read_features
 from jezsl.heads import load_head
 from jezsl.linalg import make_rng
-from jezsl.trainer import load_train_state
+from jezsl.trainer import TrainConfig, load_train_state
 
 
 def run(*argv):
@@ -248,6 +250,18 @@ class TestTrainEmbed:
         data = gen(tmp_path)
         assert run("train-embed", "--data", data, "--out", str(tmp_path / "x"),
                    "--rows", "validation") == 1
+
+    def test_rows_of_one_group_are_data_error(self, tmp_path, capsys):
+        # One seen class puts every train row in one group, so no triplet
+        # has a negative and training would leave the heads as initialised.
+        data = gen(tmp_path, **{"--classes": "3", "--seen": "1", "--per-class": "10"})
+        capsys.readouterr()
+        out = str(tmp_path / "run")
+        code, err = run_without_warnings(capsys, "train-embed", "--data", data, "--out", out,
+                                         "--rows", "train", "--epochs", "2",
+                                         "--batch-size", "4")
+        assert code == 2 and "fewer than two groups" in err
+        assert not os.path.exists(os.path.join(out, "head_v.jeh"))
 
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert run("train-embed", "--data", str(tmp_path / "nope"),
@@ -790,3 +804,30 @@ def test_cli_contract(fuzz_inputs, drawn):
         again = os.path.join(tmp, "again.jef" if command == "embed" else "again")
         assert call(command, "--config", manifest, "--out", again)[0] == 0
         assert outputs(command, again) == outputs(command, out)
+
+
+# Each config with the command whose options set its fields.
+CONFIG_COMMANDS = ((SynthConfig, "gen-synth"), (LossConfig, "train-embed"),
+                   (TrainConfig, "train-embed"), (ZslConfig, "train-zsl"))
+
+
+def refused_by_cli():
+    """(config, field, value) for every value outside its bound in FUZZ that
+    the option of a config field parses."""
+    for config, command in CONFIG_COMMANDS:
+        opts = {o.cli: o for o in COMMANDS[command]}
+        for f in dataclasses.fields(config):
+            option = config.cli_name(f.name)
+            for raw in FUZZ[command].get(option, ((), ()))[1]:
+                try:
+                    value = opts[option].typ(raw)
+                except ValueError:
+                    continue
+                yield pytest.param(config, f.name, value,
+                                   id=f"{config.__name__}.{f.name}={raw}")
+
+
+@pytest.mark.parametrize("config, name, value", refused_by_cli())
+def test_library_refuses_what_the_cli_refuses(config, name, value):
+    with pytest.raises(ValueError):
+        config(**{name: value}).validate()

@@ -14,6 +14,7 @@ from jezsl.compat import (
     ranking_loss,
     ranking_loss_grad,
     save_model,
+    ZslConfig,
     train_compatibility,
 )
 from jezsl.errors import DataError, NumericalError
@@ -169,7 +170,7 @@ class TestTraining:
         labels = np.repeat(np.arange(n_seen), 10)
         emb = np.eye(n_seen, d)[labels] + 0.05 * rng.standard_normal((40, d))
         data = LabeledEmbeddings(emb, labels)
-        w = train_compatibility(data, table, epochs=50, seed=0)
+        w = train_compatibility(data, table, ZslConfig(epochs=50, seed=0))
         _, preds = infer_batch(w, emb, table)
         assert np.mean(preds == labels) == 1.0
 
@@ -181,7 +182,7 @@ class TestTraining:
             unseen=[1],
         )
         data = LabeledEmbeddings(np.ones((3, 4)), np.zeros(3, int))
-        w = train_compatibility(data, table, epochs=10)
+        w = train_compatibility(data, table, ZslConfig(epochs=10))
         assert np.all(w == 0.0)
 
     def test_deterministic(self):
@@ -190,8 +191,8 @@ class TestTraining:
         data = LabeledEmbeddings(
             rng.standard_normal((12, 5)), rng.integers(0, 3, size=12)
         )
-        m1 = train_compatibility(data, table, epochs=20, seed=3)
-        m2 = train_compatibility(data, table, epochs=20, seed=3)
+        m1 = train_compatibility(data, table, ZslConfig(epochs=20, seed=3))
+        m2 = train_compatibility(data, table, ZslConfig(epochs=20, seed=3))
         np.testing.assert_array_equal(m1, m2)
 
     @pytest.mark.parametrize("n", [1, 12, BATCH_ROWS])
@@ -204,7 +205,7 @@ class TestTraining:
         for _ in range(2):
             w -= lr * ranking_loss_grad(w, data, table, margin)
         trained = train_compatibility(
-            data, table, margin=margin, learning_rate=lr, epochs=2, seed=2
+            data, table, ZslConfig(margin=margin, learning_rate=lr, epochs=2, seed=2)
         )
         assert np.any(w != 0.0)
         assert np.linalg.norm(trained - w) <= 1e-12 * np.linalg.norm(w)
@@ -222,7 +223,7 @@ class TestTraining:
                 part = LabeledEmbeddings(data.embeddings[rows], data.labels[rows])
                 w -= lr * ranking_loss_grad(w, part, table, margin)
         trained = train_compatibility(
-            data, table, margin=margin, learning_rate=lr, epochs=2, seed=seed
+            data, table, ZslConfig(margin=margin, learning_rate=lr, epochs=2, seed=seed)
         )
         assert np.linalg.norm(trained - w) <= 1e-12 * np.linalg.norm(w)
 
@@ -241,8 +242,8 @@ class TestTraining:
         rng = make_rng(14)
         table = simple_table(n_seen=n_seen, n_unseen=n_unseen, d_attr=d_attr, seed=14)
         data = LabeledEmbeddings(rng.standard_normal((n, d)), rng.integers(0, n_seen, size=n))
-        w = train_compatibility(data, table, margin=0.3, learning_rate=0.05,
-                                epochs=3, seed=5)
+        w = train_compatibility(data, table, ZslConfig(margin=0.3, learning_rate=0.05,
+                                                            epochs=3, seed=5))
         assert hashlib.sha256(w.tobytes()).hexdigest() == digest
 
     def test_divergence_raises_numerical_error(self):
@@ -253,7 +254,15 @@ class TestTraining:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError):
-                train_compatibility(data, table, learning_rate=1e308, epochs=5)
+                train_compatibility(data, table, ZslConfig(learning_rate=1e308, epochs=5))
+
+    @pytest.mark.parametrize("bad", [{"margin": -1.0}, {"margin": float("nan")},
+                                     {"epochs": -1}, {"learning_rate": -0.1}])
+    def test_invalid_config_rejected(self, bad):
+        table = simple_table()
+        data = LabeledEmbeddings(np.ones((2, 5)), [0, 1])
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be "):
+            train_compatibility(data, table, ZslConfig(**bad))
 
     def test_labels_outside_seen_rejected(self):
         table = simple_table()
