@@ -17,4 +17,4 @@ from .data import Dataset, SynthConfig, generate, load_dataset, read_features, s
 from .errors import DataError, JezslError, NumericalError
 from .heads import EmbeddingHead, backward, forward, init_head, load_head, save_head
 from .metrics import GzslReport, evaluate, harmonic_mean, per_class_accuracy
-from .trainer import TrainConfig, TrainLog, sgd_step, train_joint
+from .trainer import TrainConfig, TrainLog, TrainState, sgd_step, train_joint

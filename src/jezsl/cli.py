@@ -261,6 +261,12 @@ def cmd_gen_synth(cfg: dict) -> int:
     return 0
 
 
+def _exact(value) -> str:
+    """The shortest text that reads back as `value`, an integer without ".0",
+    so two different values never print alike."""
+    return repr(float(value)).removesuffix(".0")
+
+
 def _check_resume(state: TrainState, cfg: dict, loss_cfg, train_cfg, rows: int,
                   path: str) -> None:
     """UsageError naming the first option that differs from the saved run."""
@@ -272,8 +278,8 @@ def _check_resume(state: TrainState, cfg: dict, loss_cfg, train_cfg, rows: int,
     if changed is not None:
         name, was, now = changed
         option = TrainConfig.cli_name(name)  # dim, hidden, rows, LossConfig's: --<name>
-        raise UsageError(f"--resume: {path} was trained with {name}={was:g}, not "
-                         f"{now:g}; set {option} as before or drop --resume")
+        raise UsageError(f"--resume: {path} was trained with {name}={_exact(was)}, not "
+                         f"{_exact(now)}; set {option} as before or drop --resume")
 
 
 def cmd_train_embed(cfg: dict) -> int:
@@ -285,7 +291,6 @@ def cmd_train_embed(cfg: dict) -> int:
     d_hidden = cfg["hidden"] or d_out
 
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     path_state = os.path.join(out, STATE_FILE)
     if cfg["resume"] and os.path.exists(path_state):
         state = load_train_state(path_state)
@@ -299,11 +304,8 @@ def cmd_train_embed(cfg: dict) -> int:
             init_head(ds.sentences.shape[1], d_hidden, d_out, make_rng(cfg["seed"] + 2)),
         )
 
-    _, _, tlog = train_joint(
-        ds.visual[idx], ds.sentences[idx], ds.groups[idx],
-        state.head_v, state.head_s, loss_cfg, train_cfg,
-        state=state, checkpoint_dir=out,
-    )
+    tlog = train_joint(ds.visual[idx], ds.sentences[idx], ds.groups[idx], state,
+                       loss_cfg, train_cfg, checkpoint_dir=out)
 
     log_lines = list(tlog.lines())
     with open(os.path.join(out, "train_log.txt"), "w") as fh:
@@ -450,10 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (DataError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -208,6 +208,10 @@ def infer_batch(
         raise ValueError(
             f"inference input width {x.shape[1]} != model embedding dim {w.shape[0]}"
         )
+    if w.shape[1] != table.d_attr:
+        raise ValueError(
+            f"model attribute width {w.shape[1]} != class attribute width {table.d_attr}"
+        )
     if not table.unseen.size:
         raise ValueError("no unseen classes to predict")
     ids = table.split_ids

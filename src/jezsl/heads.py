@@ -58,17 +58,14 @@ class EmbeddingHead:
 
 @dataclass
 class ForwardTrace:
-    """Cached activations of one train-mode forward, consumed by backward."""
+    """What backward reads of one train-mode forward."""
 
     inputs: np.ndarray  # (b, d_in)
-    pre_relu: np.ndarray  # (b, d_hidden)
     post_relu: np.ndarray  # (b, d_hidden)
-    batch_mean: np.ndarray  # (d_out,)
-    batch_var: np.ndarray  # biased, (d_out,)
     inv_std: np.ndarray  # 1/sqrt(var + eps), (d_out,)
     normalized: np.ndarray  # BN-whitened activations, (b, d_out)
-    pre_l2: np.ndarray  # after BN affine, before row normalization
-    row_norms: np.ndarray  # (b,)
+    embeddings: np.ndarray  # the unit-norm rows forward returned, (b, d_out)
+    row_norms: np.ndarray  # norms of the rows before normalization, (b,)
     train_mode: bool = True
 
 
@@ -124,27 +121,24 @@ def forward(
     if train and b < 2:
         raise ValueError("forward: train mode needs batch size >= 2 for batch statistics")
 
-    pre_relu = batch @ head.w1.T + head.b1
-    post_relu = np.maximum(pre_relu, 0.0)
+    post_relu = np.maximum(batch @ head.w1.T + head.b1, 0.0)
     pre_bn = post_relu @ head.w2.T + head.b2
 
     if train:
         # np.add.reduce(., 0) / b is what ndarray.mean and .var compute,
         # without their wrappers' cost.
-        batch_mean = np.add.reduce(pre_bn, 0) / b
-        centered = pre_bn - batch_mean
-        batch_var = np.add.reduce(centered * centered, 0) / b  # biased; bn_epsilon guards 0
-        inv_std = 1.0 / np.sqrt(batch_var + head.bn_epsilon)
-        normalized = centered * inv_std
+        mean = np.add.reduce(pre_bn, 0) / b
+        centered = pre_bn - mean
+        var = np.add.reduce(centered * centered, 0) / b  # biased; bn_epsilon guards 0
         mom = head.bn_momentum
-        unbiased = batch_var * b / (b - 1)
-        head.bn_running_mean[:] = (1.0 - mom) * head.bn_running_mean + mom * batch_mean
+        unbiased = var * b / (b - 1)
+        head.bn_running_mean[:] = (1.0 - mom) * head.bn_running_mean + mom * mean
         head.bn_running_var[:] = (1.0 - mom) * head.bn_running_var + mom * unbiased
     else:
-        batch_mean = head.bn_running_mean.copy()
-        batch_var = head.bn_running_var.copy()
-        inv_std = 1.0 / np.sqrt(batch_var + head.bn_epsilon)
-        normalized = (pre_bn - batch_mean) * inv_std
+        centered = pre_bn - head.bn_running_mean
+        var = head.bn_running_var
+    inv_std = 1.0 / np.sqrt(var + head.bn_epsilon)
+    normalized = centered * inv_std
 
     pre_l2 = head.bn_gamma * normalized + head.bn_beta
     row_norms = np.sqrt(np.add.reduce(pre_l2 * pre_l2, 1))
@@ -155,18 +149,9 @@ def forward(
         )
     embeddings = pre_l2 / row_norms[:, None]
 
-    trace = ForwardTrace(
-        inputs=batch,
-        pre_relu=pre_relu,
-        post_relu=post_relu,
-        batch_mean=batch_mean,
-        batch_var=batch_var,
-        inv_std=inv_std,
-        normalized=normalized,
-        pre_l2=pre_l2,
-        row_norms=row_norms,
-        train_mode=train,
-    )
+    trace = ForwardTrace(inputs=batch, post_relu=post_relu, inv_std=inv_std,
+                         normalized=normalized, embeddings=embeddings,
+                         row_norms=row_norms, train_mode=train)
     return embeddings, trace
 
 
@@ -182,14 +167,14 @@ def backward(
     if not trace.train_mode:
         raise ValueError("backward: trace must come from a train-mode forward")
     d_embeddings = as_matrix(d_embeddings, "d_embeddings")
-    b, d_out = trace.pre_l2.shape
+    b, d_out = trace.embeddings.shape
     if d_embeddings.shape != (b, d_out):
         raise ValueError(
             f"backward: d_embeddings shape {d_embeddings.shape} != {(b, d_out)}"
         )
 
     # Row-wise L2 normalization: o = u/|u|, d_u = (g - o(o.g)) / |u|
-    out = trace.pre_l2 / trace.row_norms[:, None]
+    out = trace.embeddings
     dot = np.add.reduce(out * d_embeddings, 1, keepdims=True)
     d_pre_l2 = (d_embeddings - out * dot) / trace.row_norms[:, None]
 
@@ -208,8 +193,8 @@ def backward(
     d_b2 = np.add.reduce(d_pre_bn, 0)
     d_post_relu = d_pre_bn @ head.w2
 
-    # ReLU and first FC
-    d_pre_relu = d_post_relu * (trace.pre_relu > 0.0)
+    # ReLU (post_relu > 0 exactly where its input is) and first FC
+    d_pre_relu = d_post_relu * (trace.post_relu > 0.0)
     d_w1 = d_pre_relu.T @ trace.inputs
     d_b1 = np.add.reduce(d_pre_relu, 0)
     d_input = d_pre_relu @ head.w1

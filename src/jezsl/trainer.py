@@ -203,7 +203,9 @@ def load_train_state(path: str) -> TrainState:
 
 
 def save_checkpoint(state: TrainState, out_dir: str) -> None:
-    """Write both heads (for `embed`) and then the resume bundle."""
+    """Write both heads (for `embed`) and then the resume bundle into
+    out_dir, which it creates if need be."""
+    os.makedirs(out_dir, exist_ok=True)
     save_head(state.head_v, os.path.join(out_dir, "head_v.jeh"))
     save_head(state.head_s, os.path.join(out_dir, "head_s.jeh"))
     save_train_state(state, os.path.join(out_dir, STATE_FILE))
@@ -244,21 +246,19 @@ def train_joint(
     visual: np.ndarray,
     sentences: np.ndarray,
     groups: np.ndarray,
-    head_v: EmbeddingHead,
-    head_s: EmbeddingHead,
+    state: TrainState,
     loss_cfg: LossConfig,
     train_cfg: TrainConfig,
-    state: TrainState | None = None,
     checkpoint_dir: str | None = None,
-) -> tuple[EmbeddingHead, EmbeddingHead, TrainLog]:
-    """Train both heads in place on paired features; returns them with a log.
+) -> TrainLog:
+    """Train the state's two heads in place on paired features; returns the log.
 
     The heads' learnable arrays are replaced by views into one flat vector
     that each step updates, alongside the state's flat velocity, so an array
     taken from a head before the call keeps its old values.
 
-    Passing a TrainState loaded from disk (its heads must be the ones passed)
-    resumes at state.next_epoch and is bit-identical to having trained
+    Training starts at state.next_epoch: TrainState.fresh starts a run, and
+    a state loaded from disk resumes bit-identically to having trained
     straight through; a state trained under other hyperparameters is refused.
     With checkpoint_dir, save_checkpoint writes there every checkpoint_every
     epochs (if set) and at the end, unless the last epoch has just written
@@ -276,6 +276,7 @@ def train_joint(
     if not (groups != groups[:1]).any():
         raise ValueError(f"{len(groups)} training rows hold fewer than two groups, "
                          "so no triplet has a negative")
+    head_v, head_s = state.head_v, state.head_s
     if visual.shape[1] != head_v.d_in:
         raise ValueError("visual feature width does not match visual head input")
     if sentences.shape[1] != head_s.d_in:
@@ -285,10 +286,6 @@ def train_joint(
     train_cfg.validate()
     loss_cfg.validate()
 
-    if state is None:
-        state = TrainState.fresh(head_v, head_s)
-    if state.head_v is not head_v or state.head_s is not head_s:
-        raise ValueError("train_joint: the state holds other heads than the ones passed")
     changed = state.changed_hyperparam(loss_cfg, train_cfg, len(visual))
     if changed is not None:
         raise ValueError("train_joint: state was trained with %s=%r, not %r" % changed)
@@ -359,4 +356,4 @@ def train_joint(
 
     if checkpoint_dir is not None and written != state.next_epoch:
         save_checkpoint(state, checkpoint_dir)
-    return head_v, head_s, train_log
+    return train_log

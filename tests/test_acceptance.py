@@ -18,7 +18,7 @@ from jezsl.gradcheck import TOLERANCE, run_all
 from jezsl.heads import forward, init_head
 from jezsl.linalg import l2_normalize_rows, make_rng
 from jezsl.metrics import evaluate, harmonic_mean, per_class_accuracy
-from jezsl.trainer import TrainConfig, train_joint
+from jezsl.trainer import TrainConfig, TrainState, train_joint
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -159,7 +159,7 @@ class TestCriterion4GroundedEmbeddingBenefit:
             hv = init_head(cfg.d_visual, 24, 10, make_rng(seed + 1))
             hs = init_head(cfg.d_sentence, 24, 10, make_rng(seed + 2))
             train_joint(
-                data.visual, data.sentences, data.groups, hv, hs,
+                data.visual, data.sentences, data.groups, TrainState.fresh(hv, hs),
                 LossConfig(),
                 TrainConfig(epochs=30, batch_size=32, learning_rate=0.01, seed=seed),
             )
@@ -184,8 +184,8 @@ class TestCriterion5TrainingSanity:
         data = generate(cfg)
         hv = init_head(cfg.d_visual, 64, 16, make_rng(1))
         hs = init_head(cfg.d_sentence, 64, 16, make_rng(2))
-        _, _, log = train_joint(
-            data.visual, data.sentences, data.groups, hv, hs,
+        log = train_joint(
+            data.visual, data.sentences, data.groups, TrainState.fresh(hv, hs),
             LossConfig(), TrainConfig(epochs=50, batch_size=32, seed=0),
         )
         ratio = log.epoch_loss[-1] / log.epoch_loss[0]

@@ -194,16 +194,21 @@ class TestTrainEmbed:
     def test_resume_refuses_changed_options(self, tmp_path, capsys):
         data = gen(tmp_path)
         out = str(tmp_path / "run")
-        common = ["--data", data, "--out", out, "--batch-size", "8", "--seed", "1"]
+        common = ["--data", data, "--out", out, "--batch-size", "8", "--seed", "1000000"]
         assert run("train-embed", "--epochs", "1", "--dim", "16", *common) == 0
         heads = [open(os.path.join(out, n), "rb").read()
                  for n in ("head_v.jeh", "head_s.jeh", "trainer_state.jet", "manifest.txt")]
         capsys.readouterr()
-        for changed, option in ((["--dim", "8", "--lr", "0.5", "--batch-size", "64"], "--dim"),
-                                (["--dim", "16", "--lr", "0.5"], "--lr"),
-                                (["--dim", "16", "--rows", "train"], "--rows")):
+        # The last flag wins, so a later --seed replaces the one in common.
+        for changed, text in ((["--dim", "8", "--lr", "0.5", "--batch-size", "64"], "--dim"),
+                              (["--dim", "16", "--lr", "0.5"], "--lr"),
+                              (["--dim", "16", "--rows", "train"], "--rows"),
+                              (["--dim", "16", "--seed", "1000001"],
+                               "seed=1000000, not 1000001; set --seed"),
+                              (["--dim", "16", "--lr", "0.0100000001"],
+                               "learning_rate=0.01, not 0.0100000001; set --lr")):
             assert run("train-embed", "--epochs", "2", "--resume", *common, *changed) == 1
-            assert option in capsys.readouterr().err
+            assert text in capsys.readouterr().err
         assert heads == [open(os.path.join(out, n), "rb").read()
                          for n in ("head_v.jeh", "head_s.jeh", "trainer_state.jet",
                                    "manifest.txt")]
@@ -262,6 +267,17 @@ class TestTrainEmbed:
                                          "--batch-size", "4")
         assert code == 2 and "fewer than two groups" in err
         assert not os.path.exists(os.path.join(out, "head_v.jeh"))
+
+    @pytest.mark.parametrize("dataset, options, code", [
+        ({"--classes": "3", "--seen": "1"}, ["--rows", "train"], 2),  # one group
+        ({}, ["--lr", "1e308", "--batch-size", "64"], 3),  # diverges in epoch 1
+    ])
+    def test_refused_run_leaves_no_out_directory(self, tmp_path, dataset, options, code):
+        data = gen(tmp_path, **dataset)
+        out = str(tmp_path / "run")
+        assert run("train-embed", "--data", data, "--out", out, "--epochs", "2",
+                   *options) == code
+        assert not os.path.exists(out)
 
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert run("train-embed", "--data", str(tmp_path / "nope"),

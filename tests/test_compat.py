@@ -329,6 +329,12 @@ class TestInference:
         with pytest.raises(ValueError):
             infer_batch(w, np.ones((1, 6)), table)
 
+    def test_attribute_width_mismatch_names_both_widths(self):
+        table = simple_table(d_attr=4)
+        with pytest.raises(ValueError, match="model attribute width 6 != class attribute "
+                                             "width 4"):
+            infer_batch(np.zeros((5, 6)), np.ones((1, 5)), table)
+
     def test_no_unseen_classes(self):
         table = AttributeTable(class_ids=[0, 1], attributes=np.eye(2),
                                seen={0, 1}, unseen=set())

@@ -127,7 +127,7 @@ class TestTrainJoint:
         hv, hs = fresh_heads()
         before_v, before_s = snapshot(hv), snapshot(hs)
         train_joint(
-            visual, sentences, groups, hv, hs,
+            visual, sentences, groups, TrainState.fresh(hv, hs),
             LossConfig(), TrainConfig(epochs=0, batch_size=8, seed=0),
         )
         for k, v in before_v.items():
@@ -140,7 +140,7 @@ class TestTrainJoint:
         hv, hs = fresh_heads()
         before = snapshot(hv)
         train_joint(
-            visual, sentences, groups, hv, hs,
+            visual, sentences, groups, TrainState.fresh(hv, hs),
             LossConfig(), TrainConfig(epochs=2, batch_size=8, learning_rate=0.0, seed=0),
         )
         for k, v in before.items():
@@ -154,11 +154,11 @@ class TestTrainJoint:
         cfg = TrainConfig(epochs=3, batch_size=8, seed=4)
         hv1, hs1 = fresh_heads()
         hv2, hs2 = fresh_heads()
-        _, _, log1 = train_joint(
-            visual, sentences, groups, hv1, hs1, LossConfig(), cfg
+        log1 = train_joint(
+            visual, sentences, groups, TrainState.fresh(hv1, hs1), LossConfig(), cfg
         )
-        _, _, log2 = train_joint(
-            visual, sentences, groups, hv2, hs2, LossConfig(), cfg
+        log2 = train_joint(
+            visual, sentences, groups, TrainState.fresh(hv2, hs2), LossConfig(), cfg
         )
         assert log1.epoch_loss == log2.epoch_loss
         for k, v in snapshot(hv1).items():
@@ -167,8 +167,8 @@ class TestTrainJoint:
     def test_loss_decreases_on_separable_problem(self):
         visual, sentences, groups = make_problem(seed=1)
         hv, hs = fresh_heads(seed=1)
-        _, _, log = train_joint(
-            visual, sentences, groups, hv, hs,
+        log = train_joint(
+            visual, sentences, groups, TrainState.fresh(hv, hs),
             LossConfig(), TrainConfig(epochs=15, batch_size=10, seed=1),
         )
         assert log.epoch_loss[-1] < log.epoch_loss[0]
@@ -179,23 +179,22 @@ class TestTrainJoint:
 
         hv_full, hs_full = fresh_heads(seed=2)
         train_joint(
-            visual, sentences, groups, hv_full, hs_full,
+            visual, sentences, groups, TrainState.fresh(hv_full, hs_full),
             loss_cfg, TrainConfig(epochs=6, batch_size=8, seed=2),
         )
 
-        hv, hs = fresh_heads(seed=2)
-        state = TrainState.fresh(hv, hs)
+        state = TrainState.fresh(*fresh_heads(seed=2))
         train_joint(
-            visual, sentences, groups, hv, hs,
-            loss_cfg, TrainConfig(epochs=3, batch_size=8, seed=2), state=state,
+            visual, sentences, groups, state,
+            loss_cfg, TrainConfig(epochs=3, batch_size=8, seed=2),
         )
         path = str(tmp_path / "state.jet")
         save_train_state(state, path)
         resumed = load_train_state(path)
         assert resumed.next_epoch == 3
         train_joint(
-            visual, sentences, groups, resumed.head_v, resumed.head_s,
-            loss_cfg, TrainConfig(epochs=6, batch_size=8, seed=2), state=resumed,
+            visual, sentences, groups, resumed,
+            loss_cfg, TrainConfig(epochs=6, batch_size=8, seed=2),
         )
         for k, v in snapshot(hv_full).items():
             np.testing.assert_array_equal(getattr(resumed.head_v, k), v)
@@ -204,26 +203,26 @@ class TestTrainJoint:
 
     def test_resume_refuses_changed_hyperparameters(self):
         visual, sentences, groups = make_problem()
-        hv, hs = fresh_heads()
-        state = TrainState.fresh(hv, hs)
-        train_joint(visual, sentences, groups, hv, hs, LossConfig(),
-                    TrainConfig(epochs=1, batch_size=8), state=state)
+        state = TrainState.fresh(*fresh_heads())
+        train_joint(visual, sentences, groups, state, LossConfig(),
+                    TrainConfig(epochs=1, batch_size=8))
         with pytest.raises(ValueError, match="batch_size=8"):
-            train_joint(visual, sentences, groups, hv, hs, LossConfig(),
-                        TrainConfig(epochs=2, batch_size=10), state=state)
+            train_joint(visual, sentences, groups, state, LossConfig(),
+                        TrainConfig(epochs=2, batch_size=10))
         with pytest.raises(ValueError, match="rows=40"):
-            train_joint(visual[:30], sentences[:30], groups[:30], hv, hs, LossConfig(),
-                        TrainConfig(epochs=2, batch_size=8), state=state)
+            train_joint(visual[:30], sentences[:30], groups[:30], state, LossConfig(),
+                        TrainConfig(epochs=2, batch_size=8))
         # epochs and checkpoint_every do not shape the trajectory
-        train_joint(visual, sentences, groups, hv, hs, LossConfig(),
-                    TrainConfig(epochs=2, batch_size=8, checkpoint_every=5), state=state)
+        train_joint(visual, sentences, groups, state, LossConfig(),
+                    TrainConfig(epochs=2, batch_size=8, checkpoint_every=5))
         assert state.next_epoch == 2
 
     def test_crash_during_checkpoint_keeps_previous_bundle(self, tmp_path, monkeypatch):
         visual, sentences, groups = make_problem(seed=3)
         cfg = TrainConfig(epochs=6, batch_size=8, seed=3, checkpoint_every=1)
         hv_full, hs_full = fresh_heads(seed=3)
-        train_joint(visual, sentences, groups, hv_full, hs_full, LossConfig(), cfg)
+        train_joint(visual, sentences, groups, TrainState.fresh(hv_full, hs_full),
+                    LossConfig(), cfg)
 
         real_replace = os.replace
         bundle_writes = []
@@ -236,17 +235,15 @@ class TestTrainJoint:
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", replace)
-        hv, hs = fresh_heads(seed=3)
         with pytest.raises(OSError, match="disk full"):
-            train_joint(visual, sentences, groups, hv, hs, LossConfig(), cfg,
-                        checkpoint_dir=str(tmp_path))
+            train_joint(visual, sentences, groups, TrainState.fresh(*fresh_heads(seed=3)),
+                        LossConfig(), cfg, checkpoint_dir=str(tmp_path))
         monkeypatch.undo()
         assert sorted(os.listdir(tmp_path)) == ["head_s.jeh", "head_v.jeh", STATE_FILE]
 
         state = load_train_state(str(tmp_path / STATE_FILE))
         assert state.next_epoch == 3
-        train_joint(visual, sentences, groups, state.head_v, state.head_s,
-                    LossConfig(), cfg, state=state)
+        train_joint(visual, sentences, groups, state, LossConfig(), cfg)
         for full, resumed in ((hv_full, state.head_v), (hs_full, state.head_s)):
             for k, v in snapshot(full).items():
                 np.testing.assert_array_equal(getattr(resumed, k), v)
@@ -265,32 +262,30 @@ class TestTrainJoint:
         monkeypatch.setattr(trainer, "backward", backward)
         with pytest.raises(NumericalError, match="^non-finite gradient in sentence head "
                                                  "parameter b2 at epoch 1, batch 1$"):
-            train_joint(visual, sentences, groups, hv, hs, LossConfig(),
+            train_joint(visual, sentences, groups, TrainState.fresh(hv, hs), LossConfig(),
                         TrainConfig(epochs=2, batch_size=8))
 
     def test_non_finite_parameter_names_head_and_parameter(self):
         # One batch per epoch, so the overflowing update is checked only at
         # the epoch's end.
         visual, sentences, groups = make_problem()
-        hv, hs = fresh_heads()
         with pytest.raises(NumericalError, match="^non-finite visual head parameter w1 "
                                                  "after epoch 1$"):
-            train_joint(visual, sentences, groups, hv, hs, LossConfig(),
-                        TrainConfig(epochs=1, batch_size=40, learning_rate=1e308))
+            train_joint(visual, sentences, groups, TrainState.fresh(*fresh_heads()),
+                        LossConfig(), TrainConfig(epochs=1, batch_size=40, learning_rate=1e308))
 
     def test_row_count_mismatch(self):
         visual, sentences, groups = make_problem()
-        hv, hs = fresh_heads()
         with pytest.raises(ValueError):
             train_joint(
-                visual[:-1], sentences, groups, hv, hs, LossConfig(), TrainConfig()
+                visual[:-1], sentences, groups, TrainState.fresh(*fresh_heads()),
+                LossConfig(), TrainConfig()
             )
 
     def test_checkpoint_files_written(self, tmp_path):
         visual, sentences, groups = make_problem()
-        hv, hs = fresh_heads()
         train_joint(
-            visual, sentences, groups, hv, hs, LossConfig(),
+            visual, sentences, groups, TrainState.fresh(*fresh_heads()), LossConfig(),
             TrainConfig(epochs=2, batch_size=8, checkpoint_every=1, seed=0),
             checkpoint_dir=str(tmp_path),
         )
@@ -368,18 +363,15 @@ class TestTrainedStateIsPinned:
     def train(tmp_path, synth, hidden, dim, train_cfg, resume_from=None):
         data = generate(synth)
         d_v, d_s = data.visual.shape[1], data.sentences.shape[1]
-        hv = init_head(d_v, hidden, dim, make_rng(synth.seed + 1))
-        hs = init_head(d_s, hidden, dim, make_rng(synth.seed + 2))
+        state = TrainState.fresh(init_head(d_v, hidden, dim, make_rng(synth.seed + 1)),
+                                 init_head(d_s, hidden, dim, make_rng(synth.seed + 2)))
         out = str(tmp_path)
         args = (data.visual, data.sentences, data.groups)
         if resume_from is not None:
-            train_joint(*args, hv, hs, LossConfig(), replace(train_cfg, epochs=resume_from),
+            train_joint(*args, state, LossConfig(), replace(train_cfg, epochs=resume_from),
                         checkpoint_dir=out)
             state = load_train_state(os.path.join(out, STATE_FILE))
-            hv, hs = state.head_v, state.head_s
-        else:
-            state = None
-        train_joint(*args, hv, hs, LossConfig(), train_cfg, state=state, checkpoint_dir=out)
+        train_joint(*args, state, LossConfig(), train_cfg, checkpoint_dir=out)
         with open(os.path.join(out, STATE_FILE), "rb") as fh:
             return hashlib.sha256(fh.read()).hexdigest()[:16]
 
