@@ -7,7 +7,8 @@ Every option can also come from a plain-text key=value config file
 the command's options (nor a manifest's `command` or `version`), or a key
 given twice, is a usage error. Each command writes a manifest of its fully
 resolved configuration next to its outputs; feeding that manifest back
-through --config reproduces the run bit-exactly.
+through --config reproduces the run bit-exactly. A config file with a
+`command` line is a manifest, refused unless of this command and whole.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
 failure. Every numeric option is bounded, and --help shows each bound. The
@@ -43,7 +44,7 @@ from .data import (
 )
 from .errors import DataError, NumericalError
 from .heads import forward, init_head, load_head
-from .linalg import SEED, at_least, make_rng, one_of
+from .linalg import SEED, at_least, make_rng, one_of, write_file
 from .metrics import evaluate, format_kv, format_report
 from .trainer import (
     STATE_FILE,
@@ -176,7 +177,15 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     opts = {o.name: o for o in COMMANDS[command]}
     resolved = {name: o.default for name, o in opts.items()}
     if args.config is not None:
-        for key, raw in _read_config(args.config, [*opts, *MANIFEST_KEYS]).items():
+        values = _read_config(args.config, [*opts, *MANIFEST_KEYS])
+        # A manifest names its command and holds every option; a cut one
+        # would otherwise run the missing options at their defaults.
+        missing = [name for name in opts if name != "config" and name not in values]
+        if values.get("command", command) != command:
+            raise UsageError(f"{args.config}: manifest of {values['command']}, not {command}")
+        if "command" in values and missing:
+            raise UsageError(f"{args.config}: manifest lacks key(s) {', '.join(missing)}")
+        for key, raw in values.items():
             if key in MANIFEST_KEYS:
                 continue
             o = opts[key]
@@ -218,9 +227,7 @@ def _config(config, cfg: dict, **values):
     return made
 
 
-def _write_manifest(command: str, cfg: dict, out_dir: str, name: str = "manifest.txt"):
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
+def _write_manifest(command: str, cfg: dict, path: str):
     lines = [f"command={command}", f"version={__version__}"]
     for key in sorted(cfg):
         if key == "config":
@@ -229,8 +236,7 @@ def _write_manifest(command: str, cfg: dict, out_dir: str, name: str = "manifest
         if isinstance(val, bool):
             val = "true" if val else "false"
         lines.append(f"{key}={val}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def _parse_collide(text: str) -> list[list[int]]:
@@ -255,7 +261,7 @@ def cmd_gen_synth(cfg: dict) -> int:
                         attribute_collision_groups=_parse_collide(cfg["collide"]))
     data = generate(synth_cfg)
     save_dataset(data, cfg["out"])
-    _write_manifest("gen-synth", cfg, cfg["out"])
+    _write_manifest("gen-synth", cfg, os.path.join(cfg["out"], "manifest.txt"))
     log.info("wrote %d samples, %d classes to %s", len(data.labels),
              synth_cfg.n_classes, cfg["out"])
     return 0
@@ -308,30 +314,26 @@ def cmd_train_embed(cfg: dict) -> int:
                        loss_cfg, train_cfg, checkpoint_dir=out)
 
     log_lines = list(tlog.lines())
-    with open(os.path.join(out, "train_log.txt"), "w") as fh:
-        fh.write("\n".join(log_lines) + ("\n" if log_lines else ""))
+    write_file(os.path.join(out, "train_log.txt"),
+               "\n".join(log_lines) + ("\n" if log_lines else ""))
     for ln in log_lines:
         print(ln)
-    _write_manifest("train-embed", cfg, out)
+    _write_manifest("train-embed", cfg, os.path.join(out, "manifest.txt"))
     return 0
 
 
 def cmd_embed(cfg: dict) -> int:
     features = read_features(cfg["features"])
-    if cfg["raw_passthrough"]:
-        write_features(features, cfg["out"])
-    else:
+    if not cfg["raw_passthrough"]:
         head = load_head(cfg["checkpoint"])
         if features.shape[1] != head.d_in:
             raise DataError(
                 f"{cfg['features']}: {features.shape[1]} columns but checkpoint "
                 f"{cfg['checkpoint']} expects {head.d_in}"
             )
-        embeddings, _ = forward(head, features, train=False)
-        write_features(embeddings, cfg["out"])
-    out_dir = os.path.dirname(os.path.abspath(cfg["out"])) or "."
-    _write_manifest("embed", cfg, out_dir,
-                    name=os.path.basename(cfg["out"]) + ".manifest.txt")
+        features, _ = forward(head, features, train=False)
+    write_features(features, cfg["out"])
+    _write_manifest("embed", cfg, cfg["out"] + ".manifest.txt")
     return 0
 
 
@@ -355,10 +357,8 @@ def cmd_train_zsl(cfg: dict) -> int:
         raise DataError("dataset has no train rows")
     data = LabeledEmbeddings(embeddings[idx], ds.labels[idx])
     w = train_compatibility(data, ds.attributes, zsl_cfg)
-    out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
-    save_model(w, os.path.join(out, "model.jec"))
-    _write_manifest("train-zsl", cfg, out)
+    save_model(w, os.path.join(cfg["out"], "model.jec"))
+    _write_manifest("train-zsl", cfg, os.path.join(cfg["out"], "manifest.txt"))
     return 0
 
 
@@ -374,14 +374,11 @@ def cmd_eval(cfg: dict) -> int:
         ds.attributes,
     )
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     text = format_report(report)
-    with open(os.path.join(out, "report.txt"), "w") as fh:
-        fh.write(text)
-    with open(os.path.join(out, "report.kv"), "w") as fh:
-        fh.write(format_kv(report))
+    write_file(os.path.join(out, "report.txt"), text)
+    write_file(os.path.join(out, "report.kv"), format_kv(report))
     print(text, end="")
-    _write_manifest("eval", cfg, out)
+    _write_manifest("eval", cfg, os.path.join(out, "manifest.txt"))
     return 0
 
 
@@ -414,13 +411,15 @@ HANDLERS = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None) -> _Parser:
+    """The parser of every command, with options added to `command`'s alone:
+    no other command parses any in this run."""
     parser = _Parser(prog="jezsl", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for command, opts in COMMANDS.items():
-        p = sub.add_parser(command, help=None)
-        for o in opts:
+    for name, opts in COMMANDS.items():
+        p = sub.add_parser(name, help=None)
+        for o in opts if name == command else ():
             if o.flag:
                 p.add_argument(o.cli, dest=o.name, action="store_true", default=False,
                                help=o.help)
@@ -441,7 +440,8 @@ def _setup_logging():
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if args.command is None:

@@ -2,10 +2,10 @@
 
 Feature files are one matrix in the shared binary codec
 (`linalg.write_arrays`): magic "JEF1", version byte 1, uint32 LE rows/cols,
-then the row-major float64 LE payload, written atomically. A CSV encoding
-(header `dim=<cols>`, 17 significant digits) is accepted on read as a
-fallback. Labels and group ids live in companion text files, one integer
-per line.
+then the row-major float64 LE payload. A CSV encoding (header
+`dim=<cols>`, 17 significant digits) is accepted on read as a fallback.
+Labels and group ids live in companion text files, one integer per line.
+Every file, text included, is written atomically by `linalg.write_file`.
 
 The generator produces class-clustered visual features, caption features
 carrying a class-unique semantic direction, and per-class attributes that
@@ -23,7 +23,7 @@ import numpy as np
 from .compat import AttributeTable, id_array
 from .errors import DataError
 from .linalg import (POSITIVE, SEED, UNIT, Config, as_matrix, at_least, l2_normalize_rows,
-                     make_rng, option, read_arrays, write_arrays)
+                     make_rng, option, read_arrays, write_arrays, write_file)
 
 FEATURE_MAGIC = b"JEF1"
 FEATURE_VERSION = 1
@@ -36,14 +36,6 @@ ASSIGNMENTS = ("train", "test_seen", "test_unseen")
 
 def write_features(m: np.ndarray, path: str) -> None:
     write_arrays(path, FEATURE_MAGIC, FEATURE_VERSION, [as_matrix(m, "feature matrix")])
-
-
-def write_features_csv(m: np.ndarray, path: str) -> None:
-    m = as_matrix(m, "feature matrix")
-    with open(path, "w") as fh:
-        fh.write(f"dim={m.shape[1]}\n")
-        for row in m:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def read_features(path: str) -> np.ndarray:
@@ -89,8 +81,7 @@ def _parse_csv_features(path: str) -> np.ndarray:
 
 
 def write_ids(ids, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("".join(f"{v}\n" for v in np.asarray(ids, dtype=np.int64).tolist()))
+    write_file(path, "".join(f"{v}\n" for v in np.asarray(ids, dtype=np.int64).tolist()))
 
 
 def _read_lines(path: str) -> list[str]:
@@ -126,9 +117,8 @@ def read_ids(path: str) -> np.ndarray:
 
 
 def write_split(path: str, seen, unseen) -> None:
-    with open(path, "w") as fh:
-        fh.write("seen: " + " ".join(str(int(c)) for c in sorted(seen)) + "\n")
-        fh.write("unseen: " + " ".join(str(int(c)) for c in sorted(unseen)) + "\n")
+    write_file(path, "seen: " + " ".join(str(int(c)) for c in sorted(seen)) + "\n",
+               "unseen: " + " ".join(str(int(c)) for c in sorted(unseen)) + "\n")
 
 
 def read_split(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -162,8 +152,7 @@ def write_assignments(assignments, path: str) -> None:
     unknown = [a for a in assignments if a not in ASSIGNMENTS]
     if unknown:
         raise DataError(f"unknown assignment {unknown[0]!r}")
-    with open(path, "w") as fh:
-        fh.write("".join(a + "\n" for a in assignments))
+    write_file(path, "".join(a + "\n" for a in assignments))
 
 
 def read_assignments(path: str) -> np.ndarray:
@@ -305,7 +294,6 @@ FILES = {
 
 
 def save_dataset(data: Dataset, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     join = lambda key: os.path.join(out_dir, FILES[key])
     write_features(data.visual, join("visual"))
     write_features(data.sentences, join("sentences"))

@@ -157,12 +157,11 @@ def forward(
 
 def backward(
     head: EmbeddingHead, trace: ForwardTrace, d_embeddings: np.ndarray
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """Exact gradients of a scalar loss through the head.
 
     `d_embeddings` is the upstream gradient w.r.t. the unit-norm output rows.
-    Returns the parameter gradients, in PARAM_NAMES order, and the gradient
-    w.r.t. the input batch.
+    Returns the parameter gradients, in PARAM_NAMES order.
     """
     if not trace.train_mode:
         raise ValueError("backward: trace must come from a train-mode forward")
@@ -197,9 +196,8 @@ def backward(
     d_pre_relu = d_post_relu * (trace.post_relu > 0.0)
     d_w1 = d_pre_relu.T @ trace.inputs
     d_b1 = np.add.reduce(d_pre_relu, 0)
-    d_input = d_pre_relu @ head.w1
 
-    return (d_w1, d_b1, d_w2, d_b2, d_gamma, d_beta), d_input
+    return d_w1, d_b1, d_w2, d_b2, d_gamma, d_beta
 
 
 # --- checkpoint serialization ------------------------------------------------

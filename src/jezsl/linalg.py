@@ -10,6 +10,7 @@ arrays written by `write_arrays` and read back by `read_arrays`: a 4-byte
 magic, a version byte, the uint32 LE dims of every array in order, then
 the arrays' row-major float64 LE payloads in the same order. The reader is
 told each array's rank, so the header carries no per-array bookkeeping.
+`write_file` writes every artifact, text files included, atomically.
 
 A config dataclass (`Config`) declares each field once, with `option`: its
 default, help, bound and CLI name. The CLI builds its options from them.
@@ -61,13 +62,33 @@ def l2_normalize_rows(m) -> np.ndarray:
 # --- binary artifact codec ---------------------------------------------------
 
 
-def write_arrays(path: str, magic: bytes, version: int, arrays) -> None:
-    """Write float64 arrays atomically: a temp file, then os.replace.
+def write_file(path: str, *parts) -> None:
+    """Write the str (UTF-8) and bytes-like parts to `path` atomically.
 
-    A crash mid-write leaves the previous file at `path` intact. The rank
-    of each array is not stored; the reader supplies it. Non-finite values,
-    which `read_arrays` refuses, are refused here before anything is written.
-    Each payload is written from the array's own C-ordered buffer, not a copy.
+    The parent directory is created if need be. The parts go to a temp file
+    beside `path`, which os.replace then moves over it, so a crash or an
+    error mid-write leaves the previous file at `path` intact, and the temp
+    file is removed.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                fh.write(part.encode() if isinstance(part, str) else part)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the replace failed
+            os.unlink(tmp)
+
+
+def write_arrays(path: str, magic: bytes, version: int, arrays) -> None:
+    """Write float64 arrays with `write_file`.
+
+    The rank of each array is not stored; the reader supplies it. Non-finite
+    values, which `read_arrays` refuses, are refused here before anything is
+    written. Each payload is written from the array's own C-ordered buffer,
+    not a copy.
     """
     arrays = [np.asarray(a, "<f8", order="C") for a in arrays]
     if not all(np.all(np.isfinite(a)) for a in arrays):
@@ -75,16 +96,8 @@ def write_arrays(path: str, magic: bytes, version: int, arrays) -> None:
     dims = [d for a in arrays for d in a.shape]
     if any(d >= 2**32 for d in dims):
         raise DataError(f"{path}: array dims {dims} exceed uint32")
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(magic + struct.pack(f"<B{len(dims)}I", version, *dims))
-            for a in arrays:
-                fh.write(a.data)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # the write or the replace failed
-            os.unlink(tmp)
+    header = magic + struct.pack(f"<B{len(dims)}I", version, *dims)
+    write_file(path, header, *(a.data for a in arrays))
 
 
 def read_arrays(path: str, magic: bytes, version: int, ranks) -> list[np.ndarray]:

@@ -204,8 +204,7 @@ def load_train_state(path: str) -> TrainState:
 
 def save_checkpoint(state: TrainState, out_dir: str) -> None:
     """Write both heads (for `embed`) and then the resume bundle into
-    out_dir, which it creates if need be."""
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir, which is created if need be."""
     save_head(state.head_v, os.path.join(out_dir, "head_v.jeh"))
     save_head(state.head_s, os.path.join(out_dir, "head_s.jeh"))
     save_train_state(state, os.path.join(out_dir, STATE_FILE))
@@ -322,8 +321,8 @@ def train_joint(
 
             if active == 0:
                 continue
-            grads_v, _ = backward(head_v, trace_v, d_v)
-            grads_s, _ = backward(head_s, trace_s, d_s)
+            grads_v = backward(head_v, trace_v, d_v)
+            grads_s = backward(head_s, trace_s, d_s)
             np.concatenate((*grads_v, *grads_s), axis=None, out=grad)
             if not np.isfinite(grad).all():
                 label, name = _first_nonfinite((*grads_v, *grads_s))

@@ -2,10 +2,14 @@
 
 `.jef` features, `.jeh` heads, `.jec` models and the `.jet` resume bundle go
 through `linalg.write_arrays`/`read_arrays`. Every corrupt or cut-off file
-must end in a DataError, never another exception.
+must end in a DataError, never another exception. Every artifact, text files
+included, reaches disk through `linalg.write_file`, and nothing else in the
+package opens a file for writing or makes a directory.
 """
 
+import ast
 import os
+import pathlib
 import struct
 
 import numpy as np
@@ -18,7 +22,8 @@ from jezsl.compat import load_model, save_model
 from jezsl.data import read_features, write_features
 from jezsl.errors import DataError, NumericalError
 from jezsl.heads import init_head, load_head, save_head
-from jezsl.linalg import make_rng, read_arrays, write_arrays
+import jezsl
+from jezsl.linalg import make_rng, read_arrays, write_arrays, write_file
 from jezsl.trainer import TrainConfig, TrainState, load_train_state, save_train_state, trajectory
 
 
@@ -184,3 +189,44 @@ def test_bit_flips_load_cleanly_or_raise_data_error(name, blobs, tmp_path_factor
             pass
 
     flip()
+
+
+def test_write_that_raises_partway_keeps_previous_file(tmp_path):
+    path = tmp_path / "labels.txt"
+    write_file(str(path), "1\n2\n")
+    with pytest.raises(TypeError):
+        write_file(str(path), "3\n", None)  # the first part is written, then None fails
+    assert path.read_text() == "1\n2\n"
+    assert os.listdir(tmp_path) == ["labels.txt"]
+
+
+def test_write_file_creates_the_directory_and_joins_parts(tmp_path):
+    path = tmp_path / "a" / "b" / "f.bin"
+    write_file(str(path), "t\u00e9xt\n", b"\x00\x01", memoryview(np.array([1.0])))
+    assert path.read_bytes() == "t\u00e9xt\n".encode() + b"\x00\x01" + np.array([1.0]).tobytes()
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether a call makes a directory, or opens a file with a mode (or
+    os.open flags) that is not a literal read-only mode."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("makedirs", "mkdir"):
+        return True
+    if name != "open":
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+    return not isinstance(mode, ast.Constant) or bool(set(mode.value) & set("wax+"))
+
+
+def test_write_file_is_the_only_write_path():
+    found = []
+    for path in sorted(pathlib.Path(jezsl.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "write_file"
+                   and path.name == "linalg.py" for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in allowed and _writes(node)]
+    assert found == []

@@ -163,12 +163,14 @@ class TestTrainEmbed:
         every = str(tmp_path / "every")
         assert run("train-embed", "--out", every, "--epochs", "4",
                    "--checkpoint-every", "2", *common) == 0
-        # epochs 2 and 4 each write both heads and the bundle; no third copy
-        assert written == ["head_v.jeh", "head_s.jeh", "trainer_state.jet"] * 2
+        # epochs 2 and 4 each write both heads and the bundle; no third copy.
+        # Then the log and the manifest, through the same atomic writer.
+        checkpoint = ["head_v.jeh", "head_s.jeh", "trainer_state.jet"]
+        assert written == checkpoint * 2 + ["train_log.txt", "manifest.txt"]
         del written[:]
         straight = str(tmp_path / "straight")
         assert run("train-embed", "--out", straight, "--epochs", "4", *common) == 0
-        assert written == ["head_v.jeh", "head_s.jeh", "trainer_state.jet"]
+        assert written == checkpoint + ["train_log.txt", "manifest.txt"]
         part = str(tmp_path / "part")
         assert run("train-embed", "--out", part, "--epochs", "2", *common) == 0
         assert run("train-embed", "--out", part, "--epochs", "4", "--checkpoint-every", "2",
@@ -314,6 +316,15 @@ class TestEmbedCommand:
             read_features(os.path.join(data, "visual.jef")),
         )
 
+    def test_out_into_missing_directory_is_created(self, tmp_path):
+        data, out = self.setup_run(tmp_path)
+        emb_path = str(tmp_path / "new" / "deeper" / "emb.jef")
+        assert run("embed", "--checkpoint", os.path.join(out, "head_v.jeh"),
+                   "--features", os.path.join(data, "visual.jef"), "--out", emb_path) == 0
+        assert read_features(emb_path).shape == (50, 4)
+        manifest = open(emb_path + ".manifest.txt").read().splitlines()
+        assert manifest[0] == "command=embed" and f"out={emb_path}" in manifest
+
     def test_width_mismatch_is_data_error(self, tmp_path):
         data, out = self.setup_run(tmp_path)
         bad = str(tmp_path / "bad.jef")
@@ -449,6 +460,55 @@ class TestPipelineAndEval:
         assert run("eval", "--data", data, "--features", short,
                    "--model", os.path.join(zsl, "model.jec"),
                    "--out", str(tmp_path / "x")) == 2
+
+
+class TestAtomicWrites:
+    def test_failed_replace_keeps_text_artifacts(self, tmp_path, monkeypatch, capsys):
+        """A rerun whose text writes fail leaves each previous text file whole
+        and no temp file, where an in-place write would have cut it."""
+        data = gen(tmp_path)
+        join = os.path.join
+        run_dir, zsl, rep = (str(tmp_path / name) for name in ("run", "zsl", "rep"))
+        train = ("train-embed", "--data", data, "--out", run_dir, "--dim", "4",
+                 "--hidden", "16", "--batch-size", "8", "--lr", "0.005")
+        assert run(*train, "--epochs", "1") == 0
+        emb = str(tmp_path / "emb.jef")
+        assert run("embed", "--checkpoint", join(run_dir, "head_v.jeh"),
+                   "--features", join(data, "visual.jef"), "--out", emb) == 0
+        for epochs in ("2", "40"):
+            assert run("train-zsl", "--data", data, "--features", emb,
+                       "--out", zsl + epochs, "--epochs", epochs) == 0
+        evaluate = ("eval", "--data", data, "--features", emb, "--out", rep, "--model")
+        assert run(*evaluate, join(zsl + "2", "model.jec")) == 0
+        kept = [join(data, "manifest.txt"), join(data, "labels.txt"),
+                join(run_dir, "train_log.txt"), join(run_dir, "manifest.txt"),
+                join(rep, "report.kv"), join(rep, "manifest.txt")]
+        before = {path: open(path, "rb").read() for path in kept}
+        # Each rerun would change every kept file it writes; gen-synth goes
+        # last, as its half-written dataset no longer loads.
+        reruns = [(*train, "--epochs", "2"),
+                  (*evaluate, join(zsl + "40", "model.jec")),
+                  ("gen-synth", "--out", data, "--classes", "5", "--seen", "3",
+                   "--per-class", "8", "--d-visual", "6", "--d-sentence", "6",
+                   "--d-attr", "6")]
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if not dst.endswith((".txt", ".kv")):
+                return real_replace(src, dst)
+            raise OSError(f"cannot move {os.path.basename(src)} over {dst}")
+
+        monkeypatch.setattr(os, "replace", replace)
+        for argv in reruns:
+            assert run(*argv) == 2
+            assert "data error: cannot move " in capsys.readouterr().err
+        monkeypatch.undo()
+        assert {path: open(path, "rb").read() for path in kept} == before
+        assert not list(tmp_path.rglob("*.tmp"))
+        gen(tmp_path)  # the failed gen-synth rerun left new features beside old labels
+        for argv in reruns:
+            assert run(*argv) == 0
+        assert all(open(path, "rb").read() != before[path] for path in kept)
 
 
 class TestReportIsPinned:
@@ -633,6 +693,30 @@ class TestTopLevel:
         )
         assert manifest["seen"] == "2"
         assert manifest["classes"] == "5"
+
+    def test_cut_manifest_is_refused(self, tmp_path, capsys):
+        data = str(tmp_path / "d")
+        assert run("gen-synth", "--classes", "5", "--seen", "3", "--per-class", "4",
+                   "--out", data) == 0
+        lines = open(os.path.join(data, "manifest.txt")).read().splitlines(keepends=True)
+        cut = tmp_path / "cut.txt"
+        cut.write_text("".join(lines[:4]))  # command, version and two options
+        out = str(tmp_path / "rerun")
+        code, err = run_without_warnings(capsys, "gen-synth", "--config", str(cut),
+                                         "--out", out)
+        assert code == 1
+        assert err == (f"error: {cut}: manifest lacks key(s) seed, classes, seen, "
+                       "per_class, d_visual, d_sentence, d_attr, spread, collide, out\n")
+        assert not os.path.exists(out)
+
+    def test_manifest_of_another_command_is_refused(self, tmp_path, capsys):
+        # Every key is one of gradcheck's, so only the command line tells.
+        cfgfile = tmp_path / "m.txt"
+        cfgfile.write_text("command=embed\nversion=0.1.0\nseed=0\ntrials=1\n"
+                           "corrupt_gradient=false\n")
+        code, err = run_without_warnings(capsys, "gradcheck", "--config", str(cfgfile))
+        assert code == 1
+        assert err == f"error: {cfgfile}: manifest of embed, not gradcheck\n"
 
     @pytest.mark.parametrize("text, line, message", [
         ("classes=4\nclases=4\n", 2, "unknown config key 'clases'"),

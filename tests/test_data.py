@@ -22,12 +22,18 @@ from jezsl.data import (
     validate_split,
     write_assignments,
     write_features,
-    write_features_csv,
     write_ids,
     write_split,
 )
 from jezsl.errors import DataError
 from jezsl.linalg import make_rng
+
+
+def write_csv(m, path):
+    """A CSV feature file: a `dim=<cols>` header, then 17 significant digits."""
+    rows = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in m)
+    with open(path, "w") as fh:
+        fh.write(f"dim={m.shape[1]}\n" + rows)
 
 
 class TestFeatureIo:
@@ -42,7 +48,7 @@ class TestFeatureIo:
         rng = make_rng(1)
         m = rng.standard_normal((4, 3))
         path = str(tmp_path / "m.csv")
-        write_features_csv(m, path)
+        write_csv(m, path)
         got = read_features(path)
         # 17 significant digits round-trip float64 exactly
         np.testing.assert_array_equal(got, m)
@@ -53,7 +59,7 @@ class TestFeatureIo:
         pb = str(tmp_path / "m.jef")
         pc = str(tmp_path / "m.csv")
         write_features(m, pb)
-        write_features_csv(m, pc)
+        write_csv(m, pc)
         assert np.max(np.abs(read_features(pb) - read_features(pc))) <= 1e-15
 
     def test_truncated_payload_names_byte_counts(self, tmp_path):
@@ -128,6 +134,14 @@ class TestIdAndSplitIo:
         seen, unseen = read_split(path)
         assert seen.dtype == unseen.dtype == np.int64
         assert seen.tolist() == [0, 1, 2] and unseen.tolist() == [3, 4]
+
+    def test_failed_split_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "splits.txt"
+        write_split(str(path), [0, 1], [2])
+        with pytest.raises(TypeError):
+            write_split(str(path), [0, 1], [2, "x"])  # the unseen line cannot be sorted
+        assert path.read_text() == "seen: 0 1\nunseen: 2\n"
+        assert os.listdir(tmp_path) == ["splits.txt"]
 
     def test_overlapping_split_rejected(self, tmp_path):
         path = tmp_path / "splits.txt"
