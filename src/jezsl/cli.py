@@ -76,7 +76,8 @@ def _parse_bool(s: str) -> bool:
 
 
 class Opt:
-    def __init__(self, name, typ, default, help="", bound=None, flag=False, field=False):
+    def __init__(self, name, typ, default, help="", bound=None, flag=False, field=False,
+                 unless=None):
         self.name = name  # dest / manifest key, underscores
         self.typ = typ
         self.default = default
@@ -84,6 +85,7 @@ class Opt:
         self.bound = bound  # (text, test) or None
         self.flag = flag  # boolean store_true option
         self.field = field  # sets a config field, whose validate applies the bound
+        self.unless = unless  # a flag without which an empty value is missing
 
     @property
     def cli(self) -> str:
@@ -122,7 +124,8 @@ COMMANDS: dict[str, list[Opt]] = {
         Opt("resume", bool, False, "resume from trainer state in --out", flag=True),
     ],
     "embed": COMMON + [
-        Opt("checkpoint", str, None, "head checkpoint (.jeh)"),
+        Opt("checkpoint", str, "", "head checkpoint (.jeh), required unless --raw-passthrough",
+            unless="raw_passthrough"),
         Opt("features", str, None, "input feature file"),
         Opt("out", str, None, "output feature file"),
         Opt("raw_passthrough", bool, False, "copy features unembedded (baseline arm)", flag=True),
@@ -140,8 +143,6 @@ COMMANDS: dict[str, list[Opt]] = {
     ],
     "gradcheck": COMMON + [
         Opt("trials", int, 20, "random configurations per component", at_least(1)),
-        Opt("corrupt_gradient", bool, False,
-            "deliberately corrupt gradients (negative-control test hook)", flag=True),
     ],
 }
 
@@ -199,9 +200,11 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         val = getattr(args, name, None)
         if val is not None and not (opts[name].flag and val is False):
             resolved[name] = val
-    # Every option without a default, apart from --config, is required.
-    missing = [o.cli for o in opts.values()
-               if o.default is None and o.name != "config" and resolved[o.name] is None]
+    # Every option without a default, apart from --config, is required, and
+    # one with an `unless` flag may be empty only where that flag is set.
+    missing = [o.cli for o in opts.values() if o.name != "config" and (
+        resolved[o.name] is None if o.unless is None
+        else not (resolved[o.name] or resolved[o.unless]))]
     if missing:
         raise UsageError(f"{command}: missing required option(s): " + ", ".join(missing))
     for name, value in resolved.items():
@@ -386,8 +389,7 @@ def cmd_gradcheck(cfg: dict) -> int:
     # Imported here: no other command needs it, and it costs start-up time.
     from .gradcheck import TOLERANCE, run_all
 
-    results = run_all(trials=cfg["trials"], seed=cfg["seed"],
-                      corrupt=cfg["corrupt_gradient"])
+    results = run_all(trials=cfg["trials"], seed=cfg["seed"])
     failed = False
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -424,7 +426,7 @@ def build_parser(command: str | None) -> _Parser:
                 p.add_argument(o.cli, dest=o.name, action="store_true", default=False,
                                help=o.help)
             else:
-                notes = [f"default {o.default}"] if o.default is not None else []
+                notes = [f"default {o.default}"] if o.default not in (None, "") else []
                 notes += [o.bound[0]] if o.bound is not None else []
                 p.add_argument(o.cli, dest=o.name, type=o.typ, default=None,
                                help=o.help + (f" ({'; '.join(notes)})" if notes else ""))

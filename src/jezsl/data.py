@@ -29,6 +29,8 @@ FEATURE_MAGIC = b"JEF1"
 FEATURE_VERSION = 1
 
 ASSIGNMENTS = ("train", "test_seen", "test_unseen")
+# Share of each seen class's samples that `generate` assigns to train.
+TRAIN_FRACTION = 0.8
 
 
 # --- feature matrices --------------------------------------------------------
@@ -203,7 +205,6 @@ class SynthConfig(Config):
     captions_per_image: int = option(1, "caption variants per image", at_least(1))
     attribute_collision_groups: list[list[int]] = option(
         [], "attribute collision groups, e.g. '3,4' or '3,4;5,6'", cli="collide")
-    train_fraction: float = option(0.8, bound=("in (0, 1)", lambda x: 0 < x < 1), cli="")
     seed: int = option(0, bound=SEED, cli="")
 
     def rules(self, name) -> None:
@@ -258,7 +259,7 @@ def generate(cfg: SynthConfig) -> Dataset:
     base = cfg.caption_signal * caption_dirs + (1.0 - cfg.caption_signal) * shared
     caps = base[:, None, None] + cfg.cluster_spread * noise[:, :, d_v:].reshape(C, n, k, d_s)
 
-    n_train = min(max(1, int(round(cfg.train_fraction * n))), n - 1)
+    n_train = min(max(1, int(round(TRAIN_FRACTION * n))), n - 1)
     seen_class = ["train"] * (n_train * k) + ["test_seen"] * ((n - n_train) * k)
     assignments = seen_class * cfg.n_seen + ["test_unseen"] * ((C - cfg.n_seen) * n * k)
     labels = np.repeat(np.arange(C, dtype=np.int64), n * k)

@@ -69,15 +69,9 @@ class ForwardTrace:
     train_mode: bool = True
 
 
-def init_head(
-    d_in: int,
-    d_hidden: int,
-    d_out: int,
-    rng: np.random.Generator,
-    bn_momentum: float = 0.1,
-    bn_epsilon: float = 1e-5,
-) -> EmbeddingHead:
-    """Glorot-uniform weights, gamma=1, beta=0, unit running variance.
+def init_head(d_in: int, d_hidden: int, d_out: int, rng: np.random.Generator) -> EmbeddingHead:
+    """Glorot-uniform weights, gamma=1, beta=0, unit running variance, and
+    the default BN momentum and epsilon.
 
     b1 starts at 0.01 rather than 0 so an all-zero hidden layer (which would
     make the final L2 normalization degenerate) is measure-zero.
@@ -96,8 +90,6 @@ def init_head(
         bn_beta=np.zeros(d_out),
         bn_running_mean=np.zeros(d_out),
         bn_running_var=np.ones(d_out),
-        bn_momentum=bn_momentum,
-        bn_epsilon=bn_epsilon,
     )
 
 

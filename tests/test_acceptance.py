@@ -148,7 +148,6 @@ class TestCriterion4GroundedEmbeddingBenefit:
                 cluster_spread=0.08,
                 caption_signal=0.9,
                 attribute_collision_groups=[[0, 9]],  # one seen, one unseen
-                train_fraction=0.8,
                 seed=seed,
             )
             data = generate(cfg)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jezsl.alignment import ANCHOR_CHUNK, LossConfig, MiniBatch, alignment_loss, term_inputs
+from jezsl.gradcheck import check_alignment
 from jezsl.linalg import l2_normalize_rows, make_rng
 
 
@@ -459,43 +460,5 @@ class TestLossBackward:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_finite_difference_check(self, seed):
-        rng = make_rng(200 + seed)
-        batch = random_batch(rng, b=int(rng.integers(4, 9)), d=int(rng.integers(2, 7)))
-        cross, within = mine_triplets(batch.group_ids)
-        cfg = LossConfig(margin=float(rng.uniform(0.1, 0.4)))
-        # nudge the margin off any hinge boundary
-        for _ in range(50):
-            dxy = np.linalg.norm(
-                batch.visual[:, None, :] - batch.sentence[None, :, :], axis=2
-            )
-            dxx = np.linalg.norm(
-                batch.visual[:, None, :] - batch.visual[None, :, :], axis=2
-            )
-            dyy = np.linalg.norm(
-                batch.sentence[:, None, :] - batch.sentence[None, :, :], axis=2
-            )
-            args = []
-            for dist, term in ((dxy, cross), (dxy.T, cross),
-                               (dxx, within), (dyy, within)):
-                if len(term):
-                    i, j, k = term[:, 0], term[:, 1], term[:, 2]
-                    args.append(cfg.margin + dist[i, j] - dist[i, k])
-            if not args or not np.any(np.abs(np.concatenate(args)) < 1e-3):
-                break
-            cfg.margin += 2.1e-3
-
-        dx, dy = alignment_loss(batch, cfg)[4:]
-        h = 1e-5
-        for arr, analytic in ((batch.visual, dx), (batch.sentence, dy)):
-            fd = np.zeros_like(arr)
-            flat, fdflat = arr.reshape(-1), fd.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                hi = alignment_loss(batch, cfg)[0]
-                flat[i] = orig - h
-                lo = alignment_loss(batch, cfg)[0]
-                flat[i] = orig
-                fdflat[i] = (hi - lo) / (2 * h)
-            denom = max(np.linalg.norm(analytic), np.linalg.norm(fd), 1e-6)
-            assert np.linalg.norm(analytic - fd) / denom <= 1e-4
+        # Two instances per seed: the second repeats rows, so d = 0 sits in active hinges.
+        assert check_alignment(trials=2, seed=200 + seed).passed

@@ -316,6 +316,22 @@ class TestEmbedCommand:
             read_features(os.path.join(data, "visual.jef")),
         )
 
+    def test_raw_passthrough_needs_no_checkpoint(self, tmp_path, capsys):
+        data = gen(tmp_path)
+        features, emb = os.path.join(data, "visual.jef"), str(tmp_path / "raw.jef")
+        assert run("embed", "--raw-passthrough", "--features", features, "--out", emb) == 0
+        manifest = pathlib.Path(emb + ".manifest.txt")
+        first = (pathlib.Path(emb).read_bytes(), manifest.read_bytes())
+        assert "checkpoint=" in manifest.read_text().splitlines()
+        assert run("embed", "--config", str(manifest)) == 0
+        assert (pathlib.Path(emb).read_bytes(), manifest.read_bytes()) == first
+        capsys.readouterr()
+        out = str(tmp_path / "embedded.jef")
+        assert run("embed", "--features", features, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: embed: missing required option(s): --checkpoint\n")
+        assert not os.path.exists(out)
+
     def test_out_into_missing_directory_is_created(self, tmp_path):
         data, out = self.setup_run(tmp_path)
         emb_path = str(tmp_path / "new" / "deeper" / "emb.jef")
@@ -623,9 +639,16 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 3
 
-    def test_corrupt_gradient_fails_with_exit_3(self, capsys):
-        assert run("gradcheck", "--trials", "2", "--corrupt-gradient") == 3
-        assert "[FAIL]" in capsys.readouterr().out
+    def test_corrupt_gradient_fails_with_exit_3(self, capsys, monkeypatch):
+        import jezsl.gradcheck as gc
+
+        exact = gc.ranking_loss_grad
+        monkeypatch.setattr(gc, "ranking_loss_grad", lambda *args: exact(*args) + 1e-3)
+        assert run("gradcheck", "--trials", "2") == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.split()[0] for ln in lines[:3]] == [
+            "embedding-heads:", "alignment-loss:", "compatibility-ranking:"]
+        assert [ln.split()[-1] for ln in lines[:3]] == ["[PASS]", "[PASS]", "[FAIL]"]
 
     def test_cli_import_leaves_gradcheck_unloaded(self):
         # Only the gradcheck command needs the module; every other command's
@@ -712,8 +735,7 @@ class TestTopLevel:
     def test_manifest_of_another_command_is_refused(self, tmp_path, capsys):
         # Every key is one of gradcheck's, so only the command line tells.
         cfgfile = tmp_path / "m.txt"
-        cfgfile.write_text("command=embed\nversion=0.1.0\nseed=0\ntrials=1\n"
-                           "corrupt_gradient=false\n")
+        cfgfile.write_text("command=embed\nversion=0.1.0\nseed=0\ntrials=1\n")
         code, err = run_without_warnings(capsys, "gradcheck", "--config", str(cfgfile))
         assert code == 1
         assert err == f"error: {cfgfile}: manifest of embed, not gradcheck\n"
@@ -783,8 +805,7 @@ FUZZ = {
     "eval": {"--seed": SEEDS},
     "gradcheck": {"--seed": SEEDS, "--trials": (["1"], ["0", "-1", "nan"])},
 }
-FLAGS = {"train-embed": ["--balanced-batches", "--resume"], "embed": ["--raw-passthrough"],
-         "gradcheck": ["--corrupt-gradient"]}
+FLAGS = {"train-embed": ["--balanced-batches", "--resume"], "embed": ["--raw-passthrough"]}
 # Options every run sets (unless drawn) so that it stays small.
 SMALL = {"gen-synth": {"--classes": "4", "--seen": "2", "--per-class": "3",
                        "--d-visual": "3", "--d-sentence": "3", "--d-attr": "3"},

@@ -18,6 +18,7 @@ from jezsl.compat import (
     train_compatibility,
 )
 from jezsl.errors import DataError, NumericalError
+from jezsl.gradcheck import check_compatibility
 from jezsl.linalg import make_rng
 
 
@@ -133,27 +134,7 @@ class TestRankingLoss:
         np.testing.assert_allclose(args[~true], expected[~true], rtol=1e-12, atol=1e-12)
 
     def test_gradient_finite_difference(self):
-        rng = make_rng(9)
-        table = simple_table(n_seen=4, d_attr=3, seed=5)
-        data = LabeledEmbeddings(
-            rng.standard_normal((6, 4)), rng.integers(0, 4, size=6)
-        )
-        w = rng.standard_normal((4, 3))
-        margin = 0.37  # away from hinge boundaries for this draw
-        analytic = ranking_loss_grad(w, data, table, margin)
-        fd = np.zeros_like(w)
-        h = 1e-6
-        flat, fdflat = w.reshape(-1), fd.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = ranking_loss(w, data, table, margin)
-            flat[i] = orig - h
-            lo = ranking_loss(w, data, table, margin)
-            flat[i] = orig
-            fdflat[i] = (hi - lo) / (2 * h)
-        denom = max(np.linalg.norm(analytic), np.linalg.norm(fd), 1e-8)
-        assert np.linalg.norm(analytic - fd) / denom <= 1e-4
+        assert check_compatibility(trials=5, seed=9).passed
 
 
 class TestTraining:

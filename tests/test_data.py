@@ -9,6 +9,7 @@ import pytest
 from jezsl.compat import AttributeTable
 from jezsl.data import (
     FILES,
+    TRAIN_FRACTION,
     Dataset,
     SynthConfig,
     generate,
@@ -274,7 +275,8 @@ class TestGenerate:
                 assert a == "test_unseen"
 
     def test_train_fraction(self):
-        cfg = self.small_cfg(samples_per_class=10, train_fraction=0.8)
+        assert TRAIN_FRACTION == 0.8
+        cfg = self.small_cfg(samples_per_class=10)
         data = generate(cfg)
         for c in range(cfg.n_seen):
             mask = data.labels == c

@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
+import jezsl.gradcheck as gc
 from jezsl.gradcheck import (
-    TOLERANCE,
     check_alignment,
     check_compatibility,
     check_heads,
@@ -26,17 +27,50 @@ class TestSuites:
         ]
         assert all(r.passed for r in results)
 
+    def test_head_instance_with_dead_hidden_rows_is_redrawn(self):
+        # Seed 2's fourth instance first draws a batch whose hidden ReLUs are
+        # all dead, so forward refuses its zero embedding row.
+        assert check_heads(trials=20, seed=2).passed
+
+    def test_roundoff_of_an_inert_gradient_is_not_an_error(self):
+        # One of seed 9's instances has a b1 that BatchNorm makes inert: its
+        # analytic gradient is 2e-13 in norm, its central differences 2e-10.
+        assert check_heads(trials=20, seed=9).passed
+
+
+def off_by_1e3(name, exact):
+    """`exact` with the first analytic gradient it returns shifted by 1e-3."""
+    def wrong(*args):
+        out = exact(*args)
+        if name == "alignment_loss":  # (loss, sums, active, total, dx, dy)
+            return (*out[:4], out[4] + 1e-3, out[5])
+        if name == "backward":  # one gradient per learnable array
+            return (out[0] + 1e-3, *out[1:])
+        return out + 1e-3
+    return wrong
+
+
+# The analytic gradient each suite checks, by suite name, as gradcheck calls it.
+ANALYTIC = {
+    "embedding-heads": "backward",
+    "alignment-loss": "alignment_loss",
+    "compatibility-ranking": "ranking_loss_grad",
+}
+
 
 class TestNegativeControl:
-    # A checker that cannot notice a corrupted gradient checks nothing.
-    def test_corrupt_gradients_detected_everywhere(self):
-        for r in run_all(trials=2, seed=0, corrupt=True):
-            assert not r.passed, r.name
-            assert r.worst_rel_err > TOLERANCE
+    # A checker that cannot notice a wrong gradient checks nothing.
+    def test_every_suite_has_a_control(self):
+        assert list(ANALYTIC) == [r.name for r in run_all(trials=1, seed=0)]
+
+    @pytest.mark.parametrize("suite", list(ANALYTIC))
+    def test_corrupt_gradients_detected_everywhere(self, monkeypatch, suite):
+        name = ANALYTIC[suite]
+        monkeypatch.setattr(gc, name, off_by_1e3(name, getattr(gc, name)))
+        for r in run_all(trials=2, seed=0):
+            assert r.passed == (r.name != suite), r.name
 
     def test_non_finite_gradient_fails(self, monkeypatch):
-        import jezsl.gradcheck as gc
-
         exact = gc.alignment_loss
 
         def nan_dx(batch, cfg):

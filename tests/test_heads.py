@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from jezsl.errors import DataError, NumericalError
+from jezsl.gradcheck import check_heads
 from jezsl.heads import (
-    PARAM_NAMES,
     EmbeddingHead,
     backward,
     forward,
@@ -177,47 +177,7 @@ class TestBackward:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_finite_difference_check(self, seed):
-        rng = make_rng(100 + seed)
-        d_in = int(rng.integers(2, 9))
-        d_hidden = int(rng.integers(2, 9))
-        d_out = int(rng.integers(2, 9))
-        b = int(rng.integers(2, 5))
-        head = init_head(d_in, d_hidden, d_out, rng)
-        up = rng.standard_normal((b, d_out))
-        # redraw degenerate instances: ReLU pre-activations inside the
-        # finite-difference stencil, or zero-norm embedding rows
-        while True:
-            batch = rng.standard_normal((b, d_in))
-            if np.min(np.abs(batch @ head.w1.T + head.b1)) < 1e-4:
-                continue
-            try:
-                _, trace = forward(head, batch, train=True)
-            except NumericalError:
-                continue
-            break
-        grads = backward(head, trace, up)
-
-        def loss():
-            out, _ = forward(head, batch, train=True)
-            return float(np.sum(out * up))
-
-        h = 1e-5
-        for name, arr, analytic in zip(PARAM_NAMES, head.learnable(), grads):
-            fd = np.zeros_like(arr)
-            flat, fdflat = arr.reshape(-1), fd.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                hi = loss()
-                flat[i] = orig - h
-                lo = loss()
-                flat[i] = orig
-                fdflat[i] = (hi - lo) / (2 * h)
-            na, nf = np.linalg.norm(analytic), np.linalg.norm(fd)
-            if max(na, nf) < 1e-8:
-                continue  # both numerically zero; FD returns roundoff noise
-            denom = max(na, nf, 1e-6 * (1 + abs(loss())))
-            assert np.linalg.norm(analytic - fd) / denom <= 1e-4, name
+        assert check_heads(trials=1, seed=100 + seed).passed
 
 
 class TestCheckpoint:
