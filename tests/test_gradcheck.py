@@ -38,6 +38,19 @@ class TestSuites:
         assert check_heads(trials=20, seed=9).passed
 
 
+class TestRelErr:
+    def test_small_real_gradient_is_judged_relatively(self):
+        # A 0.1% error on a gradient of norm 1e-4 stands above the floor.
+        g = np.full(4, 5e-5)
+        assert gc._rel_err(1.001 * g, g, loss_scale=1.0) > gc.TOLERANCE
+
+    def test_both_numerically_zero_agree(self):
+        assert gc._rel_err(np.full(3, 1e-16), np.full(3, 5e-10), loss_scale=1.0) == 0.0
+
+    def test_nan_differences_fail(self):
+        assert gc._rel_err(np.zeros(3), np.full(3, np.nan), loss_scale=1.0) == np.inf
+
+
 def off_by_1e3(name, exact):
     """`exact` with the first analytic gradient it returns shifted by 1e-3."""
     def wrong(*args):
