@@ -76,8 +76,7 @@ def _parse_bool(s: str) -> bool:
 
 
 class Opt:
-    def __init__(self, name, typ, default, help="", bound=None, flag=False, field=False,
-                 unless=None):
+    def __init__(self, name, typ, default, help="", bound=None, flag=False, field=False):
         self.name = name  # dest / manifest key, underscores
         self.typ = typ
         self.default = default
@@ -85,7 +84,6 @@ class Opt:
         self.bound = bound  # (text, test) or None
         self.flag = flag  # boolean store_true option
         self.field = field  # sets a config field, whose validate applies the bound
-        self.unless = unless  # a flag without which an empty value is missing
 
     @property
     def cli(self) -> str:
@@ -124,8 +122,7 @@ COMMANDS: dict[str, list[Opt]] = {
         Opt("resume", bool, False, "resume from trainer state in --out", flag=True),
     ],
     "embed": COMMON + [
-        Opt("checkpoint", str, "", "head checkpoint (.jeh), required unless --raw-passthrough",
-            unless="raw_passthrough"),
+        Opt("checkpoint", str, "", "head checkpoint (.jeh), required unless --raw-passthrough"),
         Opt("features", str, None, "input feature file"),
         Opt("out", str, None, "output feature file"),
         Opt("raw_passthrough", bool, False, "copy features unembedded (baseline arm)", flag=True),
@@ -200,11 +197,8 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         val = getattr(args, name, None)
         if val is not None and not (opts[name].flag and val is False):
             resolved[name] = val
-    # Every option without a default, apart from --config, is required, and
-    # one with an `unless` flag may be empty only where that flag is set.
-    missing = [o.cli for o in opts.values() if o.name != "config" and (
-        resolved[o.name] is None if o.unless is None
-        else not (resolved[o.name] or resolved[o.unless]))]
+    # Every option without a default, apart from --config, is required.
+    missing = [o.cli for o in opts.values() if o.name != "config" and resolved[o.name] is None]
     if missing:
         raise UsageError(f"{command}: missing required option(s): " + ", ".join(missing))
     for name, value in resolved.items():
@@ -295,7 +289,11 @@ def cmd_train_embed(cfg: dict) -> int:
     loss_cfg = _config(LossConfig, cfg)
     train_cfg = _config(TrainConfig, cfg)
     ds = load_dataset(cfg["data"])
-    idx = np.arange(len(ds.labels)) if cfg["rows"] == "all" else ds.rows("train")
+    # --rows all trains on the loaded arrays themselves, not on copies.
+    visual, sentences, groups = ds.visual, ds.sentences, ds.groups
+    if cfg["rows"] == "train":
+        idx = ds.rows("train")
+        visual, sentences, groups = visual[idx], sentences[idx], groups[idx]
     d_out = cfg["dim"]
     d_hidden = cfg["hidden"] or d_out
 
@@ -303,18 +301,17 @@ def cmd_train_embed(cfg: dict) -> int:
     path_state = os.path.join(out, STATE_FILE)
     if cfg["resume"] and os.path.exists(path_state):
         state = load_train_state(path_state)
-        _check_resume(state, cfg, loss_cfg, train_cfg, len(idx), path_state)
+        _check_resume(state, cfg, loss_cfg, train_cfg, len(groups), path_state)
         log.info("resuming at epoch %d", state.next_epoch + 1)
     else:
         # Sub-seeds keep the two heads' initializations independent of each
         # other and of the shuffling stream.
         state = TrainState.fresh(
-            init_head(ds.visual.shape[1], d_hidden, d_out, make_rng(cfg["seed"] + 1)),
-            init_head(ds.sentences.shape[1], d_hidden, d_out, make_rng(cfg["seed"] + 2)),
+            init_head(visual.shape[1], d_hidden, d_out, make_rng(cfg["seed"] + 1)),
+            init_head(sentences.shape[1], d_hidden, d_out, make_rng(cfg["seed"] + 2)),
         )
 
-    tlog = train_joint(ds.visual[idx], ds.sentences[idx], ds.groups[idx], state,
-                       loss_cfg, train_cfg, checkpoint_dir=out)
+    tlog = train_joint(visual, sentences, groups, state, loss_cfg, train_cfg, checkpoint_dir=out)
 
     log_lines = list(tlog.lines())
     write_file(os.path.join(out, "train_log.txt"),
@@ -326,6 +323,8 @@ def cmd_train_embed(cfg: dict) -> int:
 
 
 def cmd_embed(cfg: dict) -> int:
+    if not (cfg["checkpoint"] or cfg["raw_passthrough"]):
+        raise UsageError("embed: missing required option(s): --checkpoint")
     features = read_features(cfg["features"])
     if not cfg["raw_passthrough"]:
         head = load_head(cfg["checkpoint"])

@@ -31,6 +31,9 @@ FEATURE_VERSION = 1
 ASSIGNMENTS = ("train", "test_seen", "test_unseen")
 # Share of each seen class's samples that `generate` assigns to train.
 TRAIN_FRACTION = 0.8
+# Noise values per draw of `generate` (1 MiB of float64), rounded down to
+# whole classes but at least one class.
+_DRAW_VALUES = 2**17
 
 
 # --- feature matrices --------------------------------------------------------
@@ -42,38 +45,38 @@ def write_features(m: np.ndarray, path: str) -> None:
 
 def read_features(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
-        binary = fh.read(4) == FEATURE_MAGIC
-    if binary:
+        magic = fh.read(4)
+    if magic == FEATURE_MAGIC:
         return read_arrays(path, FEATURE_MAGIC, FEATURE_VERSION, (2,))[0]
-    return _parse_csv_features(path)
+    return _parse_csv_features(path, magic)
 
 
-def _parse_csv_features(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _parse_csv_features(path: str, magic: bytes) -> np.ndarray:
+    """The CSV fallback, parsed into one preallocated matrix. Blank lines are
+    skipped, and counted in the line numbers of errors."""
     try:
-        text = blob.decode("utf-8")
+        lines = _read_lines(path)
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: bad magic {blob[:4]!r} and not valid CSV") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("dim="):
+        raise DataError(f"{path}: bad magic {magic!r} and not valid CSV") from exc
+    numbered = [(n, ln) for n, ln in enumerate(lines, 1) if ln.strip()]
+    if not numbered or not numbered[0][1].startswith("dim="):
         raise DataError(f"{path}: bad magic and missing CSV 'dim=' header")
+    header = numbered[0][1]
     try:
-        cols = int(lines[0][4:])
+        cols = int(header[4:])
     except ValueError as exc:
-        raise DataError(f"{path}: malformed CSV header {lines[0]!r}") from exc
+        raise DataError(f"{path}: malformed CSV header {header!r}") from exc
     if cols < 0:
-        raise DataError(f"{path}: malformed CSV header {lines[0]!r}")
-    rows = []
-    for n, ln in enumerate(lines[1:], 2):
+        raise DataError(f"{path}: malformed CSV header {header!r}")
+    m = np.empty((len(numbered) - 1, cols))
+    for row, (n, ln) in enumerate(numbered[1:]):
         values = ln.split(",")
         if len(values) != cols:
             raise DataError(f"{path}:{n}: expected {cols} values, got {len(values)}")
         try:
-            rows.append([float(v) for v in values])
+            m[row] = [float(v) for v in values]
         except ValueError as exc:
             raise DataError(f"{path}:{n}: non-numeric value") from exc
-    m = np.asarray(rows, dtype=np.float64).reshape(len(rows), cols)
     if not np.all(np.isfinite(m)):
         raise DataError(f"{path}: contains non-finite values")
     return m
@@ -88,7 +91,7 @@ def write_ids(ids, path: str) -> None:
 
 def _read_lines(path: str) -> list[str]:
     """The file's lines without line ends (text mode reads \r\n and \r as \n)."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return fh.read().split("\n")
 
 
@@ -227,13 +230,19 @@ def generate(cfg: SynthConfig) -> Dataset:
     direction shared across all classes. Collision groups overwrite their
     attribute rows with the first member's row, bit-identically.
 
-    Sample noise comes from one (C, n, d_visual + k * d_sentence) draw for n
+    Sample noise is drawn as a (C, n, d_visual + k * d_sentence) array for n
     samples per class and k captions per image: row (c, s) holds sample s of
     class c's visual noise, then its k caption noises of d_sentence each.
     That is the order in which a per-sample loop drawing d_visual then
     (k, d_sentence) normals consumes the stream, and `standard_normal` fills
     in C order with no state carried between calls, so the values, and the
     float operations applied to them, are those of that loop.
+
+    It is drawn in blocks of whole classes, about _DRAW_VALUES values each,
+    into one reused buffer that is scaled in place and added straight into
+    the preallocated `visual` (each sample's row repeated k times) and
+    `sentences`, so generation holds those two arrays plus one block. The
+    block size changes no value; a test checks it.
     """
     cfg.validate()
     rng = make_rng(cfg.seed)
@@ -254,10 +263,19 @@ def generate(cfg: SynthConfig) -> Dataset:
             attributes[cid] = attributes[group[0]]
 
     n, d_v, d_s = cfg.samples_per_class, cfg.d_visual, cfg.d_sentence
-    noise = rng.standard_normal((C, n, d_v + k * d_s))
-    vis = prototypes[:, None] + cfg.cluster_spread * noise[:, :, :d_v]
     base = cfg.caption_signal * caption_dirs + (1.0 - cfg.caption_signal) * shared
-    caps = base[:, None, None] + cfg.cluster_spread * noise[:, :, d_v:].reshape(C, n, k, d_s)
+    visual = np.empty((C, n, k, d_v))
+    sentences = np.empty((C, n, k, d_s))
+    per_draw = max(1, _DRAW_VALUES // (n * (d_v + k * d_s)))
+    noise = np.empty((min(per_draw, C), n, d_v + k * d_s))
+    for c0 in range(0, C, per_draw):
+        block = noise[:C - c0]  # the last draw may hold fewer classes
+        c1 = c0 + len(block)
+        rng.standard_normal(out=block)
+        block *= cfg.cluster_spread
+        np.add(prototypes[c0:c1, None, None], block[:, :, None, :d_v], out=visual[c0:c1])
+        np.add(base[c0:c1, None, None], block[:, :, d_v:].reshape(-1, n, k, d_s),
+               out=sentences[c0:c1])
 
     n_train = min(max(1, int(round(TRAIN_FRACTION * n))), n - 1)
     seen_class = ["train"] * (n_train * k) + ["test_seen"] * ((n - n_train) * k)
@@ -271,8 +289,8 @@ def generate(cfg: SynthConfig) -> Dataset:
         unseen=range(cfg.n_seen, C),
     )
     return Dataset(
-        visual=np.repeat(vis, k, axis=1).reshape(C * n * k, d_v),
-        sentences=caps.reshape(C * n * k, d_s),
+        visual=visual.reshape(C * n * k, d_v),
+        sentences=sentences.reshape(C * n * k, d_s),
         labels=labels,
         groups=labels.copy(),
         attributes=table,

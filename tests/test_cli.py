@@ -327,7 +327,8 @@ class TestEmbedCommand:
         assert (pathlib.Path(emb).read_bytes(), manifest.read_bytes()) == first
         capsys.readouterr()
         out = str(tmp_path / "embedded.jef")
-        assert run("embed", "--features", features, "--out", out) == 1
+        # Refused before any file is read: an absent --features is not reached.
+        assert run("embed", "--features", str(tmp_path / "absent.jef"), "--out", out) == 1
         assert capsys.readouterr().err == (
             "error: embed: missing required option(s): --checkpoint\n")
         assert not os.path.exists(out)
@@ -623,7 +624,7 @@ def test_bad_option_is_usage_error(tmp_path, capsys, command, option, value):
 @pytest.mark.parametrize("command, missing", [
     ("gen-synth", "--out"),
     ("train-embed", "--data, --out"),
-    ("embed", "--checkpoint, --features, --out"),
+    ("embed", "--features, --out"),
     ("train-zsl", "--data, --features, --out"),
     ("eval", "--data, --features, --model, --out"),
 ])

@@ -1,9 +1,11 @@
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import jezsl.compat
 from jezsl.compat import (
     BATCH_ROWS,
     AttributeTable,
@@ -31,6 +33,16 @@ def simple_table(n_seen=3, n_unseen=2, d_attr=4, seed=0):
         seen=range(n_seen),
         unseen=range(n_seen, C),
     )
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that numpy and Python allocate while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def brute_force_ranking_loss(w, data, table, margin):
@@ -227,6 +239,15 @@ class TestTraining:
                                                             epochs=3, seed=5))
         assert hashlib.sha256(w.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("epochs", [1, 4])
+    def test_peak_memory_holds_no_copy_of_the_rows(self, epochs):
+        # The raw-feature benchmark's training rows: 3,360 x 64, 140 seen classes.
+        rng = make_rng(11)
+        table = simple_table(n_seen=140, n_unseen=60, d_attr=32, seed=11)
+        data = LabeledEmbeddings(rng.standard_normal((3360, 64)), rng.integers(0, 140, 3360))
+        peak = traced_peak(train_compatibility, data, table, ZslConfig(epochs=epochs))
+        assert peak < data.embeddings.nbytes / 4
+
     def test_divergence_raises_numerical_error(self):
         rng = make_rng(13)
         table = simple_table(seed=13)
@@ -303,6 +324,27 @@ class TestInference:
         p1 = infer_batch(w, x, table)
         p2 = infer_batch(3.0 * w, x, table)
         np.testing.assert_array_equal(p1, p2)
+
+    @pytest.mark.parametrize("values", ["normal", "ties"])
+    def test_one_row_per_block_changes_no_prediction(self, monkeypatch, values):
+        rng = make_rng(13)
+        table = simple_table(n_seen=140, n_unseen=60, d_attr=32, seed=13)
+        if values == "ties":  # coarse integers: many rows tie exactly
+            table.attributes = rng.integers(-1, 2, (200, 32)).astype(float)
+            w, x = (rng.integers(-1, 2, shape).astype(float) for shape in ((8, 32), (500, 8)))
+        else:
+            w, x = rng.standard_normal((64, 32)), rng.standard_normal((500, 64))
+        ref = infer_batch(w, x, table)  # four blocks of 125 rows
+        monkeypatch.setattr(jezsl.compat, "_SCORE_CELLS", 1)
+        got = infer_batch(w, x, table)
+        np.testing.assert_array_equal(got, ref)
+
+    def test_peak_memory_is_one_block_of_scores(self):
+        rng = make_rng(12)
+        table = simple_table(n_seen=140, n_unseen=60, d_attr=32, seed=12)
+        w, x = rng.standard_normal((16, 32)), rng.standard_normal((20000, 16))
+        # One 20,000 x 200 score matrix would take 32 MB.
+        assert traced_peak(infer_batch, w, x, table) < 2 * 2**20
 
     def test_width_mismatch(self):
         table = simple_table()

@@ -1,11 +1,13 @@
 import hashlib
 import os
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import jezsl.data
 from jezsl.compat import AttributeTable
 from jezsl.data import (
     FILES,
@@ -99,6 +101,16 @@ class TestFeatureIo:
         path = tmp_path / "m.csv"
         path.write_text("dim=2\n1.0,nan\n")
         with pytest.raises(DataError):
+            read_features(str(path))
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"dim=2\n\n1,2\n\n1\n", ":5: expected 2 values, got 1"),  # blank lines count
+        (b"dim=2\r\n1,2\r\n\r\nx,1\r\n", ":4: non-numeric value"),  # CRLF line ends
+    ])
+    def test_csv_error_names_the_file_line(self, tmp_path, blob, message):
+        path = tmp_path / "m.csv"
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path) + message)}$"):
             read_features(str(path))
 
 
@@ -315,6 +327,30 @@ class TestGenerate:
             direction = data.attributes.attributes[c]
             cos = mean @ direction / (np.linalg.norm(mean) * np.linalg.norm(direction))
             assert cos >= 0.95
+
+    @pytest.mark.parametrize("classes_per_draw", [1, 3])
+    def test_draw_block_size_changes_no_value(self, monkeypatch, classes_per_draw):
+        cfg = SynthConfig(n_classes=20, n_seen=14, samples_per_class=6, captions_per_image=2,
+                          attribute_collision_groups=[[0, 1], [5, 9]], seed=3)
+        ref = generate(cfg)  # one draw
+        per_class = cfg.samples_per_class * (cfg.d_visual + 2 * cfg.d_sentence)
+        monkeypatch.setattr(jezsl.data, "_DRAW_VALUES", classes_per_draw * per_class)
+        got = generate(cfg)
+        assert got.visual.tobytes() == ref.visual.tobytes()
+        assert got.sentences.tobytes() == ref.sentences.tobytes()
+        assert got.attributes.attributes.tobytes() == ref.attributes.attributes.tobytes()
+
+    def test_peak_memory_is_the_features_plus_one_block(self):
+        # The raw-feature benchmark's dataset: 6000 rows of 64 + 16 features.
+        cfg = SynthConfig(n_classes=200, n_seen=140, samples_per_class=30, d_visual=64,
+                          d_attr=32, seed=1)
+        tracemalloc.start()
+        try:
+            data = generate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= data.visual.nbytes + data.sentences.nbytes + 3 * 2**20
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
