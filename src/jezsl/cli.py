@@ -27,13 +27,11 @@ import os
 import sys
 from dataclasses import MISSING, fields
 
-import numpy as np
-
 from . import __version__
 from .alignment import LossConfig
-from .compat import LabeledEmbeddings, ZslConfig, load_model, save_model, train_compatibility
+from .compat import (AttributeTable, LabeledEmbeddings, ZslConfig, load_model, save_model,
+                     train_compatibility)
 from .data import (
-    Annotations,
     SynthConfig,
     generate,
     load_annotations,
@@ -151,7 +149,7 @@ def _read_config(path: str, known) -> dict[str, str]:
     """key=value lines; a key not in `known`, or given twice, is a usage error."""
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for n, ln in enumerate(fh, 1):
                 ln = ln.strip()
                 if not ln or ln.startswith("#"):
@@ -165,7 +163,7 @@ def _read_config(path: str, known) -> dict[str, str]:
                 if key not in known:
                     raise UsageError(f"{path}:{n}: unknown config key {key!r}")
                 values[key] = val.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     return values
 
@@ -270,12 +268,12 @@ def _exact(value) -> str:
     return repr(float(value)).removesuffix(".0")
 
 
-def _check_resume(state: TrainState, cfg: dict, loss_cfg, train_cfg, rows: int,
-                  path: str) -> None:
-    """UsageError naming the first option that differs from the saved run."""
+def _check_resume(state: TrainState, d_out: int, d_hidden: int, loss_cfg, train_cfg,
+                  rows: int, path: str) -> None:
+    """UsageError naming the first option that differs from the saved run, or
+    an --epochs below the epochs it has already trained."""
     head = state.head_v
-    widths = (("dim", head.d_out, cfg["dim"]),
-              ("hidden", head.d_hidden, cfg["hidden"] or cfg["dim"]))
+    widths = (("dim", head.d_out, d_out), ("hidden", head.d_hidden, d_hidden))
     changed = (next((w for w in widths if w[1] != w[2]), None)
                or state.changed_hyperparam(loss_cfg, train_cfg, rows))
     if changed is not None:
@@ -283,6 +281,10 @@ def _check_resume(state: TrainState, cfg: dict, loss_cfg, train_cfg, rows: int,
         option = TrainConfig.cli_name(name)  # dim, hidden, rows, LossConfig's: --<name>
         raise UsageError(f"--resume: {path} was trained with {name}={_exact(was)}, not "
                          f"{_exact(now)}; set {option} as before or drop --resume")
+    if train_cfg.epochs < state.next_epoch:
+        raise UsageError(f"--resume: {path} has trained {state.next_epoch} epochs, more than "
+                         f"--epochs {train_cfg.epochs}; set --epochs {state.next_epoch} or "
+                         f"more, or drop --resume")
 
 
 def cmd_train_embed(cfg: dict) -> int:
@@ -301,7 +303,8 @@ def cmd_train_embed(cfg: dict) -> int:
     path_state = os.path.join(out, STATE_FILE)
     if cfg["resume"] and os.path.exists(path_state):
         state = load_train_state(path_state)
-        _check_resume(state, cfg, loss_cfg, train_cfg, len(groups), path_state)
+        _check_resume(state, d_out, d_hidden, loss_cfg, train_cfg, len(groups),
+                      path_state)
         log.info("resuming at epoch %d", state.next_epoch + 1)
     else:
         # Sub-seeds keep the two heads' initializations independent of each
@@ -339,42 +342,32 @@ def cmd_embed(cfg: dict) -> int:
     return 0
 
 
-def _load_embedded(cfg: dict) -> tuple[Annotations, np.ndarray]:
-    """The --data annotations and the --features rows aligned with them; the
-    dataset's own features and group ids are not read."""
+def _load_embedded(cfg: dict, *assignments: str) -> tuple[AttributeTable, LabeledEmbeddings]:
+    """The --data attribute table, and the --features rows with any of these
+    assignments, labelled, in row order; the dataset's own features and group
+    ids are not read."""
     ds = load_annotations(cfg["data"])
     embeddings = read_features(cfg["features"])
     if len(embeddings) != len(ds.labels):
         raise DataError(
             f"{cfg['features']}: {len(embeddings)} rows but dataset has {len(ds.labels)}"
         )
-    return ds, embeddings
+    idx = ds.rows(*assignments)
+    return ds.attributes, LabeledEmbeddings(embeddings[idx], ds.labels[idx])
 
 
 def cmd_train_zsl(cfg: dict) -> int:
     zsl_cfg = _config(ZslConfig, cfg)
-    ds, embeddings = _load_embedded(cfg)
-    idx = ds.rows("train")
-    if len(idx) == 0:
-        raise DataError("dataset has no train rows")
-    data = LabeledEmbeddings(embeddings[idx], ds.labels[idx])
-    w = train_compatibility(data, ds.attributes, zsl_cfg)
+    table, train = _load_embedded(cfg, "train")
+    w = train_compatibility(train, table, zsl_cfg)
     save_model(w, os.path.join(cfg["out"], "model.jec"))
     _write_manifest("train-zsl", cfg, os.path.join(cfg["out"], "manifest.txt"))
     return 0
 
 
 def cmd_eval(cfg: dict) -> int:
-    ds, embeddings = _load_embedded(cfg)
-    w = load_model(cfg["model"])
-    seen_idx = ds.rows("test_seen")
-    unseen_idx = ds.rows("test_unseen")
-    report = evaluate(
-        w,
-        LabeledEmbeddings(embeddings[seen_idx], ds.labels[seen_idx]),
-        LabeledEmbeddings(embeddings[unseen_idx], ds.labels[unseen_idx]),
-        ds.attributes,
-    )
+    table, test = _load_embedded(cfg, "test_seen", "test_unseen")
+    report = evaluate(load_model(cfg["model"]), test, table)
     out = cfg["out"]
     text = format_report(report)
     write_file(os.path.join(out, "report.txt"), text)

@@ -31,6 +31,13 @@ def id_array(ids) -> np.ndarray:
     return np.array(sorted({int(c) for c in ids}), dtype=np.int64)
 
 
+# np.unique and np.setdiff1d import numpy.ma on first use, which costs more
+# than these checks; np.isin does not.
+def ids_outside(labels: np.ndarray, allowed) -> list[int]:
+    """Sorted distinct ids of the int array `labels` that are not in `allowed`."""
+    return sorted(set(labels[~np.isin(labels, allowed)].tolist()))
+
+
 @dataclass
 class AttributeTable:
     """Per-class semantic vectors plus the seen/unseen class split, whose ids
@@ -53,9 +60,9 @@ class AttributeTable:
         overlap = self.seen[np.isin(self.seen, self.unseen)]
         if overlap.size:
             raise DataError(f"seen/unseen classes overlap: {overlap.tolist()}")
-        missing = self.split_ids[~np.isin(self.split_ids, self.class_ids)]
-        if missing.size:
-            raise DataError(f"classes without attribute rows: {missing.tolist()}")
+        missing = ids_outside(self.split_ids, self.class_ids)
+        if missing:
+            raise DataError(f"classes without attribute rows: {missing}")
         self._row = {cid: i for i, cid in enumerate(self.class_ids)}
 
     @property
@@ -96,9 +103,9 @@ class LabeledEmbeddings:
 
 def _targets(data: LabeledEmbeddings, table: AttributeTable) -> tuple[np.ndarray, np.ndarray]:
     """Seen attribute rows in class-id order, and each row's true column among them."""
-    outside = data.labels[~np.isin(data.labels, table.seen)]
-    if len(outside):
-        raise ValueError(f"labels outside seen classes: {sorted(set(outside.tolist()))}")
+    outside = ids_outside(data.labels, table.seen)
+    if outside:
+        raise ValueError(f"labels outside seen classes: {outside}")
     return table.rows_for(table.seen), np.searchsorted(table.seen, data.labels)
 
 

@@ -333,8 +333,9 @@ class Annotations:
     attributes: AttributeTable
     assignments: np.ndarray  # (N,) str objects, each one of ASSIGNMENTS
 
-    def rows(self, assignment: str) -> np.ndarray:
-        return np.flatnonzero(self.assignments == assignment)
+    def rows(self, *assignments: str) -> np.ndarray:
+        """Indices of the rows with any of these assignments, in row order."""
+        return np.flatnonzero(np.isin(self.assignments, assignments))
 
 
 @dataclass

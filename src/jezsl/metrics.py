@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compat import AttributeTable, LabeledEmbeddings, infer_batch
+from .compat import AttributeTable, LabeledEmbeddings, ids_outside, infer_batch
 
 
 @dataclass
@@ -22,13 +22,6 @@ class GzslReport:
     s: float
     h: float
     per_class: dict[int, tuple[float, int]] = field(default_factory=dict)
-
-
-# np.unique and np.setdiff1d import numpy.ma on first use, which costs more
-# than these checks; np.isin does not.
-def _outside(labels: np.ndarray, allowed: np.ndarray) -> list[int]:
-    """Sorted distinct labels that are not in the id array `allowed`."""
-    return sorted(set(labels[~np.isin(labels, allowed)].tolist()))
 
 
 def per_class_accuracy(
@@ -47,7 +40,7 @@ def per_class_accuracy(
             f"{len(predictions)} predictions vs {len(labels)} labels"
         )
     classes = np.sort(np.asarray(classes, dtype=np.int64))
-    outside = _outside(labels, classes)
+    outside = ids_outside(labels, classes)
     if outside:
         raise ValueError(f"labels outside the class set: {outside}")
 
@@ -71,31 +64,24 @@ def harmonic_mean(u: float, s: float) -> float:
     return 2.0 * u * s / (u + s)
 
 
-def evaluate(
-    w: np.ndarray,
-    test_seen: LabeledEmbeddings,
-    test_unseen: LabeledEmbeddings,
-    table: AttributeTable,
-) -> GzslReport:
-    """Full protocol for W: T1 in the ZSL regime, u/s/H in the GZSL regime."""
-    for name, split, classes in (("unseen", test_unseen, table.unseen),
-                                 ("seen", test_seen, table.seen)):
-        if len(split.embeddings) == 0:
+def evaluate(w: np.ndarray, test: LabeledEmbeddings, table: AttributeTable) -> GzslReport:
+    """Full protocol for W on one test set, scored by one infer_batch call:
+    T1 in the ZSL regime over its unseen-class rows, u and s in the GZSL
+    regime over its unseen-class and seen-class rows, and H."""
+    bad = ids_outside(test.labels, table.split_ids)
+    if bad:
+        raise ValueError(f"test labels outside the split's classes: {bad}")
+    unseen = np.isin(test.labels, table.unseen)
+    for name, part in (("unseen", unseen), ("seen", ~unseen)):
+        if not part.any():
             raise ValueError(f"evaluate: empty {name} test split")
-        bad = _outside(split.labels, classes)
-        if bad:
-            raise ValueError(f"{name} test labels not in {name} classes: {bad}")
 
-    zsl_unseen, gzsl_unseen = infer_batch(w, test_unseen.embeddings, table)
-    _, t1 = per_class_accuracy(zsl_unseen, test_unseen.labels, table.unseen)
-
-    all_classes = table.split_ids
-    per_u, u = per_class_accuracy(gzsl_unseen, test_unseen.labels, all_classes)
-    _, gzsl_seen = infer_batch(w, test_seen.embeddings, table)
-    per_s, s = per_class_accuracy(gzsl_seen, test_seen.labels, all_classes)
-
-    per_class = {**per_u, **per_s}
-    return GzslReport(t1=t1, u=u, s=s, h=harmonic_mean(u, s), per_class=per_class)
+    zsl, gzsl = infer_batch(w, test.embeddings, table)
+    labels_u, labels_s = test.labels[unseen], test.labels[~unseen]
+    _, t1 = per_class_accuracy(zsl[unseen], labels_u, table.unseen)
+    per_u, u = per_class_accuracy(gzsl[unseen], labels_u, table.split_ids)
+    per_s, s = per_class_accuracy(gzsl[~unseen], labels_s, table.split_ids)
+    return GzslReport(t1=t1, u=u, s=s, h=harmonic_mean(u, s), per_class={**per_u, **per_s})
 
 
 def format_report(report: GzslReport) -> str:

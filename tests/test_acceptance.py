@@ -230,22 +230,18 @@ class TestCriterion6MetricProtocol:
         ok = True
         for seed in range(10):
             w, test_seen, test_unseen, table = self.setting(seed)
-            r = evaluate(w, test_seen, test_unseen, table)
+            test = LabeledEmbeddings(
+                np.concatenate([test_seen.embeddings, test_unseen.embeddings]),
+                np.concatenate([test_seen.labels, test_unseen.labels]),
+            )
+            r = evaluate(w, test, table)
             # restricting candidates to unseen classes can only help
             ok = ok and r.t1 >= r.u - 1e-12
             ok = ok and min(r.u, r.s) - 1e-12 <= r.h <= max(r.u, r.s) + 1e-12
 
-            perm_s = make_rng(seed).permutation(len(test_seen.labels))
-            perm_u = make_rng(seed + 1).permutation(len(test_unseen.labels))
+            perm = make_rng(seed).permutation(len(test.labels))
             r2 = evaluate(
-                w,
-                LabeledEmbeddings(
-                    test_seen.embeddings[perm_s], test_seen.labels[perm_s]
-                ),
-                LabeledEmbeddings(
-                    test_unseen.embeddings[perm_u], test_unseen.labels[perm_u]
-                ),
-                table,
+                w, LabeledEmbeddings(test.embeddings[perm], test.labels[perm]), table
             )
             ok = ok and (r.t1, r.u, r.s, r.h) == (r2.t1, r2.u, r2.s, r2.h)
 

@@ -206,6 +206,12 @@ def test_write_file_creates_the_directory_and_joins_parts(tmp_path):
     assert path.read_bytes() == "t\u00e9xt\n".encode() + b"\x00\x01" + np.array([1.0]).tobytes()
 
 
+def _mode(call: ast.Call) -> ast.expr:
+    """The mode (or os.open flags) node of an open call; "r" if not given."""
+    return call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+
+
 def _writes(call: ast.Call) -> bool:
     """Whether a call makes a directory, or opens a file with a mode (or
     os.open flags) that is not a literal read-only mode."""
@@ -215,18 +221,40 @@ def _writes(call: ast.Call) -> bool:
         return True
     if name != "open":
         return False
-    mode = call.args[1] if len(call.args) > 1 else next(
-        (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+    mode = _mode(call)
     return not isinstance(mode, ast.Constant) or bool(set(mode.value) & set("wax+"))
+
+
+def _package_trees():
+    """(path, parsed module) of every source file of the package."""
+    for path in sorted(pathlib.Path(jezsl.__file__).parent.rglob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
 def test_write_file_is_the_only_write_path():
     found = []
-    for path in sorted(pathlib.Path(jezsl.__file__).parent.rglob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+    for path, tree in _package_trees():
         allowed = {id(node) for fn in ast.walk(tree)
                    if isinstance(fn, ast.FunctionDef) and fn.name == "write_file"
                    and path.name == "linalg.py" for node in ast.walk(fn)}
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and id(node) not in allowed and _writes(node)]
+    assert found == []
+
+
+def test_every_text_open_is_utf8():
+    # Every writer writes UTF-8, so the locale's encoding must not decide how
+    # a text file reads back.
+    found = []
+    for path, tree in _package_trees():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            mode = _mode(node)
+            if isinstance(mode, ast.Constant) and "b" in mode.value:
+                continue
+            encoding = next((k.value for k in node.keywords if k.arg == "encoding"), None)
+            if not (isinstance(encoding, ast.Constant) and encoding.value == "utf-8"):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []

@@ -217,6 +217,21 @@ class TestTrainEmbed:
         assert run("train-embed", "--epochs", "2", "--resume", "--dim", "16", *common) == 0
         assert load_head(os.path.join(out, "head_v.jeh")).d_out == 16
 
+    def test_resume_refuses_fewer_epochs(self, tmp_path, capsys):
+        # A shorter run would leave the later epochs' heads under a manifest
+        # and log of fewer epochs; an equal count stays allowed (see
+        # test_no_epochs_to_run_still_writes_heads_and_bundle).
+        data = gen(tmp_path, **{"--classes": "4", "--per-class": "8"})
+        out = str(tmp_path / "run")
+        common = ["--data", data, "--out", out, "--batch-size", "8"]
+        assert run("train-embed", "--epochs", "4", *common) == 0
+        before = {n: pathlib.Path(out, n).read_bytes() for n in os.listdir(out)}
+        capsys.readouterr()
+        assert run("train-embed", "--epochs", "2", "--resume", *common) == 1
+        err = capsys.readouterr().err
+        assert "has trained 4 epochs, more than --epochs 2" in err
+        assert {n: pathlib.Path(out, n).read_bytes() for n in os.listdir(out)} == before
+
     def test_repeated_captions_train(self, tmp_path):
         # Two captions per image repeat every image row, so coincident rows
         # (d = 0) sit inside active hinges from the first minibatch on.
@@ -572,6 +587,17 @@ class TestTrainZsl:
                                        "--out", str(tmp_path / "zsl"), "--lr", "1e308")
         assert code == 3
 
+    def test_no_train_rows_is_data_error(self, tmp_path, capsys):
+        data = gen(tmp_path)
+        path = pathlib.Path(data, "assignments.txt")
+        path.write_text(path.read_text().replace("train\n", "test_seen\n"))
+        code, err = run_without_warnings(capsys, "train-zsl", "--data", data,
+                                         "--features", os.path.join(data, "visual.jef"),
+                                         "--out", str(tmp_path / "zsl"))
+        assert code == 2
+        assert "empty training data" in err
+        assert not os.path.exists(tmp_path / "zsl")
+
 
 # Every comparison with NaN is false, so a bound written as `x < 0` lets NaN
 # through to a later numerical failure (exit 3) instead of a usage error.
@@ -758,6 +784,25 @@ class TestTopLevel:
         assert code == 1
         assert err == f"error: {cfgfile}:{line}: {message}\n"
         assert not os.path.exists(out)
+
+    def test_config_is_read_as_utf8_in_any_locale(self, tmp_path):
+        # Every manifest is written as UTF-8; a C locale must not change how
+        # a config reads, and a config that is not UTF-8 is a data error
+        # naming the file.
+        src = os.path.dirname(os.path.dirname(jezsl.__file__))
+        env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C", "JEZSL_LOG": "quiet",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        good, bad = tmp_path / "c.txt", tmp_path / "bad.txt"
+        good.write_bytes("# run for Z\u00fcrich\nclasses=4\n".encode())
+        bad.write_bytes(b"# caf\xe9\nclasses=4\n")
+        for cfgfile, code in ((good, 0), (bad, 2)):
+            out = tmp_path / f"d{code}"
+            done = subprocess.run([sys.executable, "-m", "jezsl.cli", "gen-synth", "--config",
+                                   str(cfgfile), "--seen", "2", "--per-class", "4",
+                                   "--out", str(out)], env=env, capture_output=True, text=True)
+            assert done.returncode == code, done.stderr
+            assert out.exists() == (code == 0)
+        assert done.stderr.startswith(f"data error: cannot read config {bad}: ")
 
 
 # --- CLI contract fuzz ----------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jezsl import metrics
 from jezsl.compat import AttributeTable, LabeledEmbeddings
 from jezsl.linalg import make_rng
 from jezsl.metrics import (
@@ -105,10 +106,16 @@ def make_setting(seed=0):
     return w, test_seen, test_unseen, table
 
 
+def joined(*parts: LabeledEmbeddings) -> LabeledEmbeddings:
+    """One labelled row set of the parts' rows, in order."""
+    return LabeledEmbeddings(np.concatenate([p.embeddings for p in parts]),
+                             np.concatenate([p.labels for p in parts]))
+
+
 class TestEvaluate:
     def test_matches_independent_recomputation(self):
         w, test_seen, test_unseen, table = make_setting(3)
-        report = evaluate(w, test_seen, test_unseen, table)
+        report = evaluate(w, joined(test_seen, test_unseen), table)
 
         # recompute every figure from plain argmaxes and loops
         def balanced(preds, labels):
@@ -137,23 +144,47 @@ class TestEvaluate:
     def test_values_in_unit_interval(self):
         for seed in range(5):
             w, test_seen, test_unseen, table = make_setting(seed)
-            r = evaluate(w, test_seen, test_unseen, table)
+            r = evaluate(w, joined(test_seen, test_unseen), table)
             for v in (r.t1, r.u, r.s, r.h):
                 assert 0.0 <= v <= 1.0
+
+    def test_shuffled_rows_give_the_same_report(self):
+        w, test_seen, test_unseen, table = make_setting(4)
+        both = joined(test_seen, test_unseen)
+        report = evaluate(w, both, table)
+        for seed in range(3):
+            # Seen and unseen rows interleave in any order.
+            perm = make_rng(seed).permutation(len(both.labels))
+            shuffled = LabeledEmbeddings(both.embeddings[perm], both.labels[perm])
+            assert evaluate(w, shuffled, table) == report
 
     def test_empty_split_rejected(self):
         w, test_seen, test_unseen, table = make_setting(0)
         empty = LabeledEmbeddings(np.zeros((0, 6)), np.zeros(0, int))
-        with pytest.raises(ValueError):
-            evaluate(w, empty, test_unseen, table)
-        with pytest.raises(ValueError):
-            evaluate(w, test_seen, empty, table)
+        for test, name in ((test_unseen, "seen"), (test_seen, "unseen"), (empty, "unseen")):
+            with pytest.raises(ValueError, match=f"empty {name} test split"):
+                evaluate(w, test, table)
 
-    def test_misplaced_labels_rejected(self):
+    def test_labels_outside_the_split_rejected(self):
         w, test_seen, test_unseen, table = make_setting(0)
-        swapped = LabeledEmbeddings(test_unseen.embeddings, test_seen.labels[:10])
-        with pytest.raises(ValueError):
-            evaluate(w, test_seen, swapped, table)
+        # Class 5 has an attribute row but is neither seen nor unseen.
+        table = AttributeTable(list(range(6)), np.vstack([table.attributes, np.ones(4)]),
+                               table.seen, table.unseen)
+        stray = LabeledEmbeddings(np.ones((2, 6)), [5, 7])
+        with pytest.raises(ValueError, match=r"outside the split's classes: \[5, 7\]"):
+            evaluate(w, joined(test_seen, test_unseen, stray), table)
+
+    def test_one_inference_call(self, monkeypatch):
+        w, test_seen, test_unseen, table = make_setting(1)
+        calls, infer_batch = [], metrics.infer_batch
+
+        def counted(w, x, table):
+            calls.append(len(x))
+            return infer_batch(w, x, table)
+
+        monkeypatch.setattr(metrics, "infer_batch", counted)
+        evaluate(w, joined(test_seen, test_unseen), table)
+        assert calls == [25]
 
 
 class TestFormatting:
