@@ -23,6 +23,11 @@ argsort of (rows, b) keys per chunk counts the active hinges, and the
 gradient of all four terms is one matmul with (C + C^T) / D. The loss and
 its exact (sub)gradient are checked against an enumerating oracle, a
 brute-force loop and finite differences in the tests.
+
+Besides D, the coefficients C and the two masks, all (2b, 2b), the kernel
+holds one (d, 32, 32) distance tile, or a few chunks of rows that fit in a
+budget of 2^12 cells, at a time. Every cell is computed the same way in
+whatever tile or chunk it falls, so the chunking moves no bit.
 """
 
 from __future__ import annotations
@@ -33,9 +38,14 @@ import numpy as np
 
 from .linalg import NON_NEGATIVE, POSITIVE, Config, as_matrix, option
 
-# Rows per distance tile and per chunk of the sort and gradient passes.
-# Temporaries stay O(b^2 + ANCHOR_CHUNK * (b + ANCHOR_CHUNK * d)).
-ANCHOR_CHUNK = 64
+# Cells per chunk of the sort and gradient passes, which take as many rows
+# as fit (at least one): b <= 32 runs each pass as one chunk. Temporaries
+# beyond the four (2b, 2b) arrays stay O(d * _TILE^2 + max(_CELLS, 2b)).
+_CELLS = 2**12
+# Rows of a (d, _TILE, _TILE) distance tile. Even, so that with n = 2b no
+# tile is 1 x 1: numpy would sum such a tile's d coordinates pairwise, not
+# in order, and at d >= 8 some distances would change in the last bit.
+_TILE = 32
 
 
 @dataclass
@@ -76,14 +86,14 @@ def _pairwise_distances(z: np.ndarray) -> np.ndarray:
     n = len(z)
     zt = np.ascontiguousarray(z.T)
     out = np.empty((n, n))
-    for r in range(0, n, ANCHOR_CHUNK):
-        for c in range(r, n, ANCHOR_CHUNK):
-            diff = zt[:, r : r + ANCHOR_CHUNK, None] - zt[:, None, c : c + ANCHOR_CHUNK]
+    for r in range(0, n, _TILE):
+        for c in range(r, n, _TILE):
+            diff = zt[:, r : r + _TILE, None] - zt[:, None, c : c + _TILE]
             np.multiply(diff, diff, out=diff)
-            tile = out[r : r + ANCHOR_CHUNK, c : c + ANCHOR_CHUNK]
+            tile = out[r : r + _TILE, c : c + _TILE]
             np.sqrt(np.add.reduce(diff, axis=0), out=tile)
             if c != r:
-                out[c : c + ANCHOR_CHUNK, r : r + ANCHOR_CHUNK] = tile.T
+                out[c : c + _TILE, r : r + _TILE] = tile.T
     return out
 
 
@@ -100,7 +110,8 @@ def term_inputs(batch: MiniBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     g = batch.group_ids
     b = len(g)
-    pos = np.tile(g[:, None] == g[None, :], (2, 2))
+    # As (2, b, 2, b): anchor block, anchor, column block, column.
+    pos = np.equal(g[:, None, None], g, out=np.empty((2, b, 2, b), bool)).reshape(2 * b, 2 * b)
     neg = ~pos
     np.fill_diagonal(pos, False)  # the within-modal blocks' j == i
     dist = _pairwise_distances(np.concatenate([batch.visual, batch.sentence]))
@@ -111,37 +122,30 @@ def term_inputs(batch: MiniBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _SELF = np.uint64(2**64 - 1)
 
 
-def alignment_loss(
-    batch: MiniBatch, cfg: LossConfig
-) -> tuple[float, np.ndarray, int, int, np.ndarray, np.ndarray]:
-    """Loss, unweighted per-term hinge sums, active and total triplet
-    counts, and the exact subgradient w.r.t. both embedding matrices.
+def _count_hinges(
+    dist: np.ndarray, pos: np.ndarray, neg: np.ndarray, margin: float
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Active-hinge counts of the stacked rows from `term_inputs`.
 
-    Returns (loss, term_sums[4], active, total, dx, dy). Active hinges enter
-    the gradient through d||u - v||/du = (u - v)/||u - v||, taken as zero
-    where u == v (a valid subgradient of the norm). `cfg` is not checked
-    here, once per batch; `train_joint` validates it once per run.
+    Returns (coef, row_sums, active, total): per cell, the active hinges it
+    enters, negated for a negative, as (4b, b); each row's unweighted hinge
+    sum; and the active and total triplet counts. The chunks' temporaries
+    are freed on return, before the gradient pass allocates its own.
     """
-    dist, pos, neg = term_inputs(batch)
     b = dist.shape[1]
-    # Anchor i, with n_i rows in its group, has n_i positives in its
-    # cross-modal row and n_i - 1 in its within-modal row, each against
-    # b - n_i negatives, once per modality.
-    ids = np.sort(batch.group_ids)
-    n = ids.searchsorted(batch.group_ids, "right") - ids.searchsorted(batch.group_ids, "left")
-    total = 2 * int(np.dot(b - n, 2 * n - 1))
-    # Weight and positive count of each stacked row: term3, term1 for
-    # images, term2, term4 for sentences.
-    row_weight = np.repeat([[cfg.lambda2, 1.0], [cfg.lambda1, cfg.lambda3]], b, axis=0).ravel()
-    row_pos = np.tile(np.repeat(n, 2), 2) - np.repeat([[1, 0], [0, 1]], b, axis=0).ravel()
+    row_pos = pos.sum(axis=1)
+    # Each row pairs every one of its positives with every one of its
+    # negatives.
+    total = int(np.dot(row_pos, neg.sum(axis=1)))
     upto = np.arange(1, b + 1)
     coef = np.empty(dist.shape)
     row_sums = np.empty(len(dist))
     active = 0
-    for r in range(0, len(dist), 2 * ANCHOR_CHUNK):
-        rows = slice(r, r + 2 * ANCHOR_CHUNK)
+    step = max(1, _CELLS // b)
+    for r in range(0, len(dist), step):
+        rows = slice(r, r + step)
         d = dist[rows]
-        thresh = cfg.margin + d
+        thresh = margin + d
         # One key per cell. Non-negative float64s sort like their bit
         # patterns; the low bit puts a threshold before a distance equal
         # to it. Equal keys are of one kind, so the counts do not depend on
@@ -165,7 +169,29 @@ def alignment_loss(
         c_pos, c_neg = counts * pos[rows], counts * neg[rows]
         row_sums[rows] = np.add.reduce(c_pos * thresh, 1) - np.add.reduce(c_neg * d, 1)
         active += int(np.add.reduce(c_pos, None))
-        coef[rows] = (c_pos - c_neg) * row_weight[rows, None]
+        np.subtract(c_pos, c_neg, out=coef[rows])
+    return coef, row_sums, active, total
+
+
+def alignment_loss(
+    batch: MiniBatch, cfg: LossConfig
+) -> tuple[float, np.ndarray, int, int, np.ndarray, np.ndarray]:
+    """Loss, unweighted per-term hinge sums, active and total triplet
+    counts, and the exact subgradient w.r.t. both embedding matrices.
+
+    Returns (loss, term_sums[4], active, total, dx, dy). Active hinges enter
+    the gradient through d||u - v||/du = (u - v)/||u - v||, taken as zero
+    where u == v (a valid subgradient of the norm). `cfg` is not checked
+    here, once per batch; `train_joint` validates it once per run.
+    """
+    dist, pos, neg = term_inputs(batch)
+    b = dist.shape[1]
+    coef, row_sums, active, total = _count_hinges(dist, pos, neg, cfg.margin)
+    # Term weights by anchor block and column block: term3, term1 for
+    # images, term2, term4 for sentences.
+    weights = np.array([[cfg.lambda2, 1.0], [cfg.lambda1, cfg.lambda3]])
+    by_block = coef.reshape(2, b, 2, b)
+    by_block *= weights[:, None, :, None]
     (t3, t1), (t2, t4) = row_sums.reshape(2, b, 2).sum(axis=1)
     sums = np.array([t1, t2, t3, t4])
     loss = float(sums[0] + cfg.lambda1 * sums[1] + cfg.lambda2 * sums[2] + cfg.lambda3 * sums[3])
@@ -175,8 +201,9 @@ def alignment_loss(
     # G overwrites D, so the pass holds two (2b, 2b) arrays.
     c = coef.reshape(2 * b, 2 * b)
     g = dist.reshape(2 * b, 2 * b)
-    for r in range(0, 2 * b, ANCHOR_CHUNK):
-        rows = slice(r, r + ANCHOR_CHUNK)
+    step = max(1, _CELLS // (2 * b))
+    for r in range(0, 2 * b, step):
+        rows = slice(r, r + step)
         np.divide(c[rows] + c[:, rows].T, g[rows], out=g[rows], where=g[rows] > 0.0)
     z = np.concatenate([batch.visual, batch.sentence])
     dz = np.add.reduce(g, 1)[:, None] * z - g @ z

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jezsl.alignment import ANCHOR_CHUNK, LossConfig, MiniBatch, alignment_loss, term_inputs
+import jezsl.alignment
+from jezsl.alignment import LossConfig, MiniBatch, alignment_loss, term_inputs
 from jezsl.gradcheck import check_alignment
 from jezsl.linalg import l2_normalize_rows, make_rng
 
@@ -236,7 +237,9 @@ class TestKernelMatchesEnumeration:
     def test_spans_several_anchor_chunks(self):
         rng = make_rng(42)
         b = 300
-        assert b > 4 * ANCHOR_CHUNK
+        # More than eight distance tiles per row, sort chunks and gradient chunks.
+        cells, tile = jezsl.alignment._CELLS, jezsl.alignment._TILE
+        assert 2 * b > 8 * tile and 4 * b > 8 * (cells // b) and 2 * b > 8 * (cells // (2 * b))
         batches = [random_batch(rng, b=b, d=8, n_groups=60)]
         batches[0].group_ids[1] = batches[0].group_ids[0]
         # Every row its own group, so within-modal rows have no positive;
@@ -260,6 +263,54 @@ class TestKernelMatchesEnumeration:
         finally:
             tracemalloc.stop()
         assert peak <= 128 * 2**20
+
+    def test_memory_is_the_batch_matrices_plus_a_few_chunks(self):
+        rng = make_rng(47)
+        b = 128
+        batch = random_batch(rng, b=b, d=16, n_groups=50)
+        alignment_loss(batch, LossConfig())  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            alignment_loss(batch, LossConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Distances and coefficients (float64), the two masks (bool), and
+        # sixteen chunks of _CELLS float64s.
+        assert peak <= (2 * 8 + 2) * (2 * b) ** 2 + 16 * 8 * jezsl.alignment._CELLS
+
+    @pytest.mark.parametrize("b", [2, 5, 32, 130])
+    def test_chunk_and_tile_sizes_change_no_bit(self, monkeypatch, b):
+        rng = make_rng(48)
+        batch = random_batch(rng, b=b, d=16, n_groups=max(2, b // 4))
+        # d = 0 in active hinges: a row equal to its counterpart, and a
+        # repeated image row.
+        batch.sentence[0] = batch.visual[0]
+        batch.visual[1] = batch.visual[0]
+        cfg = LossConfig(margin=0.8, lambda1=1.5, lambda2=0.3, lambda3=0.4)
+        ref = alignment_loss(batch, cfg)
+        # One row per chunk in 2 x 2 tiles, then the whole batch in one chunk
+        # and one tile. (A 1 x 1 tile would sum coordinates pairwise; see _TILE.)
+        for cells, tile in ((1, 2), (4 * b * b + 1, 4 * b * b + 1)):
+            monkeypatch.setattr(jezsl.alignment, "_CELLS", cells)
+            monkeypatch.setattr(jezsl.alignment, "_TILE", tile)
+            got = alignment_loss(batch, cfg)
+            assert got[0] == ref[0] and got[2:4] == ref[2:4]
+            for a, r in zip(got[1:2] + got[4:], ref[1:2] + ref[4:]):
+                assert a.tobytes() == r.tobytes()
+
+    def test_batch_of_32_runs_one_chunk_per_pass(self, monkeypatch):
+        batch = random_batch(make_rng(49), b=32, d=16, n_groups=10)
+        calls = []
+
+        def counted(name):
+            real = getattr(np, name)
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        for name in ("argsort", "divide"):  # one call per sort and gradient chunk
+            monkeypatch.setattr(np, name, counted(name))
+        alignment_loss(batch, LossConfig())
+        assert calls == ["argsort", "divide"]
 
 
 def grid_batch(rng):
