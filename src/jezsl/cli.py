@@ -15,14 +15,13 @@ failure. Every numeric option is bounded, and --help shows each bound. The
 options that set a config field are built from the field, and the config's
 `validate` checks them together with its cross-field rules; the others have
 their bound in the option table. A value outside one, from a flag, config
-file or manifest, exits 1 before any file is read or written. Logging
-verbosity comes from JEZSL_LOG=debug|info|quiet.
+file or manifest, exits 1 before any file is read or written. A command
+reports on stdout and in its files; stderr holds only a failure's error line.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from dataclasses import MISSING, fields
@@ -51,8 +50,6 @@ from .trainer import (
     load_train_state,
     train_joint,
 )
-
-log = logging.getLogger("jezsl")
 
 
 class UsageError(Exception):
@@ -254,11 +251,8 @@ def _parse_collide(text: str) -> list[list[int]]:
 def cmd_gen_synth(cfg: dict) -> int:
     synth_cfg = _config(SynthConfig, cfg,
                         attribute_collision_groups=_parse_collide(cfg["collide"]))
-    data = generate(synth_cfg)
-    save_dataset(data, cfg["out"])
+    save_dataset(generate(synth_cfg), cfg["out"])
     _write_manifest("gen-synth", cfg, os.path.join(cfg["out"], "manifest.txt"))
-    log.info("wrote %d samples, %d classes to %s", len(data.labels),
-             synth_cfg.n_classes, cfg["out"])
     return 0
 
 
@@ -305,7 +299,6 @@ def cmd_train_embed(cfg: dict) -> int:
         state = load_train_state(path_state)
         _check_resume(state, d_out, d_hidden, loss_cfg, train_cfg, len(groups),
                       path_state)
-        log.info("resuming at epoch %d", state.next_epoch + 1)
     else:
         # Sub-seeds keep the two heads' initializations independent of each
         # other and of the shuffling stream.
@@ -425,15 +418,7 @@ def build_parser(command: str | None) -> _Parser:
     return parser
 
 
-def _setup_logging():
-    level = os.environ.get("JEZSL_LOG", "info").lower()
-    levels = {"debug": logging.DEBUG, "info": logging.INFO, "quiet": logging.ERROR}
-    logging.basicConfig(level=levels.get(level, logging.INFO),
-                        format="%(levelname)s %(name)s: %(message)s")
-
-
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv[0] if argv else None)
     try:

@@ -186,10 +186,12 @@ def validate_split(
     bad = np.flatnonzero(~allowed)
     if bad.size:
         i = int(bad[0])
-        kind = "seen" if to_unseen[i] else "unseen"
-        raise DataError(
-            f"sample {i}: {assignments[i]} sample has {kind}-class label {int(labels[i])}"
-        )
+        label = int(labels[i])
+        if label in table.split_ids:
+            kind = f"{'seen' if to_unseen[i] else 'unseen'}-class label {label}"
+        else:
+            kind = f"label {label}, outside the class split"
+        raise DataError(f"sample {i}: {assignments[i]} sample has {kind}")
 
 
 # --- synthetic generator -----------------------------------------------------
@@ -355,12 +357,11 @@ def load_annotations(data_dir: str) -> Annotations:
     attr_classes = read_ids(join("attribute_classes"))
     seen, unseen = read_split(join("splits"))
     assignments = read_assignments(join("assignments"))
-    table = AttributeTable(
-        class_ids=[int(c) for c in attr_classes],
-        attributes=attrs,
-        seen=seen,
-        unseen=unseen,
-    )
+    try:
+        table = AttributeTable(class_ids=[int(c) for c in attr_classes], attributes=attrs,
+                               seen=seen, unseen=unseen)
+    except (ValueError, DataError) as exc:
+        raise DataError(f"{join('attribute_classes')}: {exc}") from exc
     validate_split(labels, table, assignments)
     return Annotations(labels=labels, attributes=table, assignments=assignments)
 

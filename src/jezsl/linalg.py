@@ -22,6 +22,7 @@ import math
 import os
 import struct
 from dataclasses import field, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -119,12 +120,9 @@ def read_arrays(path: str, magic: bytes, version: int, ranks) -> list[np.ndarray
             )
         if len(head) < header:
             raise DataError(f"{path}: header truncated at {len(head)} bytes (need {header})")
-        dims = struct.unpack_from(f"<{sum(ranks)}I", head, 5)
-        shapes, start = [], 0
-        for rank in ranks:
-            shapes.append(dims[start : start + rank])
-            start += rank
-        expected = header + 8 * sum(math.prod(s) for s in shapes)
+        shapes = consecutive(struct.unpack_from(f"<{sum(ranks)}I", head, 5), ranks)
+        sizes = [math.prod(s) for s in shapes]
+        expected = header + 8 * sum(sizes)
         if size == expected:
             flat = np.empty((expected - header) // 8, dtype="<f8")
             # What is really there, should the file have changed since fstat.
@@ -137,12 +135,13 @@ def read_arrays(path: str, magic: bytes, version: int, ranks) -> list[np.ndarray
         )
     if not np.all(np.isfinite(flat)):
         raise DataError(f"{path}: payload contains non-finite values")
-    out, offset = [], 0
-    for shape in shapes:
-        n = math.prod(shape)
-        out.append(flat[offset : offset + n].reshape(shape))
-        offset += n
-    return out
+    return [v.reshape(s) for v, s in zip(consecutive(flat, sizes), shapes)]
+
+
+def consecutive(seq, sizes) -> list:
+    """The consecutive slices of `seq` with these lengths, in order; views
+    when `seq` is an array."""
+    return [seq[start : start + n] for start, n in zip(accumulate(sizes, initial=0), sizes)]
 
 
 # --- config fields -----------------------------------------------------------

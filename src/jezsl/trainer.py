@@ -13,7 +13,6 @@ uninterrupted run, and a resume under changed hyperparameters is refused.
 
 from __future__ import annotations
 
-import logging
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -33,10 +32,8 @@ from .heads import (
     head_from_arrays,
     save_head,
 )
-from .linalg import (NON_NEGATIVE, SEED, Config, as_matrix, at_least, make_rng, option,
-                     read_arrays, write_arrays)
-
-log = logging.getLogger("jezsl.trainer")
+from .linalg import (NON_NEGATIVE, SEED, Config, as_matrix, at_least, consecutive, make_rng,
+                     option, read_arrays, write_arrays)
 
 
 @dataclass
@@ -224,11 +221,7 @@ def _learnable(head_v: EmbeddingHead, head_s: EmbeddingHead) -> list[np.ndarray]
 
 def _views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
     """Views of consecutive slices of `flat`, shaped like `like`, in order."""
-    views, start = [], 0
-    for a in like:
-        views.append(flat[start : start + a.size].reshape(a.shape))
-        start += a.size
-    return views
+    return [v.reshape(a.shape) for v, a in zip(consecutive(flat, [a.size for a in like]), like)]
 
 
 def _first_nonfinite(arrays) -> tuple[str, str]:
@@ -337,12 +330,9 @@ def train_joint(
                 f"non-finite {label} head parameter {name} after epoch {epoch + 1}"
             )
 
-        mean_loss = float(np.mean(losses)) if losses else 0.0
-        frac = active_total / triple_total if triple_total else 0.0
-        train_log.epoch_loss.append(mean_loss)
-        train_log.active_fraction.append(frac)
+        train_log.epoch_loss.append(float(np.mean(losses)) if losses else 0.0)
+        train_log.active_fraction.append(active_total / triple_total if triple_total else 0.0)
         train_log.epoch_seconds.append(time.perf_counter() - start)
-        log.info("epoch %d mean_loss %.6g active_fraction %.3f", epoch + 1, mean_loss, frac)
 
         state.next_epoch = epoch + 1
         if (

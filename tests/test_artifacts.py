@@ -242,6 +242,30 @@ def test_write_file_is_the_only_write_path():
     assert found == []
 
 
+def test_only_cli_main_reaches_stderr_and_nothing_logs():
+    # One output path per stream: commands report on stdout and in their
+    # files, and cli.main prints a failed command's one error line to stderr.
+    # No logging layer adds another.
+    found = []
+    for path, tree in _package_trees():
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "main"
+                   and path.name == "cli.py" for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(f"{node.module}.{a.name}" for a in node.names)]
+            else:
+                names = []
+            if any(n.partition(".")[0] == "logging" or n == "sys.stderr" for n in names):
+                found.append(f"{path.name}:{node.lineno}: imports {', '.join(names)}")
+            if (isinstance(node, ast.Attribute) and node.attr in ("stderr", "__stderr__")
+                    and id(node) not in allowed):
+                found.append(f"{path.name}:{node.lineno}: {node.attr}")
+    assert found == []
+
+
 def test_every_text_open_is_utf8():
     # Every writer writes UTF-8, so the locale's encoding must not decide how
     # a text file reads back.

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import os
 import pathlib
 import subprocess
@@ -417,6 +418,101 @@ class TestCorruptArtifacts:
         assert "header truncated" in capsys.readouterr().err
 
 
+def _env_without_jezsl_log() -> dict[str, str]:
+    """This environment, minus any JEZSL_LOG, with the package on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(jezsl.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "JEZSL_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def _pipeline_argv(t) -> list[list[str]]:
+    """A small gen-synth, train-embed, embed, train-zsl, eval run under `t`."""
+    j = lambda *p: os.path.join(t, *p)
+    return [
+        ["gen-synth", "--out", j("d"), "--classes", "4", "--seen", "2", "--per-class", "6"],
+        ["train-embed", "--data", j("d"), "--out", j("r"), "--epochs", "2",
+         "--batch-size", "8"],
+        ["embed", "--checkpoint", j("r", "head_v.jeh"), "--features", j("d", "visual.jef"),
+         "--out", j("e.jef")],
+        ["train-zsl", "--data", j("d"), "--features", j("e.jef"), "--out", j("z"),
+         "--epochs", "2"],
+        ["eval", "--data", j("d"), "--features", j("e.jef"), "--model", j("z", "model.jec"),
+         "--out", j("v")],
+    ]
+
+
+class TestOutputStreams:
+    """stdout carries a command's report, the files hold the rest, and stderr
+    holds only the one error line of a failed command."""
+
+    def test_each_command_reports_on_stdout_alone(self, tmp_path):
+        stdout = {}
+        for argv in _pipeline_argv(str(tmp_path)):
+            done = subprocess.run([sys.executable, "-m", "jezsl.cli", *argv],
+                                  env=_env_without_jezsl_log(), capture_output=True)
+            assert (done.returncode, done.stderr) == (0, b""), argv
+            stdout[argv[0]] = done.stdout
+        assert stdout == {"gen-synth": b"", "embed": b"", "train-zsl": b"",
+                          "train-embed": (tmp_path / "r" / "train_log.txt").read_bytes(),
+                          "eval": (tmp_path / "v" / "report.txt").read_bytes()}
+        failed = subprocess.run([sys.executable, "-m", "jezsl.cli", "eval", "--data",
+                                 str(tmp_path / "d"), "--features", str(tmp_path / "e.jef"),
+                                 "--model", str(tmp_path / "absent.jec"), "--out",
+                                 str(tmp_path / "w")],
+                                env=_env_without_jezsl_log(), capture_output=True, text=True)
+        assert failed.returncode == 2 and failed.stdout == ""
+        assert failed.stderr.startswith("data error: ") and failed.stderr.count("\n") == 1
+
+    def test_each_in_process_call_writes_to_its_own_streams(self, tmp_path):
+        # Two calls in one fresh interpreter, each under its own redirected
+        # streams, the first call's closed before the second runs.
+        code = """if True:
+            import contextlib, io, json, sys
+            from jezsl.cli import main
+            calls = []
+            for argv in json.loads(sys.argv[1])[:2]:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                calls.append((code, out.getvalue(), err.getvalue()))
+                out.close()
+                err.close()
+            print(repr(calls))
+        """
+        argv = json.dumps(_pipeline_argv(str(tmp_path)))
+        done = subprocess.run([sys.executable, "-c", code, argv], env=_env_without_jezsl_log(),
+                              check=True, capture_output=True, text=True)
+        log = (tmp_path / "r" / "train_log.txt").read_text()
+        assert done.stdout == repr([(0, "", ""), (0, log, "")]) + "\n"
+        assert done.stderr == ""
+
+    def test_cli_import_leaves_logging_unloaded(self):
+        code = "import sys, jezsl.cli; print('logging' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=_env_without_jezsl_log(),
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip() == "False"
+
+
+class TestAttributeClassErrors:
+    """A bad attribute_classes.txt is a data error (exit 2) that names it."""
+
+    @pytest.mark.parametrize("ids, message", [
+        ("0 1 1 3 4", "duplicate class ids in attribute table"),
+        ("0 1 2 4", "4 class ids vs 5 attribute rows"),
+        ("0 1 2 5 4", "classes without attribute rows: [3]"),
+    ])
+    def test_names_the_file(self, tmp_path, capsys, ids, message):
+        data = gen(tmp_path)
+        path = os.path.join(data, "attribute_classes.txt")
+        pathlib.Path(path).write_text("".join(f"{c}\n" for c in ids.split()))
+        code, err = run_without_warnings(capsys, "train-zsl", "--data", data, "--features",
+                                         os.path.join(data, "visual.jef"),
+                                         "--out", str(tmp_path / "x"))
+        assert (code, err) == (2, f"data error: {path}: {message}\n")
+        assert not os.path.exists(tmp_path / "x")
+
+
 class TestPipelineAndEval:
     def pipeline(self, tmp_path):
         data = gen(tmp_path)
@@ -692,7 +788,7 @@ class TestGradcheckCommand:
         # np.unique, setdiff1d, intersect1d and union1d import numpy.ma, which
         # costs every command's process more than its own work on small data.
         src = os.path.dirname(os.path.dirname(jezsl.__file__))
-        env = {**os.environ, "JEZSL_LOG": "quiet", "PYTHONPATH": os.pathsep.join(
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         code = """if True:
             import os, sys
@@ -790,7 +886,7 @@ class TestTopLevel:
         # a config reads, and a config that is not UTF-8 is a data error
         # naming the file.
         src = os.path.dirname(os.path.dirname(jezsl.__file__))
-        env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C", "JEZSL_LOG": "quiet",
+        env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C",
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         good, bad = tmp_path / "c.txt", tmp_path / "bad.txt"
         good.write_bytes("# run for Z\u00fcrich\nclasses=4\n".encode())

@@ -240,6 +240,18 @@ class TestValidateSplit:
         with pytest.raises(DataError):
             validate_split(np.array([0, 0]), SPLIT, ["train"])
 
+    @pytest.mark.parametrize("label, assignment", [
+        (99, "train"), (99, "test_unseen"), (7, "test_seen"),
+    ])
+    def test_label_in_neither_class_set_is_named_outside_the_split(self, label, assignment):
+        # Seen {0, 1}, unseen {2}: neither label has an attribute row. Row 2,
+        # an unseen class in train, offends later and is not named.
+        table = AttributeTable([0, 1, 2], np.eye(3), seen=[0, 1], unseen=[2])
+        labels = np.array([0, label, 2])
+        with pytest.raises(DataError, match=rf"^sample 1: {assignment} sample has "
+                                            rf"label {label}, outside the class split$"):
+            validate_split(labels, table, ["train", assignment, "train"])
+
 
 class TestGenerate:
     def small_cfg(self, **kw):
