@@ -26,6 +26,8 @@ import os
 import sys
 from dataclasses import MISSING, fields
 
+import numpy as np
+
 from . import __version__
 from .alignment import LossConfig
 from .compat import (AttributeTable, LabeledEmbeddings, ZslConfig, load_model, save_model,
@@ -329,7 +331,10 @@ def cmd_embed(cfg: dict) -> int:
                 f"{cfg['features']}: {features.shape[1]} columns but checkpoint "
                 f"{cfg['checkpoint']} expects {head.d_in}"
             )
-        features, _ = forward(head, features, train=False)
+        # An overflow is caught by write_features' finiteness check, which
+        # raises NumericalError, so numpy's warnings are off.
+        with np.errstate(over="ignore", invalid="ignore"):
+            features, _ = forward(head, features, train=False)
     write_features(features, cfg["out"])
     _write_manifest("embed", cfg, cfg["out"] + ".manifest.txt")
     return 0

@@ -2,9 +2,8 @@
 
 Feature files are one matrix in the shared binary codec
 (`linalg.write_arrays`): magic "JEF1", version byte 1, uint32 LE rows/cols,
-then the row-major float64 LE payload. A CSV encoding (header
-`dim=<cols>`, 17 significant digits) is accepted on read as a fallback.
-Labels and group ids live in companion text files, one integer per line.
+then the row-major float64 LE payload. Labels and group ids live in
+companion text files, one integer per line, read as UTF-8 by `_read_lines`.
 Every file, text included, is written atomically by `linalg.write_file`.
 
 The generator produces class-clustered visual features, caption features
@@ -40,46 +39,11 @@ _DRAW_VALUES = 2**17
 
 
 def write_features(m: np.ndarray, path: str) -> None:
-    write_arrays(path, FEATURE_MAGIC, FEATURE_VERSION, [as_matrix(m, "feature matrix")])
+    write_arrays(path, FEATURE_MAGIC, FEATURE_VERSION, [as_matrix(m, path)])
 
 
 def read_features(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == FEATURE_MAGIC:
-        return read_arrays(path, FEATURE_MAGIC, FEATURE_VERSION, (2,))[0]
-    return _parse_csv_features(path, magic)
-
-
-def _parse_csv_features(path: str, magic: bytes) -> np.ndarray:
-    """The CSV fallback, parsed into one preallocated matrix. Blank lines are
-    skipped, and counted in the line numbers of errors."""
-    try:
-        lines = _read_lines(path)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: bad magic {magic!r} and not valid CSV") from exc
-    numbered = [(n, ln) for n, ln in enumerate(lines, 1) if ln.strip()]
-    if not numbered or not numbered[0][1].startswith("dim="):
-        raise DataError(f"{path}: bad magic and missing CSV 'dim=' header")
-    header = numbered[0][1]
-    try:
-        cols = int(header[4:])
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed CSV header {header!r}") from exc
-    if cols < 0:
-        raise DataError(f"{path}: malformed CSV header {header!r}")
-    m = np.empty((len(numbered) - 1, cols))
-    for row, (n, ln) in enumerate(numbered[1:]):
-        values = ln.split(",")
-        if len(values) != cols:
-            raise DataError(f"{path}:{n}: expected {cols} values, got {len(values)}")
-        try:
-            m[row] = [float(v) for v in values]
-        except ValueError as exc:
-            raise DataError(f"{path}:{n}: non-numeric value") from exc
-    if not np.all(np.isfinite(m)):
-        raise DataError(f"{path}: contains non-finite values")
-    return m
+    return read_arrays(path, FEATURE_MAGIC, FEATURE_VERSION, (2,))[0]
 
 
 # --- labels, groups, splits --------------------------------------------------
@@ -90,9 +54,13 @@ def write_ids(ids, path: str) -> None:
 
 
 def _read_lines(path: str) -> list[str]:
-    """The file's lines without line ends (text mode reads \r\n and \r as \n)."""
-    with open(path, encoding="utf-8") as fh:
-        return fh.read().split("\n")
+    """The file's lines without line ends (text mode reads \r\n and \r as \n);
+    a file that is not UTF-8 is a DataError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def _first_bad_line(lines: list[str], ok) -> tuple[int, str]:
@@ -362,7 +330,10 @@ def load_annotations(data_dir: str) -> Annotations:
                                seen=seen, unseen=unseen)
     except (ValueError, DataError) as exc:
         raise DataError(f"{join('attribute_classes')}: {exc}") from exc
-    validate_split(labels, table, assignments)
+    try:
+        validate_split(labels, table, assignments)
+    except DataError as exc:
+        raise DataError(f"{join('labels')}, {join('assignments')}: {exc}") from exc
     return Annotations(labels=labels, attributes=table, assignments=assignments)
 
 
@@ -373,8 +344,9 @@ def load_dataset(data_dir: str) -> Dataset:
     visual = read_features(join("visual"))
     sentences = read_features(join("sentences"))
     groups = read_ids(join("groups"))
-    if not (len(visual) == len(sentences) == len(annotations.labels) == len(groups)):
-        raise DataError(
-            f"{data_dir}: row counts disagree across visual/sentences/labels/groups"
-        )
+    counts = {"visual": len(visual), "sentences": len(sentences),
+              "labels": len(annotations.labels), "groups": len(groups)}
+    if len(set(counts.values())) > 1:
+        raise DataError("row counts disagree: "
+                        + ", ".join(f"{join(key)} {n}" for key, n in counts.items()))
     return Dataset(**vars(annotations), visual=visual, sentences=sentences, groups=groups)

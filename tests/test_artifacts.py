@@ -231,14 +231,34 @@ def _package_trees():
         yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
+def _inside(tree, path, module: str, function: str) -> set[int]:
+    """ids of the nodes of `function` in `tree` when `path` is `module`."""
+    if path.name != module:
+        return set()
+    return {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == function
+            for node in ast.walk(fn)}
+
+
 def test_write_file_is_the_only_write_path():
     found = []
     for path, tree in _package_trees():
-        allowed = {id(node) for fn in ast.walk(tree)
-                   if isinstance(fn, ast.FunctionDef) and fn.name == "write_file"
-                   and path.name == "linalg.py" for node in ast.walk(fn)}
+        allowed = _inside(tree, path, "linalg.py", "write_file")
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and id(node) not in allowed and _writes(node)]
+    assert found == []
+
+
+def test_read_arrays_is_the_only_binary_read_path():
+    # Every binary file is read by the one codec reader, which checks its
+    # magic, version, size and values, so no format is read a second way.
+    found = []
+    for path, tree in _package_trees():
+        allowed = _inside(tree, path, "linalg.py", "read_arrays")
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in allowed
+                  and getattr(node.func, "id", None) == "open" and not _writes(node)
+                  and "b" in _mode(node).value]
     assert found == []
 
 
@@ -248,9 +268,7 @@ def test_only_cli_main_reaches_stderr_and_nothing_logs():
     # No logging layer adds another.
     found = []
     for path, tree in _package_trees():
-        allowed = {id(node) for fn in ast.walk(tree)
-                   if isinstance(fn, ast.FunctionDef) and fn.name == "main"
-                   and path.name == "cli.py" for node in ast.walk(fn)}
+        allowed = _inside(tree, path, "cli.py", "main")
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]

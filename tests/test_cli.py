@@ -19,7 +19,7 @@ import jezsl
 from jezsl.alignment import LossConfig
 from jezsl.cli import COMMANDS, _parse_collide, main
 from jezsl.compat import ZslConfig, load_model
-from jezsl.data import SynthConfig, load_dataset, read_features
+from jezsl.data import SynthConfig, load_dataset, read_features, write_features
 from jezsl.heads import load_head
 from jezsl.linalg import make_rng
 from jezsl.trainer import TrainConfig, load_train_state
@@ -368,6 +368,29 @@ class TestEmbedCommand:
                    "--features", bad, "--out", str(tmp_path / "y.jef")) == 2
 
 
+    def test_overflow_is_one_numerical_error_line(self, tmp_path, capsys):
+        data, out = self.setup_run(tmp_path)
+        visual = read_features(os.path.join(data, "visual.jef"))
+        visual[0, 0] = 1e308
+        huge, emb = str(tmp_path / "huge.jef"), str(tmp_path / "emb.jef")
+        write_features(visual, huge)
+        capsys.readouterr()
+        code, err = run_without_warnings(capsys, "embed", "--checkpoint",
+                                         os.path.join(out, "head_v.jeh"),
+                                         "--features", huge, "--out", emb)
+        assert (code, err) == (3, f"numerical failure: {emb}: contains non-finite entries\n")
+        assert not os.path.exists(emb)
+
+    def test_features_not_jef_is_data_error(self, tmp_path, capsys):
+        features, emb = tmp_path / "x.csv", str(tmp_path / "emb.jef")
+        features.write_text("dim=2\n1.0,2.0\n")
+        code, err = run_without_warnings(capsys, "embed", "--raw-passthrough",
+                                         "--features", str(features), "--out", emb)
+        assert (code, err) == (2, f"data error: {features}: bad magic b'dim=', "
+                                  "expected b'JEF1'\n")
+        assert not os.path.exists(emb)
+
+
 class TestCorruptArtifacts:
     """A cut-off artifact of each binary format is a data error (exit 2)."""
 
@@ -510,6 +533,30 @@ class TestAttributeClassErrors:
                                          os.path.join(data, "visual.jef"),
                                          "--out", str(tmp_path / "x"))
         assert (code, err) == (2, f"data error: {path}: {message}\n")
+        assert not os.path.exists(tmp_path / "x")
+
+
+class TestDatasetFileErrors:
+    """A dataset text file that will not load is a data error (exit 2) whose
+    one stderr line names the file or files at fault."""
+
+    @pytest.mark.parametrize("edit, names, message", [
+        (lambda blob: b"\xff" + blob, ["labels"],
+         "not UTF-8 text (invalid start byte at byte 0)"),
+        (lambda blob: blob.replace(b"test_unseen\n", b"", 1), ["labels", "assignments"],
+         "50 labels vs 49 assignments"),
+        (lambda blob: b"test_unseen\n" + blob.split(b"\n", 1)[1], ["labels", "assignments"],
+         "sample 0: test_unseen sample has seen-class label 0"),
+    ])
+    def test_names_the_files(self, tmp_path, capsys, edit, names, message):
+        data = gen(tmp_path)
+        path = pathlib.Path(data, names[-1] + ".txt")
+        path.write_bytes(edit(path.read_bytes()))
+        code, err = run_without_warnings(capsys, "train-zsl", "--data", data, "--features",
+                                         os.path.join(data, "visual.jef"),
+                                         "--out", str(tmp_path / "x"))
+        files = ", ".join(os.path.join(data, f"{name}.txt") for name in names)
+        assert (code, err) == (2, f"data error: {files}: {message}\n")
         assert not os.path.exists(tmp_path / "x")
 
 

@@ -32,13 +32,6 @@ from jezsl.errors import DataError
 from jezsl.linalg import make_rng
 
 
-def write_csv(m, path):
-    """A CSV feature file: a `dim=<cols>` header, then 17 significant digits."""
-    rows = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in m)
-    with open(path, "w") as fh:
-        fh.write(f"dim={m.shape[1]}\n" + rows)
-
-
 class TestFeatureIo:
     def test_binary_round_trip_bit_identical(self, tmp_path):
         rng = make_rng(0)
@@ -46,24 +39,6 @@ class TestFeatureIo:
         path = str(tmp_path / "m.jef")
         write_features(m, path)
         np.testing.assert_array_equal(read_features(path), m)
-
-    def test_csv_round_trip(self, tmp_path):
-        rng = make_rng(1)
-        m = rng.standard_normal((4, 3))
-        path = str(tmp_path / "m.csv")
-        write_csv(m, path)
-        got = read_features(path)
-        # 17 significant digits round-trip float64 exactly
-        np.testing.assert_array_equal(got, m)
-
-    def test_csv_and_binary_agree(self, tmp_path):
-        rng = make_rng(2)
-        m = rng.standard_normal((6, 4))
-        pb = str(tmp_path / "m.jef")
-        pc = str(tmp_path / "m.csv")
-        write_features(m, pb)
-        write_csv(m, pc)
-        assert np.max(np.abs(read_features(pb) - read_features(pc))) <= 1e-15
 
     def test_truncated_payload_names_byte_counts(self, tmp_path):
         m = np.ones((3, 2))
@@ -73,44 +48,31 @@ class TestFeatureIo:
         with pytest.raises(DataError, match=r"expected 61 bytes.*got 53"):
             read_features(str(path))
 
-    def test_bad_magic_and_not_csv(self, tmp_path):
+    def test_payload_longer_than_its_dims(self, tmp_path):
         path = tmp_path / "m.jef"
-        path.write_bytes(b"\xff\xfe\x00\x01garbage")
-        with pytest.raises(DataError):
-            read_features(str(path))
-
-    def test_missing_csv_header(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("1.0,2.0\n")
-        with pytest.raises(DataError, match="dim="):
-            read_features(str(path))
-
-    def test_negative_csv_width(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("dim=-1\n")
-        with pytest.raises(DataError, match="malformed CSV header"):
-            read_features(str(path))
-
-    def test_csv_ragged_row(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("dim=3\n1,2,3\n1,2\n")
-        with pytest.raises(DataError):
+        write_features(np.ones((3, 2)), str(path))
+        path.write_bytes(path.read_bytes() + np.ones(1).tobytes())
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: payload size mismatch, "
+                                            r"expected 61 bytes .* got 69$"):
             read_features(str(path))
 
     def test_non_finite_rejected(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("dim=2\n1.0,nan\n")
-        with pytest.raises(DataError):
-            read_features(str(path))
+        path = tmp_path / "m.jef"
+        write_features(np.ones((3, 2)), str(path))
+        blob = path.read_bytes()
+        for value in (np.nan, np.inf, -np.inf):
+            # The last payload value; write_features refuses to write it.
+            path.write_bytes(blob[:-8] + np.float64(value).tobytes())
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}: payload contains "
+                                                "non-finite values$"):
+                read_features(str(path))
 
-    @pytest.mark.parametrize("blob, message", [
-        (b"dim=2\n\n1,2\n\n1\n", ":5: expected 2 values, got 1"),  # blank lines count
-        (b"dim=2\r\n1,2\r\n\r\nx,1\r\n", ":4: non-numeric value"),  # CRLF line ends
-    ])
-    def test_csv_error_names_the_file_line(self, tmp_path, blob, message):
+    def test_bad_magic_names_the_file(self, tmp_path):
+        # A text matrix, such as a CSV file, is no feature file.
         path = tmp_path / "m.csv"
-        path.write_bytes(blob)
-        with pytest.raises(DataError, match=f"^{re.escape(str(path) + message)}$"):
+        path.write_text("dim=2\n1.0,2.0\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: bad magic b'dim=', "
+                                            "expected b'JEF1'$"):
             read_features(str(path))
 
 
@@ -438,4 +400,25 @@ class TestDatasetDirectory:
         lines[idx] = "train"
         (tmp_path / "assignments.txt").write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError):
+            load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("key", ["labels", "groups", "attribute_classes", "splits",
+                                     "assignments"])
+    def test_text_file_not_utf8_is_named(self, tmp_path, key):
+        save_dataset(generate(SynthConfig(n_classes=4, n_seen=2, samples_per_class=5, seed=3)),
+                     str(tmp_path))
+        path = tmp_path / FILES[key]
+        path.write_bytes(b"\xff" + path.read_bytes())
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text "
+                                            r"\(invalid start byte at byte 0\)$"):
+            load_dataset(str(tmp_path))
+
+    def test_row_count_mismatch_names_each_file(self, tmp_path):
+        save_dataset(generate(SynthConfig(n_classes=4, n_seen=2, samples_per_class=5, seed=3)),
+                     str(tmp_path))
+        path = tmp_path / FILES["groups"]
+        path.write_text(path.read_text() + "0\n")
+        counts = ", ".join(f"{tmp_path / FILES[key]} {n}" for key, n in
+                           [("visual", 20), ("sentences", 20), ("labels", 20), ("groups", 21)])
+        with pytest.raises(DataError, match=f"^{re.escape('row counts disagree: ' + counts)}$"):
             load_dataset(str(tmp_path))
