@@ -12,11 +12,12 @@ through --config reproduces the run bit-exactly. A config file with a
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
 failure. Every numeric option is bounded, and --help shows each bound. The
-options that set a config field are built from the field, and the config's
-`validate` checks them together with its cross-field rules; the others have
-their bound in the option table. A value outside one, from a flag, config
-file or manifest, exits 1 before any file is read or written. A command
-reports on stdout and in its files; stderr holds only a failure's error line.
+options that set a config field take the field's type, bound and help. Each
+option's bound is checked as the options resolve, then each config's
+`validate` applies its cross-field rules. A value that breaks either, from a
+flag, config file or manifest, exits 1 before any file is read or written.
+A command reports on stdout and in its files; stderr holds only a failure's
+error line.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -33,7 +34,9 @@ from .alignment import LossConfig
 from .compat import (AttributeTable, LabeledEmbeddings, ZslConfig, load_model, save_model,
                      train_compatibility)
 from .data import (
+    FILES,
     SynthConfig,
+    _read_lines,
     generate,
     load_annotations,
     load_dataset,
@@ -73,14 +76,13 @@ def _parse_bool(s: str) -> bool:
 
 
 class Opt:
-    def __init__(self, name, typ, default, help="", bound=None, flag=False, field=False):
+    def __init__(self, name, typ, default, help="", bound=None, flag=False):
         self.name = name  # dest / manifest key, underscores
         self.typ = typ
         self.default = default
         self.help = help
         self.bound = bound  # (text, test) or None
         self.flag = flag  # boolean store_true option
-        self.field = field  # sets a config field, whose validate applies the bound
 
     @property
     def cli(self) -> str:
@@ -89,16 +91,10 @@ class Opt:
 
 def _options(config) -> list[Opt]:
     """An Opt for each field of `config` that an option sets, in field order,
-    typed as its default: a False default makes a flag, and a list field (the
-    collision groups) is text, empty by default, that its command parses."""
-    opts = []
-    for f in fields(config):
-        meta = f.metadata
-        if meta["cli"] != "":
-            default = "" if f.default is MISSING else f.default
-            opts.append(Opt(meta["cli"] or f.name, type(default), default, meta["help"],
-                            meta["bound"], flag=default is False, field=True))
-    return opts
+    typed as its default: a False default makes a flag."""
+    return [Opt(f.metadata["cli"] or f.name, type(f.default), f.default, f.metadata["help"],
+                f.metadata["bound"], flag=f.default is False)
+            for f in fields(config) if f.metadata["cli"] != ""]
 
 
 COMMON = [Opt("seed", int, 0, "master seed for all randomness", SEED),
@@ -146,24 +142,24 @@ MANIFEST_KEYS = ("command", "version")
 
 def _read_config(path: str, known) -> dict[str, str]:
     """key=value lines; a key not in `known`, or given twice, is a usage error."""
-    values = {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            for n, ln in enumerate(fh, 1):
-                ln = ln.strip()
-                if not ln or ln.startswith("#"):
-                    continue
-                if "=" not in ln:
-                    raise DataError(f"{path}:{n}: expected key=value, got {ln!r}")
-                key, _, val = ln.partition("=")
-                key = key.strip()
-                if key in values:
-                    raise UsageError(f"{path}:{n}: repeated config key {key!r}")
-                if key not in known:
-                    raise UsageError(f"{path}:{n}: unknown config key {key!r}")
-                values[key] = val.strip()
-    except (OSError, UnicodeDecodeError) as exc:
+        lines = _read_lines(path)
+    except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
+    values = {}
+    for n, ln in enumerate(lines, 1):
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        if "=" not in ln:
+            raise DataError(f"{path}:{n}: expected key=value, got {ln!r}")
+        key, _, val = ln.partition("=")
+        key = key.strip()
+        if key in values:
+            raise UsageError(f"{path}:{n}: repeated config key {key!r}")
+        if key not in known:
+            raise UsageError(f"{path}:{n}: unknown config key {key!r}")
+        values[key] = val.strip()
     return values
 
 
@@ -200,20 +196,17 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         raise UsageError(f"{command}: missing required option(s): " + ", ".join(missing))
     for name, value in resolved.items():
         bound = opts[name].bound
-        if bound is not None and not opts[name].field and not bound[1](value):
+        if bound is not None and not bound[1](value):
             raise UsageError(f"{opts[name].cli} must be {bound[0]}, got {value!r}")
     return resolved
 
 
-def _config(config, cfg: dict, **values):
-    """A `config` from `values` and the resolved options named like its
-    fields (--seed too), validated under the options' names; a value it
-    refuses is a usage error."""
-    for f in fields(config):
-        key = f.metadata["cli"] or f.name
-        if f.name not in values and key in cfg:
-            values[f.name] = cfg[key]
-    made = config(**values)
+def _config(config, cfg: dict):
+    """A `config` from the resolved options named like its fields (--seed
+    too), validated under the options' names; a value it refuses is a usage
+    error."""
+    made = config(**{f.name: cfg[f.metadata["cli"] or f.name] for f in fields(config)
+                     if (f.metadata["cli"] or f.name) in cfg})
     try:
         made.validate(config.cli_name)
     except ValueError as exc:
@@ -233,27 +226,11 @@ def _write_manifest(command: str, cfg: dict, path: str):
     write_file(path, "\n".join(lines) + "\n")
 
 
-def _parse_collide(text: str) -> list[list[int]]:
-    groups = []
-    for part in text.replace(";", " ").split():
-        try:
-            ids = [int(v) for v in part.split(",") if v != ""]
-        except ValueError:
-            raise UsageError(f"--collide class ids must be integers, got {part!r}") from None
-        if len(ids) >= 2:
-            groups.append(ids)
-        elif ids:
-            raise UsageError(f"--collide group needs >= 2 classes, got {part!r}")
-    return groups
-
-
 # --- command implementations -------------------------------------------------
 
 
 def cmd_gen_synth(cfg: dict) -> int:
-    synth_cfg = _config(SynthConfig, cfg,
-                        attribute_collision_groups=_parse_collide(cfg["collide"]))
-    save_dataset(generate(synth_cfg), cfg["out"])
+    save_dataset(generate(_config(SynthConfig, cfg)), cfg["out"])
     _write_manifest("gen-synth", cfg, os.path.join(cfg["out"], "manifest.txt"))
     return 0
 
@@ -264,14 +241,20 @@ def _exact(value) -> str:
     return repr(float(value)).removesuffix(".0")
 
 
+def _data_file(cfg: dict, key: str) -> str:
+    """The path of the --data directory's file `key` (a data.FILES key)."""
+    return os.path.join(cfg["data"], FILES[key])
+
+
 def _check_resume(state: TrainState, d_out: int, d_hidden: int, loss_cfg, train_cfg,
-                  rows: int, path: str) -> None:
+                  cfg: dict, visual: np.ndarray, sentences: np.ndarray, path: str) -> None:
     """UsageError naming the first option that differs from the saved run, or
-    an --epochs below the epochs it has already trained."""
+    an --epochs below the epochs it has already trained; then a DataError
+    naming a --data feature file whose width is not its head's input."""
     head = state.head_v
     widths = (("dim", head.d_out, d_out), ("hidden", head.d_hidden, d_hidden))
     changed = (next((w for w in widths if w[1] != w[2]), None)
-               or state.changed_hyperparam(loss_cfg, train_cfg, rows))
+               or state.changed_hyperparam(loss_cfg, train_cfg, len(visual)))
     if changed is not None:
         name, was, now = changed
         option = TrainConfig.cli_name(name)  # dim, hidden, rows, LossConfig's: --<name>
@@ -281,6 +264,10 @@ def _check_resume(state: TrainState, d_out: int, d_hidden: int, loss_cfg, train_
         raise UsageError(f"--resume: {path} has trained {state.next_epoch} epochs, more than "
                          f"--epochs {train_cfg.epochs}; set --epochs {state.next_epoch} or "
                          f"more, or drop --resume")
+    for key, x, head in (("visual", visual, state.head_v), ("sentences", sentences, state.head_s)):
+        if x.shape[1] != head.d_in:
+            raise DataError(f"{_data_file(cfg, key)}: {x.shape[1]} columns but {path} "
+                            f"expects {head.d_in}")
 
 
 def cmd_train_embed(cfg: dict) -> int:
@@ -299,7 +286,7 @@ def cmd_train_embed(cfg: dict) -> int:
     path_state = os.path.join(out, STATE_FILE)
     if cfg["resume"] and os.path.exists(path_state):
         state = load_train_state(path_state)
-        _check_resume(state, d_out, d_hidden, loss_cfg, train_cfg, len(groups),
+        _check_resume(state, d_out, d_hidden, loss_cfg, train_cfg, cfg, visual, sentences,
                       path_state)
     else:
         # Sub-seeds keep the two heads' initializations independent of each
@@ -357,6 +344,9 @@ def _load_embedded(cfg: dict, *assignments: str) -> tuple[AttributeTable, Labele
 def cmd_train_zsl(cfg: dict) -> int:
     zsl_cfg = _config(ZslConfig, cfg)
     table, train = _load_embedded(cfg, "train")
+    if not len(train.labels):
+        raise DataError(f"{_data_file(cfg, 'assignments')}: no train row, so empty "
+                        f"training data")
     w = train_compatibility(train, table, zsl_cfg)
     save_model(w, os.path.join(cfg["out"], "model.jec"))
     _write_manifest("train-zsl", cfg, os.path.join(cfg["out"], "manifest.txt"))
@@ -365,7 +355,12 @@ def cmd_train_zsl(cfg: dict) -> int:
 
 def cmd_eval(cfg: dict) -> int:
     table, test = _load_embedded(cfg, "test_seen", "test_unseen")
-    report = evaluate(load_model(cfg["model"]), test, table)
+    w = load_model(cfg["model"])
+    for path, width, want in ((cfg["features"], test.embeddings.shape[1], w.shape[0]),
+                              (_data_file(cfg, "attributes"), table.d_attr, w.shape[1])):
+        if width != want:
+            raise DataError(f"{path}: {width} columns but model {cfg['model']} expects {want}")
+    report = evaluate(w, test, table)
     out = cfg["out"]
     text = format_report(report)
     write_file(os.path.join(out, "report.txt"), text)

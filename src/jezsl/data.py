@@ -176,19 +176,35 @@ class SynthConfig(Config):
     cluster_spread: float = option(0.3, "cluster noise scale", POSITIVE, cli="spread")
     caption_signal: float = option(0.8, "class-unique share of caption direction", UNIT)
     captions_per_image: int = option(1, "caption variants per image", at_least(1))
-    attribute_collision_groups: list[list[int]] = option(
-        [], "attribute collision groups, e.g. '3,4' or '3,4;5,6'", cli="collide")
+    collide: str = option("", "attribute collision groups, e.g. '3,4' or '3,4;5,6'")
     seed: int = option(0, bound=SEED, cli="")
 
+    def collision_groups(self, name=str) -> list[list[int]]:
+        """The ';'- or space-separated groups of ','-separated class ids that
+        `collide` lists; ValueError, under name("collide"), for a non-integer
+        id or a one-class group."""
+        groups = []
+        for part in self.collide.replace(";", " ").split():
+            try:
+                ids = [int(v) for v in part.split(",") if v != ""]
+            except ValueError:
+                raise ValueError(f"{name('collide')} class ids must be integers, "
+                                 f"got {part!r}") from None
+            if len(ids) == 1:
+                raise ValueError(f"{name('collide')} group needs >= 2 classes, got {part!r}")
+            if ids:
+                groups.append(ids)
+        return groups
+
     def rules(self, name) -> None:
+        groups = self.collision_groups(name)
         seen, classes = name("n_seen"), name("n_classes")
         if self.n_seen >= self.n_classes:
             raise ValueError(f"{seen} must be < {classes}, got {seen} {self.n_seen} "
                              f"{classes} {self.n_classes}")
-        outside = sorted({c for group in self.attribute_collision_groups for c in group
-                          if not 0 <= c < self.n_classes})
+        outside = sorted({c for group in groups for c in group if not 0 <= c < self.n_classes})
         if outside:
-            raise ValueError(f"{name('attribute_collision_groups')} class ids must be in "
+            raise ValueError(f"{name('collide')} class ids must be in "
                              f"[0, {classes}) = [0, {self.n_classes}), got {outside}")
 
 
@@ -228,7 +244,7 @@ def generate(cfg: SynthConfig) -> Dataset:
         caption_dirs = l2_normalize_rows(semantic @ lift)
 
     attributes = semantic.copy()
-    for group in cfg.attribute_collision_groups:
+    for group in cfg.collision_groups():
         for cid in group[1:]:
             attributes[cid] = attributes[group[0]]
 

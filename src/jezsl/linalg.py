@@ -168,13 +168,9 @@ def option(default, help: str = "", bound=None, cli: str | None = None):
     """A dataclass field that holds its help text, bound and CLI name.
 
     `cli` names the field's option when it differs from the field name
-    ("lr" for learning_rate); "" marks a field that no option sets. A list
-    default gives each instance its own copy.
+    ("lr" for learning_rate); "" marks a field that no option sets.
     """
-    meta = {"help": help, "bound": bound, "cli": cli}
-    if isinstance(default, list):
-        return field(default_factory=default.copy, metadata=meta)
-    return field(default=default, metadata=meta)
+    return field(default=default, metadata={"help": help, "bound": bound, "cli": cli})
 
 
 class Config:

@@ -232,7 +232,8 @@ def _first_nonfinite(arrays) -> tuple[str, str]:
 
 # A diverging run overflows in sgd_step and heads.forward. The checks on the
 # loss, the gradients, the embeddings (MiniBatch) and, at each epoch's end,
-# the parameters raise NumericalError for it, so numpy's warnings are off.
+# the parameters and batch-norm running statistics raise NumericalError for
+# it, so numpy's warnings are off.
 @np.errstate(over="ignore", invalid="ignore")
 def train_joint(
     visual: np.ndarray,
@@ -329,6 +330,11 @@ def train_joint(
             raise NumericalError(
                 f"non-finite {label} head parameter {name} after epoch {epoch + 1}"
             )
+        for label, head in (("visual", head_v), ("sentence", head_s)):
+            for name in ("bn_running_mean", "bn_running_var"):
+                if not np.isfinite(getattr(head, name)).all():
+                    raise NumericalError(
+                        f"non-finite {label} head {name} after epoch {epoch + 1}")
 
         train_log.epoch_loss.append(float(np.mean(losses)) if losses else 0.0)
         train_log.active_fraction.append(active_total / triple_total if triple_total else 0.0)

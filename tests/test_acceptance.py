@@ -147,7 +147,7 @@ class TestCriterion4GroundedEmbeddingBenefit:
                 d_attr=10,
                 cluster_spread=0.08,
                 caption_signal=0.9,
-                attribute_collision_groups=[[0, 9]],  # one seen, one unseen
+                collide="0,9",  # one seen, one unseen
                 seed=seed,
             )
             data = generate(cfg)

@@ -262,6 +262,20 @@ def test_read_arrays_is_the_only_binary_read_path():
     assert found == []
 
 
+def test_read_lines_is_the_only_text_read_path():
+    # Every text file, config files and manifests included, is read by the
+    # one text reader, which decodes it as UTF-8 and names a file that is
+    # not, so no text file is read or decoded a second way.
+    found = []
+    for path, tree in _package_trees():
+        allowed = _inside(tree, path, "data.py", "_read_lines")
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in allowed
+                  and getattr(node.func, "id", None) == "open" and not _writes(node)
+                  and "b" not in _mode(node).value]
+    assert found == []
+
+
 def test_only_cli_main_reaches_stderr_and_nothing_logs():
     # One output path per stream: commands report on stdout and in their
     # files, and cli.main prints a failed command's one error line to stderr.

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import jezsl
 from jezsl.alignment import LossConfig
-from jezsl.cli import COMMANDS, _parse_collide, main
+from jezsl.cli import COMMANDS, main
 from jezsl.compat import ZslConfig, load_model
 from jezsl.data import SynthConfig, load_dataset, read_features, write_features
 from jezsl.heads import load_head
@@ -61,20 +61,33 @@ def gen(tmp_path, name="data", **overrides):
 
 
 class TestParseCollide:
+    # --collide's text is the config field SynthConfig.collide, which
+    # collision_groups parses.
     def test_single_group(self):
-        assert _parse_collide("3,4") == [[3, 4]]
+        assert SynthConfig(collide="3,4").collision_groups() == [[3, 4]]
 
     def test_multiple_groups(self):
-        assert _parse_collide("3,4;5,6,7") == [[3, 4], [5, 6, 7]]
+        assert SynthConfig(collide="3,4;5,6,7").collision_groups() == [[3, 4], [5, 6, 7]]
+        assert SynthConfig(collide=" 3,4  5,,6; ").collision_groups() == [[3, 4], [5, 6]]
 
     def test_empty(self):
-        assert _parse_collide("") == []
+        assert SynthConfig().collision_groups() == []
+
+    @staticmethod
+    def refused(text, message):
+        # Under the option's name for the CLI, under the field's in the library.
+        cfg = SynthConfig(collide=text)
+        with pytest.raises(ValueError, match=f"^--{message}$"):
+            cfg.collision_groups(SynthConfig.cli_name)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cfg.validate()
 
     def test_singleton_group_rejected(self):
-        from jezsl.cli import UsageError
+        self.refused("3", "collide group needs >= 2 classes, got '3'")
+        self.refused("3,4;5,", "collide group needs >= 2 classes, got '5,'")
 
-        with pytest.raises(UsageError):
-            _parse_collide("3")
+    def test_non_integer_id_rejected(self):
+        self.refused("3,x", "collide class ids must be integers, got '3,x'")
 
 
 class TestGenSynth:
@@ -232,6 +245,39 @@ class TestTrainEmbed:
         err = capsys.readouterr().err
         assert "has trained 4 epochs, more than --epochs 2" in err
         assert {n: pathlib.Path(out, n).read_bytes() for n in os.listdir(out)} == before
+
+    @pytest.mark.parametrize("key", ["visual", "sentences"])
+    def test_resume_on_other_feature_width_names_both_files(self, tmp_path, capsys, key):
+        data = gen(tmp_path)
+        wider = gen(tmp_path, "wider", **{f"--d-{key.removesuffix('s')}": "9"})
+        out = str(tmp_path / "run")
+        common = ["--out", out, "--epochs", "2", "--batch-size", "8"]
+        assert run("train-embed", "--data", data, *common) == 0
+        before = {n: pathlib.Path(out, n).read_bytes() for n in os.listdir(out)}
+        capsys.readouterr()
+        code, err = run_without_warnings(capsys, "train-embed", "--data", wider, "--resume",
+                                         *common)
+        assert code == 2
+        assert err == (f"data error: {os.path.join(wider, key + '.jef')}: 9 columns but "
+                       f"{os.path.join(out, 'trainer_state.jet')} expects 6\n")
+        assert {n: pathlib.Path(out, n).read_bytes() for n in os.listdir(out)} == before
+
+    def test_non_finite_running_variance_stops_after_its_epoch(self, tmp_path, capsys):
+        # A huge but finite first feature keeps every parameter finite while
+        # the visual head's running variance overflows in epoch 1.
+        data = str(tmp_path / "data")
+        assert run("gen-synth", "--out", data) == 0
+        path = os.path.join(data, "visual.jef")
+        visual = read_features(path)
+        visual[0, 0] = 1e300
+        write_features(visual, path)
+        capsys.readouterr()
+        out = str(tmp_path / "run")
+        code, err = run_without_warnings(capsys, "train-embed", "--data", data, "--out", out,
+                                         "--epochs", "3")
+        assert code == 3
+        assert err == "numerical failure: non-finite visual head bn_running_var after epoch 1\n"
+        assert not os.path.exists(out)
 
     def test_repeated_captions_train(self, tmp_path):
         # Two captions per image repeat every image row, so coincident rows
@@ -637,6 +683,43 @@ class TestPipelineAndEval:
                    "--out", str(tmp_path / "x")) == 2
 
 
+class TestModelWidthErrors:
+    """eval refuses features or an attribute table whose width is not the
+    model's, naming both files and both widths."""
+
+    def train(self, tmp_path, data, features):
+        zsl = str(tmp_path / "zsl")
+        assert run("train-zsl", "--data", data, "--features", features, "--out", zsl,
+                   "--epochs", "2") == 0
+        return os.path.join(zsl, "model.jec")
+
+    def test_features_wider_than_the_model(self, tmp_path, capsys):
+        data = gen(tmp_path)
+        narrow = str(tmp_path / "narrow.jef")
+        write_features(read_features(os.path.join(data, "visual.jef"))[:, :4], narrow)
+        model = self.train(tmp_path, data, narrow)
+        wide = os.path.join(data, "visual.jef")
+        capsys.readouterr()
+        code, err = run_without_warnings(capsys, "eval", "--data", data, "--features", wide,
+                                         "--model", model, "--out", str(tmp_path / "rep"))
+        assert code == 2
+        assert err == f"data error: {wide}: 6 columns but model {model} expects 4\n"
+        assert not os.path.exists(tmp_path / "rep")
+
+    def test_attribute_width_other_than_the_model(self, tmp_path, capsys):
+        data = gen(tmp_path)
+        other = gen(tmp_path, "other", **{"--d-attr": "5"})
+        model = self.train(tmp_path, data, os.path.join(data, "visual.jef"))
+        capsys.readouterr()
+        code, err = run_without_warnings(capsys, "eval", "--data", other, "--features",
+                                         os.path.join(other, "visual.jef"), "--model", model,
+                                         "--out", str(tmp_path / "rep"))
+        assert code == 2
+        assert err == (f"data error: {os.path.join(other, 'attributes.jef')}: 5 columns but "
+                       f"model {model} expects 6\n")
+        assert not os.path.exists(tmp_path / "rep")
+
+
 class TestAtomicWrites:
     def test_failed_replace_keeps_text_artifacts(self, tmp_path, monkeypatch, capsys):
         """A rerun whose text writes fail leaves each previous text file whole
@@ -740,6 +823,16 @@ class TestTrainZsl:
         assert code == 2
         assert "empty training data" in err
         assert not os.path.exists(tmp_path / "zsl")
+
+    def test_no_train_rows_names_the_assignments_file(self, tmp_path, capsys):
+        data = gen(tmp_path)
+        path = pathlib.Path(data, "assignments.txt")
+        path.write_text(path.read_text().replace("train\n", "test_seen\n"))
+        code, err = run_without_warnings(capsys, "train-zsl", "--data", data,
+                                         "--features", os.path.join(data, "visual.jef"),
+                                         "--out", str(tmp_path / "zsl"))
+        assert code == 2
+        assert err == f"data error: {path}: no train row, so empty training data\n"
 
 
 # Every comparison with NaN is false, so a bound written as `x < 0` lets NaN
@@ -945,7 +1038,7 @@ class TestTopLevel:
                                    "--out", str(out)], env=env, capture_output=True, text=True)
             assert done.returncode == code, done.stderr
             assert out.exists() == (code == 0)
-        assert done.stderr.startswith(f"data error: cannot read config {bad}: ")
+        assert done.stderr.startswith(f"data error: {bad}: not UTF-8 text (")
 
 
 # --- CLI contract fuzz ----------------------------------------------------------
@@ -1141,3 +1234,13 @@ def refused_by_cli():
 def test_library_refuses_what_the_cli_refuses(config, name, value):
     with pytest.raises(ValueError):
         config(**{name: value}).validate()
+
+
+@pytest.mark.parametrize("config", [config for config, _ in CONFIG_COMMANDS])
+def test_every_config_field_is_a_scalar(config):
+    # Option text goes to a field of its default's type and no further
+    # parse, so a field that is not an int, float, bool or str (a list,
+    # say) would need a path of its own through the CLI.
+    found = [f"{f.name}: {type(f.default).__name__}" for f in dataclasses.fields(config)
+             if type(f.default) not in (int, float, bool, str)]
+    assert found == []

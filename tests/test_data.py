@@ -271,7 +271,7 @@ class TestGenerate:
             assert assigned.count("test_seen") == 2
 
     def test_collision_rows_bit_identical(self):
-        cfg = self.small_cfg(attribute_collision_groups=[[1, 4]])
+        cfg = self.small_cfg(collide="1,4")
         data = generate(cfg)
         attrs = data.attributes.attributes  # class ids are 0..C-1 in row order
         np.testing.assert_array_equal(attrs[1], attrs[4])
@@ -305,7 +305,7 @@ class TestGenerate:
     @pytest.mark.parametrize("classes_per_draw", [1, 3])
     def test_draw_block_size_changes_no_value(self, monkeypatch, classes_per_draw):
         cfg = SynthConfig(n_classes=20, n_seen=14, samples_per_class=6, captions_per_image=2,
-                          attribute_collision_groups=[[0, 1], [5, 9]], seed=3)
+                          collide="0,1;5,9", seed=3)
         ref = generate(cfg)  # one draw
         per_class = cfg.samples_per_class * (cfg.d_visual + 2 * cfg.d_sentence)
         monkeypatch.setattr(jezsl.data, "_DRAW_VALUES", classes_per_draw * per_class)
@@ -332,7 +332,7 @@ class TestGenerate:
         with pytest.raises(ValueError):
             self.small_cfg(cluster_spread=0.0).validate()
         with pytest.raises(ValueError):
-            self.small_cfg(attribute_collision_groups=[[0, 9]]).validate()
+            self.small_cfg(collide="0,9").validate()
 
 
 class TestDatasetDirectory:
@@ -345,7 +345,7 @@ class TestDatasetDirectory:
         (SynthConfig(n_classes=200, n_seen=140, samples_per_class=30, d_visual=64,
                      d_attr=32, seed=1), "adc0fabf6173e690"),
         (SynthConfig(captions_per_image=3, d_sentence=8,
-                     attribute_collision_groups=[[3, 4], [5, 6]], seed=9),
+                     collide="3,4;5,6", seed=9),
          "ea2b4924c88a97e0"),
     ])
     def test_written_bytes_are_pinned(self, tmp_path, cfg, digest):
