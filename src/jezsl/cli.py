@@ -284,7 +284,7 @@ def cmd_train_embed(cfg: dict) -> int:
 
     out = cfg["out"]
     path_state = os.path.join(out, STATE_FILE)
-    if cfg["resume"] and os.path.exists(path_state):
+    if cfg["resume"]:
         state = load_train_state(path_state)
         _check_resume(state, d_out, d_hidden, loss_cfg, train_cfg, cfg, visual, sentences,
                       path_state)

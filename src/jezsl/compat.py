@@ -10,7 +10,7 @@ broken toward the lowest class id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,13 +40,16 @@ def ids_outside(labels: np.ndarray, allowed) -> list[int]:
 
 @dataclass
 class AttributeTable:
-    """Per-class semantic vectors plus the seen/unseen class split, whose ids
-    may be given as any iterables and are stored as id_array gives them."""
+    """Per-class semantic vectors plus the seen/unseen class split, given in
+    any order as any iterables. seen and unseen are stored as id_array gives
+    them, class_ids as the split's ids sorted, attributes as their rows in
+    that order (rows of classes outside the split are dropped)."""
 
-    class_ids: list[int]
-    attributes: np.ndarray  # (C, d_attr)
+    class_ids: np.ndarray
+    attributes: np.ndarray  # (C, d_attr), row i for class_ids[i]
     seen: np.ndarray
     unseen: np.ndarray
+    is_unseen: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.attributes = as_matrix(self.attributes, "attributes")
@@ -54,29 +57,23 @@ class AttributeTable:
             raise ValueError(
                 f"{len(self.class_ids)} class ids vs {len(self.attributes)} attribute rows"
             )
-        if len(set(self.class_ids)) != len(self.class_ids):
+        row = {int(c): i for i, c in enumerate(self.class_ids)}
+        if len(row) != len(self.class_ids):
             raise ValueError("duplicate class ids in attribute table")
         self.seen, self.unseen = id_array(self.seen), id_array(self.unseen)
         overlap = self.seen[np.isin(self.seen, self.unseen)]
         if overlap.size:
             raise DataError(f"seen/unseen classes overlap: {overlap.tolist()}")
-        missing = ids_outside(self.split_ids, self.class_ids)
+        self.class_ids = np.sort(np.concatenate((self.seen, self.unseen)))
+        missing = ids_outside(self.class_ids, list(row))
         if missing:
             raise DataError(f"classes without attribute rows: {missing}")
-        self._row = {cid: i for i, cid in enumerate(self.class_ids)}
+        self.attributes = self.attributes[[row[c] for c in self.class_ids.tolist()]]
+        self.is_unseen = np.isin(self.class_ids, self.unseen)
 
     @property
     def d_attr(self) -> int:
         return self.attributes.shape[1]
-
-    @property
-    def split_ids(self) -> np.ndarray:
-        """The seen and unseen class ids together, sorted."""
-        return np.sort(np.concatenate((self.seen, self.unseen)))
-
-    def rows_for(self, class_ids: np.ndarray) -> np.ndarray:
-        """Attribute rows of an int array of class ids, in its order."""
-        return self.attributes[[self._row[c] for c in class_ids.tolist()]]
 
 
 @dataclass
@@ -106,7 +103,7 @@ def _targets(data: LabeledEmbeddings, table: AttributeTable) -> tuple[np.ndarray
     outside = ids_outside(data.labels, table.seen)
     if outside:
         raise ValueError(f"labels outside seen classes: {outside}")
-    return table.rows_for(table.seen), np.searchsorted(table.seen, data.labels)
+    return table.attributes[~table.is_unseen], np.searchsorted(table.seen, data.labels)
 
 
 def _hinge_args(
@@ -177,10 +174,9 @@ def train_compatibility(
 
     Each epoch draws a permutation of the rows and steps once per slice of
     BATCH_ROWS of it (the last slice may be shorter) with the gradient summed
-    over the slice, so the learning rate is per row. A step's rows are
-    gathered into one reused buffer, so training holds no shuffled copy of
-    the data. The step uses the gradient that ranking_loss_grad returns and
-    gradcheck verifies.
+    over the slice, so the learning rate is per row. A step gathers only its
+    own rows, so training holds no shuffled copy of the data. The step uses
+    the gradient that ranking_loss_grad returns and gradcheck verifies.
     """
     cfg.validate()
     if len(data.embeddings) == 0:
@@ -190,18 +186,13 @@ def train_compatibility(
     w = np.zeros((x.shape[1], table.d_attr))
     rng = make_rng(cfg.seed)
     margin, learning_rate = cfg.margin, cfg.learning_rate
-    batch = np.empty((min(BATCH_ROWS, len(x)), x.shape[1]))
 
     for _ in range(cfg.epochs):
         order = rng.permutation(len(x))
         col_epoch = true_col[order]
         for start in range(0, len(x), BATCH_ROWS):
             stop = start + BATCH_ROWS
-            rows = order[start:stop]
-            # The indices are a permutation's, so no mode clips any; with the
-            # default mode="raise", take would gather into a temporary first.
-            xb = np.take(x, rows, axis=0, out=batch[:len(rows)], mode="clip")
-            step = _ranking_grad(xb, w, attrs, col_epoch[start:stop], margin)
+            step = _ranking_grad(x[order[start:stop]], w, attrs, col_epoch[start:stop], margin)
             step *= learning_rate
             w -= step
             if not np.isfinite(w).all():
@@ -216,10 +207,10 @@ def infer_batch(
     """(zsl, gzsl) class ids for the rows of x: the best-scoring unseen class,
     and the best-scoring class of all.
 
-    Rows are scored against all classes in id order, in equal blocks of at
-    most _SCORE_CELLS cells (at least one row), with both argmaxes taken per
-    block, so inference holds one block of scores. argmax returns the first
-    maximum, so ties go to the lowest class id.
+    Rows are scored against the table's rows, which are in class-id order,
+    in equal blocks of at most _SCORE_CELLS cells (at least one row), with
+    both argmaxes taken per block, so inference holds one block of scores.
+    argmax returns the first maximum, so ties go to the lowest class id.
 
     BLAS picks its kernel by shape, so a row's scores can differ in the last
     bits with its block's row count: on OpenBLAS 0.3.31 at 64 x 32 features
@@ -240,19 +231,15 @@ def infer_batch(
         )
     if not table.unseen.size:
         raise ValueError("no unseen classes to predict")
-    ids = table.split_ids
-    attrs_t = table.rows_for(ids).T
-    unseen = np.isin(ids, table.unseen)
-    unseen_ids = ids[unseen]
     zsl = np.empty(len(x), dtype=np.int64)
     gzsl = np.empty(len(x), dtype=np.int64)
-    per_block = max(1, _SCORE_CELLS // len(ids))
+    per_block = max(1, _SCORE_CELLS // len(table.class_ids))
     blocks = max(1, -(-len(x) // per_block))  # one empty block for no rows
     edges = [len(x) * b // blocks for b in range(blocks + 1)]
     for block in map(slice, edges, edges[1:]):
-        scores = (x[block] @ w) @ attrs_t
-        zsl[block] = unseen_ids[np.argmax(scores[:, unseen], axis=1)]
-        gzsl[block] = ids[np.argmax(scores, axis=1)]
+        scores = (x[block] @ w) @ table.attributes.T
+        zsl[block] = table.unseen[np.argmax(scores[:, table.is_unseen], axis=1)]
+        gzsl[block] = table.class_ids[np.argmax(scores, axis=1)]
     return zsl, gzsl
 
 

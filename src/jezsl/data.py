@@ -155,7 +155,7 @@ def validate_split(
     if bad.size:
         i = int(bad[0])
         label = int(labels[i])
-        if label in table.split_ids:
+        if label in table.class_ids:
             kind = f"{'seen' if to_unseen[i] else 'unseen'}-class label {label}"
         else:
             kind = f"label {label}, outside the class split"

@@ -68,7 +68,7 @@ def evaluate(w: np.ndarray, test: LabeledEmbeddings, table: AttributeTable) -> G
     """Full protocol for W on one test set, scored by one infer_batch call:
     T1 in the ZSL regime over its unseen-class rows, u and s in the GZSL
     regime over its unseen-class and seen-class rows, and H."""
-    bad = ids_outside(test.labels, table.split_ids)
+    bad = ids_outside(test.labels, table.class_ids)
     if bad:
         raise ValueError(f"test labels outside the split's classes: {bad}")
     unseen = np.isin(test.labels, table.unseen)
@@ -79,8 +79,8 @@ def evaluate(w: np.ndarray, test: LabeledEmbeddings, table: AttributeTable) -> G
     zsl, gzsl = infer_batch(w, test.embeddings, table)
     labels_u, labels_s = test.labels[unseen], test.labels[~unseen]
     _, t1 = per_class_accuracy(zsl[unseen], labels_u, table.unseen)
-    per_u, u = per_class_accuracy(gzsl[unseen], labels_u, table.split_ids)
-    per_s, s = per_class_accuracy(gzsl[~unseen], labels_s, table.split_ids)
+    per_u, u = per_class_accuracy(gzsl[unseen], labels_u, table.class_ids)
+    per_s, s = per_class_accuracy(gzsl[~unseen], labels_s, table.class_ids)
     return GzslReport(t1=t1, u=u, s=s, h=harmonic_mean(u, s), per_class={**per_u, **per_s})
 
 

@@ -303,9 +303,15 @@ def train_joint(
         triple_total = 0
 
         for bi, idx in enumerate(_batch_indices(order, groups, train_cfg)):
-            emb_v, trace_v = forward(head_v, visual[idx], train=True)
-            emb_s, trace_s = forward(head_s, sentences[idx], train=True)
-            batch = MiniBatch(emb_v, emb_s, groups[idx])
+            label = "visual head "
+            try:
+                emb_v, trace_v = forward(head_v, visual[idx], train=True)
+                label = "sentence head "
+                emb_s, trace_s = forward(head_s, sentences[idx], train=True)
+                label = ""  # MiniBatch's errors name the embeddings at fault
+                batch = MiniBatch(emb_v, emb_s, groups[idx])
+            except NumericalError as exc:
+                raise NumericalError(f"{label}{exc} at epoch {epoch + 1}, batch {bi + 1}") from exc
             loss, _, active, total, d_v, d_s = alignment_loss(batch, loss_cfg)
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite loss at epoch {epoch + 1}, batch {bi + 1}")

@@ -8,8 +8,10 @@ package opens a file for writing or makes a directory.
 """
 
 import ast
+import json
 import os
 import pathlib
+import re
 import struct
 
 import numpy as np
@@ -314,3 +316,23 @@ def test_every_text_open_is_utf8():
             if not (isinstance(encoding, ast.Constant) and encoding.value == "utf-8"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_readme_names_only_what_exists():
+    # A renamed or deleted function must not live on in the README. Every
+    # backticked identifier with an underscore, and every part of a dotted
+    # jezsl name, is a word of the package source or a workload or metric
+    # name of the benchmark. Spans with a "/" are paths and are skipped.
+    ident = re.compile(r"[A-Za-z_]\w*")
+    repo = pathlib.Path(__file__).parent.parent
+    known = {word for path in pathlib.Path(jezsl.__file__).parent.rglob("*.py")
+             for word in ident.findall(path.read_text(encoding="utf-8"))}
+    bench = json.loads((repo / "BENCHMARK.json").read_text(encoding="utf-8"))
+    known |= {word for key in ("workloads", "end_to_end", "per_layer")
+              for entry in bench[key] for word in ident.findall(entry["name"])}
+    readme = (repo / "README.md").read_text(encoding="utf-8")
+    spans = [s for s in re.findall(r"`([^`\n]+)`", readme) if "/" not in s]
+    named = {word for s in spans for word in ident.findall(s) if "_" in word}
+    named |= {word for s in spans for dotted in re.findall(r"\bjezsl((?:\.\w+)+)", s)
+              for word in dotted.split(".")[1:]}
+    assert sorted(named - known) == []

@@ -246,6 +246,16 @@ class TestTrainEmbed:
         assert "has trained 4 epochs, more than --epochs 2" in err
         assert {n: pathlib.Path(out, n).read_bytes() for n in os.listdir(out)} == before
 
+    def test_resume_without_bundle_is_refused(self, tmp_path, capsys):
+        data = gen(tmp_path)
+        out = str(tmp_path / "nowhere")
+        code, err = run_without_warnings(capsys, "train-embed", "--data", data, "--out", out,
+                                         "--resume", "--epochs", "1")
+        assert code == 2
+        assert err.startswith("data error: ")
+        assert repr(os.path.join(out, "trainer_state.jet")) in err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("key", ["visual", "sentences"])
     def test_resume_on_other_feature_width_names_both_files(self, tmp_path, capsys, key):
         data = gen(tmp_path)
@@ -277,6 +287,23 @@ class TestTrainEmbed:
                                          "--epochs", "3")
         assert code == 3
         assert err == "numerical failure: non-finite visual head bn_running_var after epoch 1\n"
+        assert not os.path.exists(out)
+
+    def test_zero_norm_embedding_names_head_epoch_and_batch(self, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        assert run("gen-synth", "--out", data, "--classes", "5", "--seen", "3",
+                   "--per-class", "10", "--d-visual", "6") == 0
+        path = os.path.join(data, "visual.jef")
+        visual = read_features(path)
+        visual[0, 0] = 1e300
+        write_features(visual, path)
+        capsys.readouterr()
+        out = str(tmp_path / "run")
+        code, err = run_without_warnings(capsys, "train-embed", "--data", data, "--out", out,
+                                         "--epochs", "3")
+        assert code == 3
+        assert err == ("numerical failure: visual head forward: embedding row 0 has norm 0 "
+                       "below 1e-12 at epoch 1, batch 1\n")
         assert not os.path.exists(out)
 
     def test_repeated_captions_train(self, tmp_path):

@@ -47,13 +47,14 @@ def traced_peak(fn, *args):
 
 def brute_force_ranking_loss(w, data, table, margin):
     """Scalar loop oracle over samples and wrong seen classes."""
+    row = dict(zip(table.class_ids.tolist(), table.attributes))
     total = 0.0
     for x, y in zip(data.embeddings, data.labels):
-        s_true = float(x @ w @ table.attributes[table.class_ids.index(int(y))])
+        s_true = float(x @ w @ row[int(y)])
         for c in table.seen.tolist():
             if c == int(y):
                 continue
-            s = float(x @ w @ table.attributes[table.class_ids.index(c)])
+            s = float(x @ w @ row[c])
             total += max(0.0, margin + s - s_true)
     return total
 
@@ -74,11 +75,16 @@ class TestAttributeTable:
         with pytest.raises(ValueError):
             AttributeTable([0, 0], rng.standard_normal((2, 3)), {0}, set())
 
-    def test_lookup(self):
-        table = simple_table()
-        np.testing.assert_array_equal(
-            table.rows_for(np.array([1, 0])), table.attributes[[1, 0]]
-        )
+    def test_rows_follow_the_sorted_split_ids(self):
+        # Class 9 has a row but is outside the split.
+        ids = [4, 0, 6, 1, 3, 5, 2, 9]
+        attrs = make_rng(0).standard_normal((8, 3))
+        table = AttributeTable(ids, attrs, seen={0, 1, 3, 4}, unseen={2, 5, 6})
+        assert table.class_ids.tolist() == list(range(7))
+        for i, c in enumerate(table.class_ids.tolist()):
+            np.testing.assert_array_equal(table.attributes[i], attrs[ids.index(c)])
+        assert table.is_unseen.tolist() == [c in {2, 5, 6} for c in range(7)]
+        assert len(table.attributes) == 7
 
     @pytest.mark.parametrize("seen, unseen", [
         ({3, 0, 1}, {4, 2}),
@@ -95,7 +101,7 @@ class TestAttributeTable:
             got = getattr(table, name)
             assert isinstance(got, np.ndarray) and got.dtype == np.int64
             assert got.tolist() == ids
-        assert table.split_ids.tolist() == sorted(want["seen"] + want["unseen"])
+        assert table.class_ids.tolist() == sorted(want["seen"] + want["unseen"])
 
     @pytest.mark.parametrize("kind", [set, list, np.array])
     def test_split_errors_name_the_classes(self, kind):
@@ -307,13 +313,14 @@ class TestInference:
         # about a third of the rows tie.
         rng = make_rng(9)
         ids = [4, 0, 6, 1, 3, 5, 2]
-        table = AttributeTable(class_ids=ids, attributes=rng.integers(-1, 2, (7, 3)),
+        attrs = rng.integers(-1, 2, (7, 3))
+        table = AttributeTable(class_ids=ids, attributes=attrs,
                                seen={0, 1, 3, 4}, unseen={2, 5, 6})
         w = rng.integers(-1, 2, (4, 3)).astype(float)
         x = rng.integers(-1, 2, (50, 4)).astype(float)
         zsl, gzsl = infer_batch(w, x, table)
         for got, candidates in ((zsl, np.array([2, 5, 6])), (gzsl, np.arange(7))):
-            scores = x @ w @ table.rows_for(candidates).T
+            scores = x @ w @ attrs[[ids.index(c) for c in candidates]].T
             np.testing.assert_array_equal(got, candidates[scores.argmax(axis=1)])
 
     def test_score_scale_invariant_prediction(self):

@@ -274,6 +274,21 @@ class TestTrainJoint:
             train_joint(visual, sentences, groups, TrainState.fresh(*fresh_heads()),
                         LossConfig(), TrainConfig(epochs=1, batch_size=40, learning_rate=1e308))
 
+    @pytest.mark.parametrize("label, gamma, message", [
+        ("visual", 0.0, "visual head forward: embedding row 0 has norm 0 below "),
+        ("sentence", 0.0, "sentence head forward: embedding row 0 has norm 0 "),
+        # Overflow to inf gives a NaN embedding, which forward's norm check passes.
+        ("visual", 1e308, "visual embeddings: contains non-finite entries "),
+    ], ids=["visual-zero", "sentence-zero", "visual-overflow"])
+    def test_embedding_failure_names_head_epoch_and_batch(self, label, gamma, message):
+        visual, sentences, groups = make_problem()
+        hv, hs = fresh_heads()
+        # bn_beta starts at 0, so a gamma of 0 makes every embedding row 0.
+        {"visual": hv, "sentence": hs}[label].bn_gamma[:] = gamma
+        with pytest.raises(NumericalError, match=f"^{message}.*at epoch 1, batch 1$"):
+            train_joint(visual, sentences, groups, TrainState.fresh(hv, hs), LossConfig(),
+                        TrainConfig(epochs=2, batch_size=8))
+
     def test_row_count_mismatch(self):
         visual, sentences, groups = make_problem()
         with pytest.raises(ValueError):
