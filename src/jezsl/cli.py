@@ -318,10 +318,14 @@ def cmd_embed(cfg: dict) -> int:
                 f"{cfg['features']}: {features.shape[1]} columns but checkpoint "
                 f"{cfg['checkpoint']} expects {head.d_in}"
             )
-        # An overflow is caught by write_features' finiteness check, which
-        # raises NumericalError, so numpy's warnings are off.
-        with np.errstate(over="ignore", invalid="ignore"):
-            features, _ = forward(head, features, train=False)
+        # An overflow is refused by forward's norm guard, which raises
+        # NumericalError, so numpy's warnings are off.
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                features, _ = forward(head, features, train=False)
+        except NumericalError as exc:
+            raise NumericalError(
+                f"{cfg['features']} with checkpoint {cfg['checkpoint']}: {exc}") from exc
     write_features(features, cfg["out"])
     _write_manifest("embed", cfg, cfg["out"] + ".manifest.txt")
     return 0

@@ -234,14 +234,14 @@ def generate(cfg: SynthConfig) -> Dataset:
     rng = make_rng(cfg.seed)
     C, k = cfg.n_classes, cfg.captions_per_image
 
-    semantic = l2_normalize_rows(rng.standard_normal((C, cfg.d_attr)))
-    prototypes = l2_normalize_rows(rng.standard_normal((C, cfg.d_visual)))
-    shared = l2_normalize_rows(rng.standard_normal((1, cfg.d_sentence)))[0]
+    semantic = l2_normalize_rows(rng.standard_normal((C, cfg.d_attr)))[0]
+    prototypes = l2_normalize_rows(rng.standard_normal((C, cfg.d_visual)))[0]
+    shared = l2_normalize_rows(rng.standard_normal((1, cfg.d_sentence)))[0][0]
     if cfg.d_sentence == cfg.d_attr:
         caption_dirs = semantic
     else:
         lift = rng.standard_normal((cfg.d_attr, cfg.d_sentence)) / np.sqrt(cfg.d_attr)
-        caption_dirs = l2_normalize_rows(semantic @ lift)
+        caption_dirs = l2_normalize_rows(semantic @ lift)[0]
 
     attributes = semantic.copy()
     for group in cfg.collision_groups():

@@ -124,8 +124,8 @@ def _alignment_instance(rng: np.random.Generator, t: int):
     groups = rng.integers(0, n_groups, size=b)
     while len(np.unique(groups)) < 2:
         groups = rng.integers(0, n_groups, size=b)
-    x = l2_normalize_rows(rng.standard_normal((b, d)))
-    y = l2_normalize_rows(rng.standard_normal((b, d)))
+    x = l2_normalize_rows(rng.standard_normal((b, d)))[0]
+    y = l2_normalize_rows(rng.standard_normal((b, d)))[0]
     cfg = LossConfig(
         margin=float(rng.uniform(0.05, 0.4)),
         lambda1=float(rng.uniform(0.5, 2.5)),

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError
-from .linalg import EPS_NORM, as_matrix, read_arrays, write_arrays
+from .errors import DataError
+from .linalg import as_matrix, l2_normalize_rows, read_arrays, write_arrays
 
 CHECKPOINT_MAGIC = b"JEH1"
 CHECKPOINT_VERSION = 2
@@ -133,13 +133,7 @@ def forward(
     normalized = centered * inv_std
 
     pre_l2 = head.bn_gamma * normalized + head.bn_beta
-    row_norms = np.sqrt(np.add.reduce(pre_l2 * pre_l2, 1))
-    if (row_norms < EPS_NORM).any():
-        bad = int(np.argmin(row_norms))
-        raise NumericalError(
-            f"forward: embedding row {bad} has norm {row_norms[bad]:g} below {EPS_NORM:g}"
-        )
-    embeddings = pre_l2 / row_norms[:, None]
+    embeddings, row_norms = l2_normalize_rows(pre_l2, "forward: embedding")
 
     trace = ForwardTrace(inputs=batch, post_relu=post_relu, inv_std=inv_std,
                          normalized=normalized, embeddings=embeddings,
@@ -208,15 +202,21 @@ def head_arrays(head: EmbeddingHead) -> list:
 
 
 def head_from_arrays(arrays: list[np.ndarray], path: str) -> EmbeddingHead:
-    """Inverse of head_arrays; inconsistent shapes are a DataError."""
+    """Inverse of head_arrays. Inconsistent shapes, and batch-norm state that
+    cannot normalize (a negative running variance, epsilon <= 0, momentum
+    outside [0, 1]), are a DataError."""
     (d_hidden, d_in), d_out = arrays[0].shape, arrays[2].shape[0]
     want = [(d_hidden, d_in), (d_hidden,), (d_out, d_hidden)] + [(d_out,)] * 5 + [()] * 2
     if [a.shape for a in arrays] != want:
         raise DataError(f"{path}: head array shapes {[a.shape for a in arrays]} "
                         f"are inconsistent, expected {want}")
     head = dict(zip(HEAD_FIELDS, arrays))
-    head["bn_momentum"] = float(head["bn_momentum"])
-    head["bn_epsilon"] = float(head["bn_epsilon"])
+    var, mom, eps = head["bn_running_var"], float(head["bn_momentum"]), float(head["bn_epsilon"])
+    if (var < 0).any() or not (eps > 0 and 0 <= mom <= 1):
+        raise DataError(f"{path}: batch-norm state needs running_var >= 0, epsilon > 0 and "
+                        f"momentum in [0, 1], got min running_var {var.min(initial=np.inf):g}, "
+                        f"epsilon {eps:g}, momentum {mom:g}")
+    head["bn_momentum"], head["bn_epsilon"] = mom, eps
     return EmbeddingHead(**head)
 
 

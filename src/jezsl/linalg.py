@@ -48,16 +48,16 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def l2_normalize_rows(m) -> np.ndarray:
-    """Normalize each row to unit norm."""
-    m = as_matrix(m, "l2_normalize_rows input")
-    norms = np.sqrt(np.sum(m * m, axis=1))
-    if np.any(norms < EPS_NORM):
-        bad = int(np.argmin(norms))
-        raise NumericalError(
-            f"l2_normalize_rows: row {bad} has norm {norms[bad]:g} below {EPS_NORM:g}"
-        )
-    return m / norms[:, None]
+def l2_normalize_rows(m: np.ndarray, name: str = "l2_normalize_rows") -> tuple:
+    """(unit rows, row norms) of a 2-D float64 array. The first row whose norm
+    is below EPS_NORM or not finite (NaN, inf or overflowing squares) raises."""
+    norms = np.sqrt(np.add.reduce(m * m, 1))
+    ok = (EPS_NORM <= norms) & (norms < math.inf)
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        why = f"below {EPS_NORM:g}" if norms[bad] < EPS_NORM else "non-finite"
+        raise NumericalError(f"{name} row {bad} has norm {norms[bad]:g} {why}")
+    return m / norms[:, None], norms
 
 
 # --- binary artifact codec ---------------------------------------------------

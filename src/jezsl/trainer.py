@@ -231,7 +231,7 @@ def _first_nonfinite(arrays) -> tuple[str, str]:
 
 
 # A diverging run overflows in sgd_step and heads.forward. The checks on the
-# loss, the gradients, the embeddings (MiniBatch) and, at each epoch's end,
+# loss, the gradients, the embeddings (forward's norm guard) and, at each epoch's end,
 # the parameters and batch-norm running statistics raise NumericalError for
 # it, so numpy's warnings are off.
 @np.errstate(over="ignore", invalid="ignore")
@@ -308,10 +308,9 @@ def train_joint(
                 emb_v, trace_v = forward(head_v, visual[idx], train=True)
                 label = "sentence head "
                 emb_s, trace_s = forward(head_s, sentences[idx], train=True)
-                label = ""  # MiniBatch's errors name the embeddings at fault
-                batch = MiniBatch(emb_v, emb_s, groups[idx])
             except NumericalError as exc:
                 raise NumericalError(f"{label}{exc} at epoch {epoch + 1}, batch {bi + 1}") from exc
+            batch = MiniBatch(emb_v, emb_s, groups[idx])
             loss, _, active, total, d_v, d_s = alignment_loss(batch, loss_cfg)
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite loss at epoch {epoch + 1}, batch {bi + 1}")

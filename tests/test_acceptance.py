@@ -81,8 +81,8 @@ class TestCriterion2LossOracle:
             groups = rng.integers(0, int(rng.integers(2, 5)), size=b)
             while len(np.unique(groups)) < 2:
                 groups = rng.integers(0, 4, size=b)
-            x = l2_normalize_rows(rng.standard_normal((b, d)))
-            y = l2_normalize_rows(rng.standard_normal((b, d)))
+            x = l2_normalize_rows(rng.standard_normal((b, d)))[0]
+            y = l2_normalize_rows(rng.standard_normal((b, d)))[0]
             batch = MiniBatch(x, y, groups)
             cfg = LossConfig(
                 margin=float(rng.uniform(0.05, 0.5)),

@@ -126,8 +126,8 @@ def random_batch(rng, b=None, d=None, n_groups=None):
     # Two groups at least, unless the batch size or group count rules it out.
     while len(np.unique(groups)) < min(2, b, n_groups):
         groups = rng.integers(0, n_groups, size=b)
-    x = l2_normalize_rows(rng.standard_normal((b, d)))
-    y = l2_normalize_rows(rng.standard_normal((b, d)))
+    x = l2_normalize_rows(rng.standard_normal((b, d)))[0]
+    y = l2_normalize_rows(rng.standard_normal((b, d)))[0]
     return MiniBatch(x, y, groups)
 
 
@@ -141,7 +141,7 @@ def random_cfg(rng, max_margin=0.5):
 
 
 def unit_rows(rng, b, d):
-    return l2_normalize_rows(rng.standard_normal((b, d)))
+    return l2_normalize_rows(rng.standard_normal((b, d)))[0]
 
 
 # Unit rows are at most 2 apart, so this margin makes every hinge active.

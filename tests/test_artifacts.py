@@ -251,6 +251,23 @@ def test_write_file_is_the_only_write_path():
     assert found == []
 
 
+def test_l2_normalize_rows_is_the_only_row_normaliser():
+    # One function scales rows to unit norm and refuses a row whose norm is
+    # too small or not finite, so the norm floor is read nowhere else: not
+    # imported, not compared against, outside that function and its definition.
+    found = []
+    for path, tree in _package_trees():
+        allowed = _inside(tree, path, "linalg.py", "l2_normalize_rows")
+        if path.name == "linalg.py":  # the definition
+            allowed |= {id(node) for node in ast.walk(tree)
+                        if isinstance(getattr(node, "ctx", None), ast.Store)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if id(node) not in allowed
+                  and "EPS_NORM" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                     getattr(node, "name", None))]
+    assert found == []
+
+
 def test_read_arrays_is_the_only_binary_read_path():
     # Every binary file is read by the one codec reader, which checks its
     # magic, version, size and values, so no format is read a second way.

@@ -20,7 +20,7 @@ from jezsl.alignment import LossConfig
 from jezsl.cli import COMMANDS, main
 from jezsl.compat import ZslConfig, load_model
 from jezsl.data import SynthConfig, load_dataset, read_features, write_features
-from jezsl.heads import load_head
+from jezsl.heads import load_head, save_head
 from jezsl.linalg import make_rng
 from jezsl.trainer import TrainConfig, load_train_state
 
@@ -446,12 +446,46 @@ class TestEmbedCommand:
         visual = read_features(os.path.join(data, "visual.jef"))
         visual[0, 0] = 1e308
         huge, emb = str(tmp_path / "huge.jef"), str(tmp_path / "emb.jef")
+        checkpoint = os.path.join(out, "head_v.jeh")
         write_features(visual, huge)
         capsys.readouterr()
-        code, err = run_without_warnings(capsys, "embed", "--checkpoint",
-                                         os.path.join(out, "head_v.jeh"),
+        code, err = run_without_warnings(capsys, "embed", "--checkpoint", checkpoint,
                                          "--features", huge, "--out", emb)
-        assert (code, err) == (3, f"numerical failure: {emb}: contains non-finite entries\n")
+        assert (code, err) == (3, f"numerical failure: {huge} with checkpoint {checkpoint}: "
+                                  "forward: embedding row 0 has norm inf non-finite\n")
+        assert not os.path.exists(emb)
+
+    def test_head_whose_rows_overflow_is_one_numerical_error_line(self, tmp_path, capsys):
+        # Finite embedding rows whose squares overflow: the norm is inf, and
+        # dividing by it would write zero rows instead of unit ones.
+        data, out = self.setup_run(tmp_path)
+        head = load_head(os.path.join(out, "head_v.jeh"))
+        head.bn_gamma[:] = 1e200
+        checkpoint, emb = str(tmp_path / "big.jeh"), str(tmp_path / "emb.jef")
+        features = os.path.join(data, "visual.jef")
+        save_head(head, checkpoint)
+        capsys.readouterr()
+        code, err = run_without_warnings(capsys, "embed", "--checkpoint", checkpoint,
+                                         "--features", features, "--out", emb)
+        assert (code, err) == (3, f"numerical failure: {features} with checkpoint {checkpoint}: "
+                                  "forward: embedding row 0 has norm inf non-finite\n")
+        assert not os.path.exists(emb)
+
+    def test_head_batch_norm_state_is_one_data_error_line(self, tmp_path, capsys):
+        # forward would divide by zero with this variance, and numpy's warning
+        # would come before the error line.
+        data, out = self.setup_run(tmp_path)
+        head = load_head(os.path.join(out, "head_v.jeh"))
+        head.bn_running_var[0] = -1e-5
+        checkpoint, emb = str(tmp_path / "bad.jeh"), str(tmp_path / "emb.jef")
+        save_head(head, checkpoint)
+        capsys.readouterr()
+        code, err = run_without_warnings(capsys, "embed", "--checkpoint", checkpoint,
+                                         "--features", os.path.join(data, "visual.jef"),
+                                         "--out", emb)
+        assert (code, err) == (2, f"data error: {checkpoint}: batch-norm state needs "
+                                  "running_var >= 0, epsilon > 0 and momentum in [0, 1], "
+                                  "got min running_var -1e-05, epsilon 1e-05, momentum 0.1\n")
         assert not os.path.exists(emb)
 
     def test_features_not_jef_is_data_error(self, tmp_path, capsys):

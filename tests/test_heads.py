@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,27 @@ class TestCheckpoint:
                 np.testing.assert_array_equal(getattr(loaded, k), v)
             else:
                 assert getattr(loaded, k) == v
+
+    @pytest.mark.parametrize("name, value, got", [
+        ("bn_running_var", -1.0, "min running_var -1, epsilon 1e-05, momentum 0.1"),
+        ("bn_running_var", -1e-5, "min running_var -1e-05, epsilon 1e-05, momentum 0.1"),
+        ("bn_epsilon", 0.0, "min running_var 1, epsilon 0, momentum 0.1"),
+        ("bn_epsilon", -1.0, "min running_var 1, epsilon -1, momentum 0.1"),
+        ("bn_momentum", -0.1, "min running_var 1, epsilon 1e-05, momentum -0.1"),
+        ("bn_momentum", 1.5, "min running_var 1, epsilon 1e-05, momentum 1.5"),
+    ], ids=["var-1", "var-1e-5", "eps-0", "eps-neg", "mom-neg", "mom-1.5"])
+    def test_batch_norm_state_that_cannot_normalize_is_refused(self, tmp_path, name, value, got):
+        head = init_head(3, 3, 3, make_rng(11))
+        if name == "bn_running_var":
+            head.bn_running_var[0] = value
+        else:
+            setattr(head, name, value)
+        path = str(tmp_path / "head.jeh")
+        save_head(head, path)
+        message = (f"{path}: batch-norm state needs running_var >= 0, epsilon > 0 and "
+                   f"momentum in [0, 1], got {got}")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_head(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.jeh"

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -275,17 +276,20 @@ class TestTrainJoint:
                         LossConfig(), TrainConfig(epochs=1, batch_size=40, learning_rate=1e308))
 
     @pytest.mark.parametrize("label, gamma, message", [
-        ("visual", 0.0, "visual head forward: embedding row 0 has norm 0 below "),
-        ("sentence", 0.0, "sentence head forward: embedding row 0 has norm 0 "),
-        # Overflow to inf gives a NaN embedding, which forward's norm check passes.
-        ("visual", 1e308, "visual embeddings: contains non-finite entries "),
-    ], ids=["visual-zero", "sentence-zero", "visual-overflow"])
+        ("visual", 0.0, "visual head forward: embedding row 0 has norm 0 below 1e-12"),
+        ("sentence", 0.0, "sentence head forward: embedding row 0 has norm 0 below 1e-12"),
+        # Rows whose squares overflow have an infinite norm, which forward's
+        # norm guard refuses, whether their entries are finite (1e200) or
+        # overflow too (1e308).
+        ("visual", 1e200, "visual head forward: embedding row 0 has norm inf non-finite"),
+        ("visual", 1e308, "visual head forward: embedding row 0 has norm inf non-finite"),
+    ], ids=["visual-zero", "sentence-zero", "visual-squares-overflow", "visual-overflow"])
     def test_embedding_failure_names_head_epoch_and_batch(self, label, gamma, message):
         visual, sentences, groups = make_problem()
         hv, hs = fresh_heads()
         # bn_beta starts at 0, so a gamma of 0 makes every embedding row 0.
         {"visual": hv, "sentence": hs}[label].bn_gamma[:] = gamma
-        with pytest.raises(NumericalError, match=f"^{message}.*at epoch 1, batch 1$"):
+        with pytest.raises(NumericalError, match=f"^{re.escape(message)} at epoch 1, batch 1$"):
             train_joint(visual, sentences, groups, TrainState.fresh(hv, hs), LossConfig(),
                         TrainConfig(epochs=2, batch_size=8))
 
@@ -337,6 +341,15 @@ class TestTrainStateIo:
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(DataError):
             load_train_state(str(path))
+
+    def test_head_batch_norm_state_is_checked(self, tmp_path):
+        state = untrained_state()
+        state.head_s.bn_epsilon = 0.0
+        path = str(tmp_path / "s.jet")
+        save_train_state(state, path)
+        with pytest.raises(DataError, match=f"^{re.escape(path)}: batch-norm state needs .* "
+                                            "epsilon 0, momentum 0.1$"):
+            load_train_state(path)
 
     def test_velocity_shapes_must_match_the_heads(self, tmp_path):
         # The visual w1 velocity is stored transposed: the bundle's total
