@@ -1,23 +1,26 @@
 """Command-line entry point.
 
-Subcommands: gen-synth, train-embed, embed, train-zsl, eval, gradcheck.
+Subcommands: gen-synth, train-embed, embed, train-zsl, eval, gradcheck, each
+one row of COMMANDS: its handler and its options.
 
 Every option can also come from a plain-text key=value config file
 (`--config FILE`); explicit flags win on conflict. A key that names none of
-the command's options (nor a manifest's `command` or `version`), or a key
-given twice, is a usage error. Each command writes a manifest of its fully
+the command's options (nor a manifest's `command` or `version`), a key
+given twice, or a `config` key (config files do not nest) is a usage error.
+Once a command with an --out succeeds, `main` writes a manifest of its fully
 resolved configuration next to its outputs; feeding that manifest back
 through --config reproduces the run bit-exactly. A config file with a
 `command` line is a manifest, refused unless of this command and whole.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
-failure. Every numeric option is bounded, and --help shows each bound. The
-options that set a config field take the field's type, bound and help. Each
-option's bound is checked as the options resolve, then each config's
-`validate` applies its cross-field rules. A value that breaks either, from a
-flag, config file or manifest, exits 1 before any file is read or written.
-A command reports on stdout and in its files; stderr holds only a failure's
-error line.
+failure. Every numeric option is bounded, and --help shows each bound. An
+option takes its default's type, or str if it has none (a required option),
+and a False default makes a flag; the options that set a config field take
+the field's default, bound and help. Each option's bound is checked once,
+as the options resolve, then each config's `rules` apply its cross-field
+rules. A value that breaks either, from a flag, config file or manifest,
+exits 1 before any file is read or written. A command reports on stdout and
+in its files; stderr holds only a failure's error line.
 """
 
 from __future__ import annotations
@@ -76,13 +79,13 @@ def _parse_bool(s: str) -> bool:
 
 
 class Opt:
-    def __init__(self, name, typ, default, help="", bound=None, flag=False):
+    def __init__(self, name, default, help="", bound=None):
         self.name = name  # dest / manifest key, underscores
-        self.typ = typ
-        self.default = default
+        self.default = default  # None: a required option
         self.help = help
         self.bound = bound  # (text, test) or None
-        self.flag = flag  # boolean store_true option
+        self.typ = str if default is None else type(default)
+        self.flag = default is False  # boolean store_true option
 
     @property
     def cli(self) -> str:
@@ -90,51 +93,13 @@ class Opt:
 
 
 def _options(config) -> list[Opt]:
-    """An Opt for each field of `config` that an option sets, in field order,
-    typed as its default: a False default makes a flag."""
-    return [Opt(f.metadata["cli"] or f.name, type(f.default), f.default, f.metadata["help"],
-                f.metadata["bound"], flag=f.default is False)
+    """An Opt for each field of `config` that an option sets, in field order."""
+    return [Opt(f.metadata["cli"] or f.name, f.default, f.metadata["help"], f.metadata["bound"])
             for f in fields(config) if f.metadata["cli"] != ""]
 
 
-COMMON = [Opt("seed", int, 0, "master seed for all randomness", SEED),
-          Opt("config", str, None, "key=value config file; flags win on conflict")]
-
-
-COMMANDS: dict[str, list[Opt]] = {
-    "gen-synth": COMMON + _options(SynthConfig) + [
-        Opt("out", str, None, "output dataset directory"),
-    ],
-    "train-embed": COMMON + [
-        Opt("data", str, None, "dataset directory from gen-synth"),
-        Opt("out", str, None, "output directory for checkpoints and log"),
-        Opt("dim", int, 16, "joint embedding dimensionality", at_least(1)),
-        Opt("hidden", int, 0, "hidden width (0: same as --dim)", at_least(0)),
-    ] + _options(LossConfig) + _options(TrainConfig) + [
-        Opt("rows", str, "all", "which rows to train on", one_of("all", "train")),
-        Opt("resume", bool, False, "resume from trainer state in --out", flag=True),
-    ],
-    "embed": COMMON + [
-        Opt("checkpoint", str, "", "head checkpoint (.jeh), required unless --raw-passthrough"),
-        Opt("features", str, None, "input feature file"),
-        Opt("out", str, None, "output feature file"),
-        Opt("raw_passthrough", bool, False, "copy features unembedded (baseline arm)", flag=True),
-    ],
-    "train-zsl": COMMON + [
-        Opt("data", str, None, "dataset directory (attributes, splits, labels)"),
-        Opt("features", str, None, "embedding file aligned with the dataset rows"),
-        Opt("out", str, None, "output directory for the model"),
-    ] + _options(ZslConfig),
-    "eval": COMMON + [
-        Opt("data", str, None, "dataset directory"),
-        Opt("features", str, None, "embedding file aligned with the dataset rows"),
-        Opt("model", str, None, "compatibility model file (.jec)"),
-        Opt("out", str, None, "output directory for reports"),
-    ],
-    "gradcheck": COMMON + [
-        Opt("trials", int, 20, "random configurations per component", at_least(1)),
-    ],
-}
+COMMON = [Opt("seed", 0, "master seed for all randomness", SEED),
+          Opt("config", None, "key=value config file; flags win on conflict")]
 
 # Keys a manifest carries besides the command's options; a config ignores them.
 MANIFEST_KEYS = ("command", "version")
@@ -163,15 +128,17 @@ def _read_config(path: str, known) -> dict[str, str]:
     return values
 
 
-def _resolve(command: str, args: argparse.Namespace) -> dict:
+def _resolve(command: str, options: list[Opt], args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags."""
-    opts = {o.name: o for o in COMMANDS[command]}
+    opts = {o.name: o for o in options}
     resolved = {name: o.default for name, o in opts.items()}
     if args.config is not None:
-        values = _read_config(args.config, [*opts, *MANIFEST_KEYS])
+        # Config files do not nest, so `config` is no key of one.
+        keys = [name for name in opts if name != "config"]
+        values = _read_config(args.config, [*keys, *MANIFEST_KEYS])
         # A manifest names its command and holds every option; a cut one
         # would otherwise run the missing options at their defaults.
-        missing = [name for name in opts if name != "config" and name not in values]
+        missing = [name for name in keys if name not in values]
         if values.get("command", command) != command:
             raise UsageError(f"{args.config}: manifest of {values['command']}, not {command}")
         if "command" in values and missing:
@@ -203,18 +170,20 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
 
 def _config(config, cfg: dict):
     """A `config` from the resolved options named like its fields (--seed
-    too), validated under the options' names; a value it refuses is a usage
-    error."""
+    too), whose bounds _resolve has checked; a value that breaks one of its
+    rules, named as its option, is a usage error."""
     made = config(**{f.name: cfg[f.metadata["cli"] or f.name] for f in fields(config)
                      if (f.metadata["cli"] or f.name) in cfg})
     try:
-        made.validate(config.cli_name)
+        made.rules(config.cli_name)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return made
 
 
-def _write_manifest(command: str, cfg: dict, path: str):
+def _write_manifest(command: str, cfg: dict):
+    out = cfg["out"]  # embed's is a file, every other command's a directory
+    path = out + ".manifest.txt" if command == "embed" else os.path.join(out, "manifest.txt")
     lines = [f"command={command}", f"version={__version__}"]
     for key in sorted(cfg):
         if key == "config":
@@ -231,7 +200,6 @@ def _write_manifest(command: str, cfg: dict, path: str):
 
 def cmd_gen_synth(cfg: dict) -> int:
     save_dataset(generate(_config(SynthConfig, cfg)), cfg["out"])
-    _write_manifest("gen-synth", cfg, os.path.join(cfg["out"], "manifest.txt"))
     return 0
 
 
@@ -276,9 +244,15 @@ def cmd_train_embed(cfg: dict) -> int:
     ds = load_dataset(cfg["data"])
     # --rows all trains on the loaded arrays themselves, not on copies.
     visual, sentences, groups = ds.visual, ds.sentences, ds.groups
+    files = [_data_file(cfg, "groups")]
     if cfg["rows"] == "train":
         idx = ds.rows("train")
         visual, sentences, groups = visual[idx], sentences[idx], groups[idx]
+        files.append(_data_file(cfg, "assignments"))
+    # train_joint refuses these rows too, but cannot name the files at fault.
+    if not (groups != groups[:1]).any():
+        raise DataError(f"{', '.join(files)}: {len(groups)} training rows hold fewer than "
+                        f"two groups, so no triplet has a negative")
     d_out = cfg["dim"]
     d_hidden = cfg["hidden"] or d_out
 
@@ -303,7 +277,6 @@ def cmd_train_embed(cfg: dict) -> int:
                "\n".join(log_lines) + ("\n" if log_lines else ""))
     for ln in log_lines:
         print(ln)
-    _write_manifest("train-embed", cfg, os.path.join(out, "manifest.txt"))
     return 0
 
 
@@ -327,20 +300,28 @@ def cmd_embed(cfg: dict) -> int:
             raise NumericalError(
                 f"{cfg['features']} with checkpoint {cfg['checkpoint']}: {exc}") from exc
     write_features(features, cfg["out"])
-    _write_manifest("embed", cfg, cfg["out"] + ".manifest.txt")
     return 0
+
+
+# What each assignment's rows are to the command that reads them.
+_ROWS_FOR = {"train": "training data", "test_seen": "seen test split",
+             "test_unseen": "unseen test split"}
 
 
 def _load_embedded(cfg: dict, *assignments: str) -> tuple[AttributeTable, LabeledEmbeddings]:
     """The --data attribute table, and the --features rows with any of these
     assignments, labelled, in row order; the dataset's own features and group
-    ids are not read."""
+    ids are not read. An assignment with no row is a data error."""
     ds = load_annotations(cfg["data"])
     embeddings = read_features(cfg["features"])
     if len(embeddings) != len(ds.labels):
         raise DataError(
             f"{cfg['features']}: {len(embeddings)} rows but dataset has {len(ds.labels)}"
         )
+    for name in assignments:
+        if name not in ds.assignments:
+            raise DataError(f"{_data_file(cfg, 'assignments')}: no {name} row, so empty "
+                            f"{_ROWS_FOR[name]}")
     idx = ds.rows(*assignments)
     return ds.attributes, LabeledEmbeddings(embeddings[idx], ds.labels[idx])
 
@@ -348,12 +329,8 @@ def _load_embedded(cfg: dict, *assignments: str) -> tuple[AttributeTable, Labele
 def cmd_train_zsl(cfg: dict) -> int:
     zsl_cfg = _config(ZslConfig, cfg)
     table, train = _load_embedded(cfg, "train")
-    if not len(train.labels):
-        raise DataError(f"{_data_file(cfg, 'assignments')}: no train row, so empty "
-                        f"training data")
     w = train_compatibility(train, table, zsl_cfg)
     save_model(w, os.path.join(cfg["out"], "model.jec"))
-    _write_manifest("train-zsl", cfg, os.path.join(cfg["out"], "manifest.txt"))
     return 0
 
 
@@ -370,7 +347,6 @@ def cmd_eval(cfg: dict) -> int:
     write_file(os.path.join(out, "report.txt"), text)
     write_file(os.path.join(out, "report.kv"), format_kv(report))
     print(text, end="")
-    _write_manifest("eval", cfg, os.path.join(out, "manifest.txt"))
     return 0
 
 
@@ -392,13 +368,40 @@ def cmd_gradcheck(cfg: dict) -> int:
     return 0
 
 
-HANDLERS = {
-    "gen-synth": cmd_gen_synth,
-    "train-embed": cmd_train_embed,
-    "embed": cmd_embed,
-    "train-zsl": cmd_train_zsl,
-    "eval": cmd_eval,
-    "gradcheck": cmd_gradcheck,
+# Each command's handler and options.
+COMMANDS = {
+    "gen-synth": (cmd_gen_synth, COMMON + _options(SynthConfig) + [
+        Opt("out", None, "output dataset directory"),
+    ]),
+    "train-embed": (cmd_train_embed, COMMON + [
+        Opt("data", None, "dataset directory from gen-synth"),
+        Opt("out", None, "output directory for checkpoints and log"),
+        Opt("dim", 16, "joint embedding dimensionality", at_least(1)),
+        Opt("hidden", 0, "hidden width (0: same as --dim)", at_least(0)),
+    ] + _options(LossConfig) + _options(TrainConfig) + [
+        Opt("rows", "all", "which rows to train on", one_of("all", "train")),
+        Opt("resume", False, "resume from trainer state in --out"),
+    ]),
+    "embed": (cmd_embed, COMMON + [
+        Opt("checkpoint", "", "head checkpoint (.jeh), required unless --raw-passthrough"),
+        Opt("features", None, "input feature file"),
+        Opt("out", None, "output feature file"),
+        Opt("raw_passthrough", False, "copy features unembedded (baseline arm)"),
+    ]),
+    "train-zsl": (cmd_train_zsl, COMMON + [
+        Opt("data", None, "dataset directory (attributes, splits, labels)"),
+        Opt("features", None, "embedding file aligned with the dataset rows"),
+        Opt("out", None, "output directory for the model"),
+    ] + _options(ZslConfig)),
+    "eval": (cmd_eval, COMMON + [
+        Opt("data", None, "dataset directory"),
+        Opt("features", None, "embedding file aligned with the dataset rows"),
+        Opt("model", None, "compatibility model file (.jec)"),
+        Opt("out", None, "output directory for reports"),
+    ]),
+    "gradcheck": (cmd_gradcheck, COMMON + [
+        Opt("trials", 20, "random configurations per component", at_least(1)),
+    ]),
 }
 
 
@@ -408,7 +411,7 @@ def build_parser(command: str | None) -> _Parser:
     parser = _Parser(prog="jezsl", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for name, opts in COMMANDS.items():
+    for name, (_, opts) in COMMANDS.items():
         p = sub.add_parser(name, help=None)
         for o in opts if name == command else ():
             if o.flag:
@@ -430,8 +433,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             parser.print_help()
             return 1
-        cfg = _resolve(args.command, args)
-        return HANDLERS[args.command](cfg)
+        handler, options = COMMANDS[args.command]
+        cfg = _resolve(args.command, options, args)
+        code = handler(cfg)
+        if code == 0 and "out" in cfg:  # gradcheck writes no file, so no manifest
+            _write_manifest(args.command, cfg)
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -252,7 +252,8 @@ def train_joint(
 
     Training starts at state.next_epoch: TrainState.fresh starts a run, and
     a state loaded from disk resumes bit-identically to having trained
-    straight through; a state trained under other hyperparameters is refused.
+    straight through; a state trained under other hyperparameters, or for
+    more epochs than train_cfg.epochs, is refused.
     With checkpoint_dir, save_checkpoint writes there every checkpoint_every
     epochs (if set) and at the end, unless the last epoch has just written
     it, so the directory ends with the final state, written once, even when
@@ -282,6 +283,9 @@ def train_joint(
     changed = state.changed_hyperparam(loss_cfg, train_cfg, len(visual))
     if changed is not None:
         raise ValueError("train_joint: state was trained with %s=%r, not %r" % changed)
+    if train_cfg.epochs < state.next_epoch:
+        raise ValueError(f"train_joint: state has trained {state.next_epoch} epochs, more "
+                         f"than epochs={train_cfg.epochs}")
     state.hyperparams = trajectory(loss_cfg, train_cfg, len(visual))
     # Both heads' parameters become views into one vector, laid out like the
     # state's velocity, so each step checks and updates all twelve arrays

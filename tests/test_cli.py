@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import jezsl
 from jezsl.alignment import LossConfig
-from jezsl.cli import COMMANDS, main
+from jezsl.cli import COMMANDS, build_parser, main
 from jezsl.compat import ZslConfig, load_model
 from jezsl.data import SynthConfig, load_dataset, read_features, write_features
 from jezsl.heads import load_head, save_head
@@ -356,8 +357,23 @@ class TestTrainEmbed:
         code, err = run_without_warnings(capsys, "train-embed", "--data", data, "--out", out,
                                          "--rows", "train", "--epochs", "2",
                                          "--batch-size", "4")
-        assert code == 2 and "fewer than two groups" in err
-        assert not os.path.exists(os.path.join(out, "head_v.jeh"))
+        files = ", ".join(os.path.join(data, f) for f in ("groups.txt", "assignments.txt"))
+        assert (code, err) == (2, f"data error: {files}: 8 training rows hold fewer than two "
+                                  f"groups, so no triplet has a negative\n")
+        assert not os.path.exists(out)
+
+    def test_dataset_of_one_group_is_data_error(self, tmp_path, capsys):
+        # --rows all reads no assignment, so only groups.txt is at fault.
+        data = gen(tmp_path)
+        groups = pathlib.Path(data, "groups.txt")
+        groups.write_text("0\n" * 50)
+        capsys.readouterr()
+        out = str(tmp_path / "run")
+        code, err = run_without_warnings(capsys, "train-embed", "--data", data, "--out", out,
+                                         "--epochs", "2")
+        assert (code, err) == (2, f"data error: {groups}: 50 training rows hold fewer than "
+                                  f"two groups, so no triplet has a negative\n")
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("dataset, options, code", [
         ({"--classes": "3", "--seen": "1"}, ["--rows", "train"], 2),  # one group
@@ -896,6 +912,42 @@ class TestTrainZsl:
         assert err == f"data error: {path}: no train row, so empty training data\n"
 
 
+class TestEvalSplitErrors:
+    """eval refuses a dataset without test_seen or test_unseen rows, naming
+    assignments.txt and the assignment that has none."""
+
+    @staticmethod
+    def no_test_seen(data):
+        path = pathlib.Path(data, "assignments.txt")
+        path.write_text(path.read_text().replace("test_seen\n", "train\n"))
+
+    @staticmethod
+    def no_test_unseen(data):
+        # Every class seen, so the test_unseen rows are test_seen ones.
+        pathlib.Path(data, "splits.txt").write_text("seen: 0 1 2 3 4\nunseen:\n")
+        path = pathlib.Path(data, "assignments.txt")
+        path.write_text(path.read_text().replace("test_unseen\n", "test_seen\n"))
+
+    @pytest.mark.parametrize("edit, message", [
+        (no_test_seen, "no test_seen row, so empty seen test split"),
+        (no_test_unseen, "no test_unseen row, so empty unseen test split"),
+    ], ids=["test_seen", "test_unseen"])
+    def test_names_the_assignments_file(self, tmp_path, capsys, edit, message):
+        data = gen(tmp_path)
+        features = os.path.join(data, "visual.jef")
+        zsl = str(tmp_path / "zsl")
+        assert run("train-zsl", "--data", data, "--features", features, "--out", zsl,
+                   "--epochs", "2") == 0
+        edit(data)
+        capsys.readouterr()
+        code, err = run_without_warnings(capsys, "eval", "--data", data, "--features",
+                                         features, "--model", os.path.join(zsl, "model.jec"),
+                                         "--out", str(tmp_path / "rep"))
+        path = os.path.join(data, "assignments.txt")
+        assert (code, err) == (2, f"data error: {path}: {message}\n")
+        assert not os.path.exists(tmp_path / "rep")
+
+
 # Every comparison with NaN is false, so a bound written as `x < 0` lets NaN
 # through to a later numerical failure (exit 3) instead of a usage error.
 # train-zsl takes train-embed's bounds on the options they share.
@@ -1070,6 +1122,8 @@ class TestTopLevel:
         ("command=gen-synth\nversion=0.1.0\ncommand=eval\n", 3,
          "repeated config key 'command'"),
         ("checkpoint=h.jeh\n", 1, "unknown config key 'checkpoint'"),
+        # Config files do not nest: --config is no key of one.
+        ("config=/nonexistent\nclasses=9\n", 1, "unknown config key 'config'"),
     ])
     def test_config_key_errors_name_file_line_and_key(self, tmp_path, capsys, text, line,
                                                       message):
@@ -1279,7 +1333,7 @@ def refused_by_cli():
     """(config, field, value) for every value outside its bound in FUZZ that
     the option of a config field parses."""
     for config, command in CONFIG_COMMANDS:
-        opts = {o.cli: o for o in COMMANDS[command]}
+        opts = {o.cli: o for o in COMMANDS[command][1]}
         for f in dataclasses.fields(config):
             option = config.cli_name(f.name)
             for raw in FUZZ[command].get(option, ((), ()))[1]:
@@ -1289,6 +1343,26 @@ def refused_by_cli():
                     continue
                 yield pytest.param(config, f.name, value,
                                    id=f"{config.__name__}.{f.name}={raw}")
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_each_option_is_typed_by_its_default(command):
+    # An option parses to its default's type, or to str when it is required
+    # (no default); exactly the False-default options are flags; --help shows
+    # each default other than "" and each bound.
+    sub = next(a for a in build_parser(command)._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
+    opts = COMMANDS[command][1]
+    assert list(actions) == [o.name for o in opts]
+    for o in opts:
+        action = actions[o.name]
+        assert isinstance(action, argparse._StoreTrueAction) == (o.default is False), o.name
+        if o.default is False:
+            continue
+        assert action.type is (str if o.default is None else type(o.default)), o.name
+        assert (f"(default {o.default}" in action.help) == (o.default not in (None, "")), o.name
+        assert o.bound is None or action.help.endswith(f"{o.bound[0]})"), o.name
 
 
 @pytest.mark.parametrize("config, name, value", refused_by_cli())

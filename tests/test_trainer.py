@@ -218,6 +218,22 @@ class TestTrainJoint:
                     TrainConfig(epochs=2, batch_size=8, checkpoint_every=5))
         assert state.next_epoch == 2
 
+    def test_resume_refuses_fewer_epochs_than_trained(self, tmp_path):
+        # Fewer epochs than the state has trained would train nothing and
+        # write the checkpoint again; the call is refused and writes nothing.
+        visual, sentences, groups = make_problem()
+        train_joint(visual, sentences, groups, TrainState.fresh(*fresh_heads()), LossConfig(),
+                    TrainConfig(epochs=4, batch_size=8), checkpoint_dir=str(tmp_path))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        state = load_train_state(str(tmp_path / STATE_FILE))
+        params = state.head_v.learnable()
+        with pytest.raises(ValueError, match=r"^train_joint: state has trained 4 epochs, "
+                                             r"more than epochs=2$"):
+            train_joint(visual, sentences, groups, state, LossConfig(),
+                        TrainConfig(epochs=2, batch_size=8), checkpoint_dir=str(tmp_path))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert all(a is b for a, b in zip(state.head_v.learnable(), params))
+
     def test_crash_during_checkpoint_keeps_previous_bundle(self, tmp_path, monkeypatch):
         visual, sentences, groups = make_problem(seed=3)
         cfg = TrainConfig(epochs=6, batch_size=8, seed=3, checkpoint_every=1)
