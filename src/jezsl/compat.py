@@ -98,35 +98,37 @@ class LabeledEmbeddings:
             )
 
 
-def _targets(data: LabeledEmbeddings, table: AttributeTable) -> tuple[np.ndarray, np.ndarray]:
-    """Seen attribute rows in class-id order, and each row's true column among them."""
+def _targets(data: LabeledEmbeddings, table: AttributeTable) -> tuple[np.ndarray, ...]:
+    """Seen attribute rows in class-id order, a contiguous copy of their
+    transpose, and each row's true column among them."""
     outside = ids_outside(data.labels, table.seen)
     if outside:
         raise ValueError(f"labels outside seen classes: {outside}")
-    return table.attributes[~table.is_unseen], np.searchsorted(table.seen, data.labels)
+    attrs = table.attributes[~table.is_unseen]
+    return attrs, np.ascontiguousarray(attrs.T), np.searchsorted(table.seen, data.labels)
 
 
 def _hinge_args(
-    x: np.ndarray, w: np.ndarray, attrs: np.ndarray, true_col: np.ndarray, margin: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """margin + s_wrong - s_true per (row, seen class), with true-class cells
-    -inf, and the flat indices of those cells.
+    x: np.ndarray, w: np.ndarray, attrs_t: np.ndarray, true_cells: np.ndarray, margin: float
+) -> np.ndarray:
+    """margin + s_wrong - s_true per (row, seen class), with the true-class
+    cells, given by flat index, set to -inf.
 
     The arguments overwrite the score matrix in place; (margin + s) - s_true
     is the same float operation, in the same order, as on a fresh array.
     """
-    args = (x @ w) @ attrs.T
-    true_cells = np.arange(len(x)) * args.shape[1] + true_col
+    args = (x @ w) @ attrs_t
     flat = args.ravel()
     s_true = flat[true_cells]
     args += margin
     args -= s_true[:, None]
     flat[true_cells] = -np.inf
-    return args, true_cells
+    return args
 
 
 def _ranking_grad(
-    x: np.ndarray, w: np.ndarray, attrs: np.ndarray, true_col: np.ndarray, margin: float
+    x: np.ndarray, w: np.ndarray, attrs: np.ndarray, attrs_t: np.ndarray,
+    true_cells: np.ndarray, margin: float,
 ) -> np.ndarray:
     """Gradient of the summed hinges over the rows of x w.r.t. w.
 
@@ -135,7 +137,7 @@ def _ranking_grad(
     out of one product. Hinges at exactly 0 are inactive, and so are the
     true-class cells (-inf), which hold 0 until the counts are written.
     """
-    coeff, true_cells = _hinge_args(x, w, attrs, true_col, margin)
+    coeff = _hinge_args(x, w, attrs_t, true_cells, margin)
     np.greater(coeff, 0.0, out=coeff)
     coeff.ravel()[true_cells] = -np.add.reduce(coeff, axis=1)
     return x.T @ (coeff @ attrs)
@@ -145,8 +147,9 @@ def hinge_arguments(
     w: np.ndarray, data: LabeledEmbeddings, table: AttributeTable, margin: float
 ) -> np.ndarray:
     """(N, C_seen) hinge arguments margin + s_wrong - s_true; true-class cells -inf."""
-    attrs, true_col = _targets(data, table)
-    return _hinge_args(data.embeddings, w, attrs, true_col, margin)[0]
+    attrs, attrs_t, true_col = _targets(data, table)
+    true_cells = np.arange(len(true_col)) * len(attrs) + true_col
+    return _hinge_args(data.embeddings, w, attrs_t, true_cells, margin)
 
 
 def ranking_loss(
@@ -160,12 +163,13 @@ def ranking_loss_grad(
     w: np.ndarray, data: LabeledEmbeddings, table: AttributeTable, margin: float
 ) -> np.ndarray:
     """Exact subgradient of ranking_loss w.r.t. w (boundary terms inactive)."""
-    attrs, true_col = _targets(data, table)
-    return _ranking_grad(data.embeddings, w, attrs, true_col, margin)
+    attrs, attrs_t, true_col = _targets(data, table)
+    true_cells = np.arange(len(true_col)) * len(attrs) + true_col
+    return _ranking_grad(data.embeddings, w, attrs, attrs_t, true_cells, margin)
 
 
-# A diverging step overflows; the check after it raises NumericalError, so
-# numpy's warnings are off.
+# A diverging step overflows; the check after its epoch raises NumericalError,
+# so numpy's warnings are off.
 @np.errstate(over="ignore", invalid="ignore")
 def train_compatibility(
     data: LabeledEmbeddings, table: AttributeTable, cfg: ZslConfig = ZslConfig()
@@ -175,28 +179,32 @@ def train_compatibility(
     Each epoch draws a permutation of the rows and steps once per slice of
     BATCH_ROWS of it (the last slice may be shorter) with the gradient summed
     over the slice, so the learning rate is per row. A step gathers only its
-    own rows, so training holds no shuffled copy of the data. The step uses
-    the gradient that ranking_loss_grad returns and gradcheck verifies.
+    own rows, so training holds no shuffled copy of the data. Every step goes
+    through _ranking_grad, the kernel of ranking_loss_grad that gradcheck
+    verifies. The contiguous transpose of the seen attributes is made once;
+    each row's true-class cell, as a flat index into its slice's scores, once
+    per epoch. W is checked once per epoch: w -= step leaves an inf or NaN
+    entry inf or NaN, so that check finds every failure a check per step would.
     """
     cfg.validate()
     if len(data.embeddings) == 0:
         raise ValueError("train_compatibility: empty training data")
-    attrs, true_col = _targets(data, table)
+    attrs, attrs_t, true_col = _targets(data, table)
     x = data.embeddings
     w = np.zeros((x.shape[1], table.d_attr))
     rng = make_rng(cfg.seed)
     margin, learning_rate = cfg.margin, cfg.learning_rate
 
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = rng.permutation(len(x))
-        col_epoch = true_col[order]
+        true_cells = np.arange(len(x)) % BATCH_ROWS * len(attrs) + true_col[order]
         for start in range(0, len(x), BATCH_ROWS):
-            stop = start + BATCH_ROWS
-            step = _ranking_grad(x[order[start:stop]], w, attrs, col_epoch[start:stop], margin)
+            part = slice(start, start + BATCH_ROWS)
+            step = _ranking_grad(x[order[part]], w, attrs, attrs_t, true_cells[part], margin)
             step *= learning_rate
             w -= step
-            if not np.isfinite(w).all():
-                raise NumericalError("non-finite compatibility weights during training")
+        if not np.isfinite(w).all():
+            raise NumericalError(f"non-finite compatibility weights after epoch {epoch + 1}")
 
     return w
 

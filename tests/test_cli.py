@@ -885,10 +885,13 @@ class TestTrainZsl:
     def test_divergence_is_numerical_error(self, tmp_path, capsys):
         data = gen(tmp_path)
         capsys.readouterr()
-        code, _ = run_without_warnings(capsys, "train-zsl", "--data", data,
-                                       "--features", os.path.join(data, "visual.jef"),
-                                       "--out", str(tmp_path / "zsl"), "--lr", "1e308")
+        out = tmp_path / "zsl"
+        code, err = run_without_warnings(capsys, "train-zsl", "--data", data,
+                                         "--features", os.path.join(data, "visual.jef"),
+                                         "--out", str(out), "--lr", "1e308")
         assert code == 3
+        assert err == "numerical failure: non-finite compatibility weights after epoch 1\n"
+        assert not (out / "model.jec").exists() and not (out / "manifest.txt").exists()
 
     def test_no_train_rows_is_data_error(self, tmp_path, capsys):
         data = gen(tmp_path)

@@ -35,6 +35,28 @@ def simple_table(n_seen=3, n_unseen=2, d_attr=4, seed=0):
     )
 
 
+def assert_steps_are_checked_gradients(n, epochs):
+    """Training equals a loop of ranking_loss_grad steps over the same
+    slices of the same permutations, bit for bit."""
+    lr, margin, seed = 0.05, 0.3, 2
+    rng = make_rng(12)
+    table = simple_table(n_seen=4, seed=12)
+    data = LabeledEmbeddings(rng.standard_normal((n, 5)), rng.integers(0, 4, size=n))
+    order_rng = make_rng(seed)
+    w = np.zeros((5, table.d_attr))
+    for _ in range(epochs):
+        order = order_rng.permutation(n)
+        for start in range(0, n, BATCH_ROWS):
+            rows = order[start:start + BATCH_ROWS]
+            part = LabeledEmbeddings(data.embeddings[rows], data.labels[rows])
+            w -= lr * ranking_loss_grad(w, part, table, margin)
+    trained = train_compatibility(
+        data, table, ZslConfig(margin=margin, learning_rate=lr, epochs=epochs, seed=seed)
+    )
+    assert np.any(w != 0.0)
+    np.testing.assert_array_equal(trained, w)
+
+
 def traced_peak(fn, *args):
     """Peak bytes that numpy and Python allocate while fn(*args) runs."""
     tracemalloc.start()
@@ -196,39 +218,33 @@ class TestTraining:
 
     @pytest.mark.parametrize("n", [1, 12, BATCH_ROWS])
     def test_one_slice_epochs_are_checked_gradient_steps(self, n):
-        rng = make_rng(11)
-        table = simple_table(n_seen=4, seed=11)
-        data = LabeledEmbeddings(rng.standard_normal((n, 5)), rng.integers(0, 4, size=n))
-        lr, margin = 0.05, 0.3
-        w = np.zeros((5, table.d_attr))
-        for _ in range(2):
-            w -= lr * ranking_loss_grad(w, data, table, margin)
-        trained = train_compatibility(
-            data, table, ZslConfig(margin=margin, learning_rate=lr, epochs=2, seed=2)
-        )
-        assert np.any(w != 0.0)
-        assert np.linalg.norm(trained - w) <= 1e-12 * np.linalg.norm(w)
+        assert_steps_are_checked_gradients(n, 2)
 
     def test_short_final_slice_is_its_own_step(self):
-        n, lr, margin, seed = BATCH_ROWS + 1, 0.05, 0.3, 2
-        rng = make_rng(12)
-        table = simple_table(n_seen=4, seed=12)
+        assert_steps_are_checked_gradients(BATCH_ROWS + 1, 2)
+
+    def test_several_full_slices_then_a_short_one(self):
+        # Each step's true-class cells are cut from the middle of its epoch's array.
+        assert_steps_are_checked_gradients(2 * BATCH_ROWS + 5, 3)
+
+    @pytest.mark.parametrize("n, epochs", [(1, 3), (BATCH_ROWS, 2), (2 * BATCH_ROWS + 5, 3)])
+    def test_every_step_calls_the_checked_kernel_once(self, monkeypatch, n, epochs):
+        calls = []
+        kernel = jezsl.compat._ranking_grad
+        monkeypatch.setattr(jezsl.compat, "_ranking_grad",
+                            lambda *args: calls.append(len(args[0])) or kernel(*args))
+        rng = make_rng(15)
+        table = simple_table(n_seen=4, seed=15)
         data = LabeledEmbeddings(rng.standard_normal((n, 5)), rng.integers(0, 4, size=n))
-        order_rng = make_rng(seed)
-        w = np.zeros((5, table.d_attr))
-        for _ in range(2):
-            order = order_rng.permutation(n)
-            for rows in (order[:BATCH_ROWS], order[BATCH_ROWS:]):
-                part = LabeledEmbeddings(data.embeddings[rows], data.labels[rows])
-                w -= lr * ranking_loss_grad(w, part, table, margin)
-        trained = train_compatibility(
-            data, table, ZslConfig(margin=margin, learning_rate=lr, epochs=2, seed=seed)
-        )
-        assert np.linalg.norm(trained - w) <= 1e-12 * np.linalg.norm(w)
+        train_compatibility(data, table, ZslConfig(epochs=epochs))
+        assert len(calls) == epochs * -(-n // BATCH_ROWS)
+        assert sum(calls) == epochs * n
 
     # sha256 of the trained W's bytes: a short final slice (n = 33), the
     # raw_zsl benchmark's 140 seen classes, and one seen class (W stays 0).
-    # Any change to the step's float operations or their order moves them.
+    # The step reads the scores only through hinge > 0, so roundoff in them
+    # reaches W only through a hinge that flips; any change to the gradient's
+    # own float operations or their order moves the digests.
     @pytest.mark.parametrize("n, n_seen, n_unseen, d, d_attr, digest", [
         (BATCH_ROWS + 1, 4, 2, 5, 4,
          "f9097f4b4a299e479213855ba2cdc1e80ed4f569542eeeb0d0e8cb0f4f3c95f7"),
@@ -261,7 +277,8 @@ class TestTraining:
         # An overflow warning would surface as an error ahead of the check.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError):
+            with pytest.raises(NumericalError,
+                               match="^non-finite compatibility weights after epoch 1$"):
                 train_compatibility(data, table, ZslConfig(learning_rate=1e308, epochs=5))
 
     @pytest.mark.parametrize("bad", [{"margin": -1.0}, {"margin": float("nan")},
