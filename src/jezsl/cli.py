@@ -157,8 +157,10 @@ def _resolve(command: str, options: list[Opt], args: argparse.Namespace) -> dict
         val = getattr(args, name, None)
         if val is not None and not (opts[name].flag and val is False):
             resolved[name] = val
-    # Every option without a default, apart from --config, is required.
-    missing = [o.cli for o in opts.values() if o.name != "config" and resolved[o.name] is None]
+    # Every option without a default, apart from --config, is required, and
+    # an empty value (`--out ""`, `out=`) names no path, so it is missing too.
+    missing = [o.cli for o in opts.values()
+               if o.default is None and o.name != "config" and not resolved[o.name]]
     if missing:
         raise UsageError(f"{command}: missing required option(s): " + ", ".join(missing))
     for name, value in resolved.items():
@@ -268,6 +270,7 @@ def cmd_train_embed(cfg: dict) -> int:
         state = TrainState.fresh(
             init_head(visual.shape[1], d_hidden, d_out, make_rng(cfg["seed"] + 1)),
             init_head(sentences.shape[1], d_hidden, d_out, make_rng(cfg["seed"] + 2)),
+            loss_cfg, train_cfg, len(visual),
         )
 
     tlog = train_joint(visual, sentences, groups, state, loss_cfg, train_cfg, checkpoint_dir=out)

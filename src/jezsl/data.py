@@ -54,11 +54,13 @@ def write_ids(ids, path: str) -> None:
 
 
 def _read_lines(path: str) -> list[str]:
-    """The file's lines without line ends (text mode reads \r\n and \r as \n);
-    a file that is not UTF-8 is a DataError naming it."""
+    """The file's lines without line ends (text mode reads \r\n and \r as \n)
+    or a leading byte-order mark; a file that is not UTF-8 is a DataError
+    naming it and the offset of the first bad byte in the file."""
     try:
+        # Not "utf-8-sig", which counts that offset from after the mark.
         with open(path, encoding="utf-8") as fh:
-            return fh.read().split("\n")
+            return fh.read().removeprefix("\ufeff").split("\n")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 

@@ -45,7 +45,6 @@ class TrainConfig(Config):
     learning_rate: float = option(0.01, "learning rate", NON_NEGATIVE, cli="lr")
     momentum: float = option(0.9, "SGD momentum", ("in [0, 1)", lambda x: 0 <= x < 1))
     seed: int = option(0, bound=SEED, cli="")
-    shuffle: bool = option(True, cli="")
     balanced_batches: bool = option(False, "force >= 2 groups per batch")
     checkpoint_every: int = option(0, "save state every N epochs (0: only at end)",
                                    at_least(0))
@@ -145,25 +144,26 @@ class TrainState:
 
     `velocity` is the momentum of both heads' learnable arrays, head_v's then
     head_s's, each in PARAM_NAMES order, flattened into one float64 vector.
-    `hyperparams` holds the TRAJECTORY_FIELDS values of the run that trained
-    the heads; it is None until train_joint first runs with this state.
+    `hyperparams` holds the TRAJECTORY_FIELDS values of the run the state
+    belongs to, from `fresh` or from the bundle.
     """
 
     head_v: EmbeddingHead
     head_s: EmbeddingHead
     velocity: np.ndarray
-    next_epoch: int = 0
-    hyperparams: np.ndarray | None = None
+    next_epoch: int
+    hyperparams: np.ndarray
 
     @classmethod
-    def fresh(cls, head_v: EmbeddingHead, head_s: EmbeddingHead) -> "TrainState":
-        return cls(head_v, head_s, np.zeros(sum(a.size for a in _learnable(head_v, head_s))))
+    def fresh(cls, head_v: EmbeddingHead, head_s: EmbeddingHead, loss_cfg: LossConfig,
+              train_cfg: TrainConfig, rows: int) -> "TrainState":
+        """Epoch 0 of a run of these configs on `rows` training rows."""
+        return cls(head_v, head_s, np.zeros(sum(a.size for a in _learnable(head_v, head_s))),
+                   0, trajectory(loss_cfg, train_cfg, rows))
 
     def changed_hyperparam(self, loss_cfg, train_cfg, rows) -> tuple[str, float, float] | None:
         """(name, saved, given) of the first trajectory hyperparameter that
-        differs from the run that trained this state; None if all match."""
-        if self.hyperparams is None:
-            return None
+        differs from this state's run; None if all match."""
         given = trajectory(loss_cfg, train_cfg, rows)
         for name, saved, now in zip(TRAJECTORY_FIELDS, self.hyperparams, given):
             if saved != now:
@@ -172,8 +172,6 @@ class TrainState:
 
 
 def save_train_state(state: TrainState, path: str) -> None:
-    if state.hyperparams is None:
-        raise ValueError("save_train_state: no hyperparameters; train_joint sets them")
     write_arrays(path, STATE_MAGIC, STATE_VERSION, [
         *head_arrays(state.head_v),
         *head_arrays(state.head_s),
@@ -207,10 +205,8 @@ def save_checkpoint(state: TrainState, out_dir: str) -> None:
     save_train_state(state, os.path.join(out_dir, STATE_FILE))
 
 
-def epoch_order(seed: int, epoch: int, n: int, shuffle: bool) -> np.ndarray:
+def epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     """Sample order for one epoch; a pure function of (seed, epoch)."""
-    if not shuffle:
-        return np.arange(n)
     return make_rng([seed, epoch]).permutation(n)
 
 
@@ -252,8 +248,8 @@ def train_joint(
 
     Training starts at state.next_epoch: TrainState.fresh starts a run, and
     a state loaded from disk resumes bit-identically to having trained
-    straight through; a state trained under other hyperparameters, or for
-    more epochs than train_cfg.epochs, is refused.
+    straight through; a state of a run under other hyperparameters, or one
+    that has trained more epochs than train_cfg.epochs, is refused.
     With checkpoint_dir, save_checkpoint writes there every checkpoint_every
     epochs (if set) and at the end, unless the last epoch has just written
     it, so the directory ends with the final state, written once, even when
@@ -282,11 +278,10 @@ def train_joint(
 
     changed = state.changed_hyperparam(loss_cfg, train_cfg, len(visual))
     if changed is not None:
-        raise ValueError("train_joint: state was trained with %s=%r, not %r" % changed)
+        raise ValueError("train_joint: state belongs to a run with %s=%r, not %r" % changed)
     if train_cfg.epochs < state.next_epoch:
         raise ValueError(f"train_joint: state has trained {state.next_epoch} epochs, more "
                          f"than epochs={train_cfg.epochs}")
-    state.hyperparams = trajectory(loss_cfg, train_cfg, len(visual))
     # Both heads' parameters become views into one vector, laid out like the
     # state's velocity, so each step checks and updates all twelve arrays
     # with one call each. The head objects stay the same.
@@ -301,7 +296,7 @@ def train_joint(
 
     for epoch in range(state.next_epoch, train_cfg.epochs):
         start = time.perf_counter()
-        order = epoch_order(train_cfg.seed, epoch, len(visual), train_cfg.shuffle)
+        order = epoch_order(train_cfg.seed, epoch, len(visual))
         losses = []
         active_total = 0
         triple_total = 0

@@ -157,10 +157,11 @@ class TestCriterion4GroundedEmbeddingBenefit:
 
             hv = init_head(cfg.d_visual, 24, 10, make_rng(seed + 1))
             hs = init_head(cfg.d_sentence, 24, 10, make_rng(seed + 2))
+            train_cfg = TrainConfig(epochs=30, batch_size=32, learning_rate=0.01, seed=seed)
             train_joint(
-                data.visual, data.sentences, data.groups, TrainState.fresh(hv, hs),
-                LossConfig(),
-                TrainConfig(epochs=30, batch_size=32, learning_rate=0.01, seed=seed),
+                data.visual, data.sentences, data.groups,
+                TrainState.fresh(hv, hs, LossConfig(), train_cfg, len(data.groups)),
+                LossConfig(), train_cfg,
             )
             grounded, _ = forward(hv, data.visual, train=False)
             grounded_t1 = self.t1_with_features(grounded, data, table, seed)
@@ -183,9 +184,11 @@ class TestCriterion5TrainingSanity:
         data = generate(cfg)
         hv = init_head(cfg.d_visual, 64, 16, make_rng(1))
         hs = init_head(cfg.d_sentence, 64, 16, make_rng(2))
+        train_cfg = TrainConfig(epochs=50, batch_size=32, seed=0)
         log = train_joint(
-            data.visual, data.sentences, data.groups, TrainState.fresh(hv, hs),
-            LossConfig(), TrainConfig(epochs=50, batch_size=32, seed=0),
+            data.visual, data.sentences, data.groups,
+            TrainState.fresh(hv, hs, LossConfig(), train_cfg, len(data.groups)),
+            LossConfig(), train_cfg,
         )
         ratio = log.epoch_loss[-1] / log.epoch_loss[0]
 

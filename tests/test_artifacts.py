@@ -26,15 +26,15 @@ from jezsl.errors import DataError, NumericalError
 from jezsl.heads import init_head, load_head, save_head
 import jezsl
 from jezsl.linalg import make_rng, read_arrays, write_arrays, write_file
-from jezsl.trainer import TrainConfig, TrainState, load_train_state, save_train_state, trajectory
+from jezsl.trainer import TrainConfig, TrainState, load_train_state, save_train_state
 
 
 def small_state():
     rng = make_rng(4)
-    state = TrainState.fresh(init_head(3, 2, 2, rng), init_head(4, 2, 2, rng))
+    state = TrainState.fresh(init_head(3, 2, 2, rng), init_head(4, 2, 2, rng), LossConfig(),
+                             TrainConfig(), 20)
     state.velocity[:] = rng.standard_normal(state.velocity.shape)
     state.next_epoch = 5
-    state.hyperparams = trajectory(LossConfig(), TrainConfig(), 20)
     return state
 
 

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import contextlib
 import dataclasses
 import hashlib
@@ -23,7 +24,7 @@ from jezsl.compat import ZslConfig, load_model
 from jezsl.data import SynthConfig, load_dataset, read_features, write_features
 from jezsl.heads import load_head, save_head
 from jezsl.linalg import make_rng
-from jezsl.trainer import TrainConfig, load_train_state
+from jezsl.trainer import TRAJECTORY_FIELDS, TrainConfig, load_train_state
 
 
 def run(*argv):
@@ -1012,6 +1013,37 @@ def test_missing_required_options_are_named(capsys, command, missing):
         f"error: {command}: missing required option(s): {missing}\n")
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, name", [
+    (command, o.name) for command, (_, opts) in COMMANDS.items() for o in opts
+    if o.default is None and o.name != "config"])
+def test_empty_required_option_is_missing(tmp_path, monkeypatch, capsys, command, name, via):
+    # An empty path names the working directory: gen-synth would write its
+    # dataset there, and a later --out "" would replace that manifest.
+    monkeypatch.chdir(tmp_path)
+    argv = [command]
+    for o in COMMANDS[command][1]:
+        if o.default is None and o.name not in ("config", name):
+            argv += [o.cli, str(tmp_path / "absent" / o.name)]
+    if via == "flag":
+        argv += ["--" + name, ""]
+    else:
+        (tmp_path / "c.txt").write_text(f"{name}=\n")
+        argv += ["--config", "c.txt"]
+    code, err = run_without_warnings(capsys, *argv)
+    assert code == 1
+    assert err == f"error: {command}: missing required option(s): --{name}\n"
+    assert os.listdir(tmp_path) == (["c.txt"] if via == "config" else [])
+
+
+def test_every_trajectory_field_names_a_train_embed_option():
+    # A refused --resume advises the option of the field that changed.
+    sub = next(a for a in build_parser("train-embed")._actions
+               if isinstance(a, argparse._SubParsersAction)).choices["train-embed"]
+    options = [TrainConfig.cli_name(name) for name in TRAJECTORY_FIELDS]
+    assert [o for o in options if o not in sub._option_string_actions] == []
+
+
 class TestGradcheckCommand:
     def test_passes(self, capsys):
         assert run("gradcheck", "--trials", "3") == 0
@@ -1138,6 +1170,21 @@ class TestTopLevel:
         assert code == 1
         assert err == f"error: {cfgfile}:{line}: {message}\n"
         assert not os.path.exists(out)
+
+    def test_config_with_byte_order_mark_runs_as_without(self, tmp_path):
+        # Editors that save "UTF-8 with BOM" put U+FEFF before the first key.
+        text = "seed=3\nclasses=4\nseen=2\nper_class=4\n"
+        out = tmp_path / "d"
+        outputs = []
+        for raw in (text.encode(), codecs.BOM_UTF8 + text.encode()):
+            cfgfile = tmp_path / "c.txt"
+            cfgfile.write_bytes(raw)
+            assert run("gen-synth", "--config", str(cfgfile), "--out", str(out)) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            for p in out.iterdir():
+                p.unlink()
+        assert "manifest.txt" in outputs[0]
+        assert outputs[1] == outputs[0]
 
     def test_config_is_read_as_utf8_in_any_locale(self, tmp_path):
         # Every manifest is written as UTF-8; a C locale must not change how

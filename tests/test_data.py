@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import os
 import re
@@ -412,6 +413,28 @@ class TestDatasetDirectory:
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text "
                                             r"\(invalid start byte at byte 0\)$"):
             load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("key", ["labels", "groups", "attribute_classes", "splits",
+                                     "assignments"])
+    def test_text_file_with_byte_order_mark_loads(self, tmp_path, key):
+        data = generate(SynthConfig(n_classes=4, n_seen=2, samples_per_class=5, seed=3))
+        save_dataset(data, str(tmp_path))
+        path = tmp_path / FILES[key]
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        loaded = load_dataset(str(tmp_path))
+        for f in fields(Dataset):
+            if f.name != "attributes":
+                np.testing.assert_array_equal(getattr(loaded, f.name), getattr(data, f.name))
+        for f in fields(AttributeTable):
+            np.testing.assert_array_equal(getattr(loaded.attributes, f.name),
+                                          getattr(data.attributes, f.name))
+
+    def test_not_utf8_after_a_byte_order_mark_names_the_file_offset(self, tmp_path):
+        path = tmp_path / "ids.txt"
+        path.write_bytes(codecs.BOM_UTF8 + b"0\n\xff\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text "
+                                            r"\(invalid start byte at byte 5\)$"):
+            read_ids(str(path))
 
     def test_row_count_mismatch_names_each_file(self, tmp_path):
         save_dataset(generate(SynthConfig(n_classes=4, n_seen=2, samples_per_class=5, seed=3)),

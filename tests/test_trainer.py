@@ -52,9 +52,7 @@ def snapshot(head):
 
 
 def untrained_state(seed=0):
-    state = TrainState.fresh(*fresh_heads(seed=seed))
-    state.hyperparams = trajectory(LossConfig(), TrainConfig(), 40)
-    return state
+    return TrainState.fresh(*fresh_heads(seed=seed), LossConfig(), TrainConfig(), 40)
 
 
 class TestSgdStep:
@@ -83,18 +81,15 @@ class TestSgdStep:
 
 class TestEpochOrder:
     def test_permutation_and_determinism(self):
-        a = epoch_order(5, 3, 20, shuffle=True)
-        b = epoch_order(5, 3, 20, shuffle=True)
+        a = epoch_order(5, 3, 20)
+        b = epoch_order(5, 3, 20)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(np.sort(a), np.arange(20))
 
     def test_depends_on_epoch(self):
         assert not np.array_equal(
-            epoch_order(5, 0, 50, True), epoch_order(5, 1, 50, True)
+            epoch_order(5, 0, 50), epoch_order(5, 1, 50)
         )
-
-    def test_no_shuffle_is_identity(self):
-        np.testing.assert_array_equal(epoch_order(9, 4, 6, False), np.arange(6))
 
 
 class TestBatchIndices:
@@ -127,10 +122,9 @@ class TestTrainJoint:
         visual, sentences, groups = make_problem()
         hv, hs = fresh_heads()
         before_v, before_s = snapshot(hv), snapshot(hs)
-        train_joint(
-            visual, sentences, groups, TrainState.fresh(hv, hs),
-            LossConfig(), TrainConfig(epochs=0, batch_size=8, seed=0),
-        )
+        cfg = TrainConfig(epochs=0, batch_size=8, seed=0)
+        train_joint(visual, sentences, groups, TrainState.fresh(hv, hs, LossConfig(), cfg, 40),
+                    LossConfig(), cfg)
         for k, v in before_v.items():
             np.testing.assert_array_equal(getattr(hv, k), v)
         for k, v in before_s.items():
@@ -140,10 +134,9 @@ class TestTrainJoint:
         visual, sentences, groups = make_problem()
         hv, hs = fresh_heads()
         before = snapshot(hv)
-        train_joint(
-            visual, sentences, groups, TrainState.fresh(hv, hs),
-            LossConfig(), TrainConfig(epochs=2, batch_size=8, learning_rate=0.0, seed=0),
-        )
+        cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=0.0, seed=0)
+        train_joint(visual, sentences, groups, TrainState.fresh(hv, hs, LossConfig(), cfg, 40),
+                    LossConfig(), cfg)
         for k, v in before.items():
             if k in ("bn_running_mean", "bn_running_var"):
                 assert not np.array_equal(getattr(hv, k), v)
@@ -155,48 +148,38 @@ class TestTrainJoint:
         cfg = TrainConfig(epochs=3, batch_size=8, seed=4)
         hv1, hs1 = fresh_heads()
         hv2, hs2 = fresh_heads()
-        log1 = train_joint(
-            visual, sentences, groups, TrainState.fresh(hv1, hs1), LossConfig(), cfg
-        )
-        log2 = train_joint(
-            visual, sentences, groups, TrainState.fresh(hv2, hs2), LossConfig(), cfg
-        )
+        log1 = train_joint(visual, sentences, groups,
+                           TrainState.fresh(hv1, hs1, LossConfig(), cfg, 40), LossConfig(), cfg)
+        log2 = train_joint(visual, sentences, groups,
+                           TrainState.fresh(hv2, hs2, LossConfig(), cfg, 40), LossConfig(), cfg)
         assert log1.epoch_loss == log2.epoch_loss
         for k, v in snapshot(hv1).items():
             np.testing.assert_array_equal(getattr(hv2, k), v)
 
     def test_loss_decreases_on_separable_problem(self):
         visual, sentences, groups = make_problem(seed=1)
-        hv, hs = fresh_heads(seed=1)
-        log = train_joint(
-            visual, sentences, groups, TrainState.fresh(hv, hs),
-            LossConfig(), TrainConfig(epochs=15, batch_size=10, seed=1),
-        )
+        cfg = TrainConfig(epochs=15, batch_size=10, seed=1)
+        log = train_joint(visual, sentences, groups,
+                          TrainState.fresh(*fresh_heads(seed=1), LossConfig(), cfg, 40),
+                          LossConfig(), cfg)
         assert log.epoch_loss[-1] < log.epoch_loss[0]
 
     def test_resume_is_bit_identical(self, tmp_path):
         visual, sentences, groups = make_problem(seed=2)
         loss_cfg = LossConfig()
+        cfg = TrainConfig(epochs=6, batch_size=8, seed=2)
 
         hv_full, hs_full = fresh_heads(seed=2)
-        train_joint(
-            visual, sentences, groups, TrainState.fresh(hv_full, hs_full),
-            loss_cfg, TrainConfig(epochs=6, batch_size=8, seed=2),
-        )
+        train_joint(visual, sentences, groups,
+                    TrainState.fresh(hv_full, hs_full, loss_cfg, cfg, 40), loss_cfg, cfg)
 
-        state = TrainState.fresh(*fresh_heads(seed=2))
-        train_joint(
-            visual, sentences, groups, state,
-            loss_cfg, TrainConfig(epochs=3, batch_size=8, seed=2),
-        )
+        state = TrainState.fresh(*fresh_heads(seed=2), loss_cfg, cfg, 40)
+        train_joint(visual, sentences, groups, state, loss_cfg, replace(cfg, epochs=3))
         path = str(tmp_path / "state.jet")
         save_train_state(state, path)
         resumed = load_train_state(path)
         assert resumed.next_epoch == 3
-        train_joint(
-            visual, sentences, groups, resumed,
-            loss_cfg, TrainConfig(epochs=6, batch_size=8, seed=2),
-        )
+        train_joint(visual, sentences, groups, resumed, loss_cfg, cfg)
         for k, v in snapshot(hv_full).items():
             np.testing.assert_array_equal(getattr(resumed.head_v, k), v)
         for k, v in snapshot(hs_full).items():
@@ -204,9 +187,9 @@ class TestTrainJoint:
 
     def test_resume_refuses_changed_hyperparameters(self):
         visual, sentences, groups = make_problem()
-        state = TrainState.fresh(*fresh_heads())
-        train_joint(visual, sentences, groups, state, LossConfig(),
-                    TrainConfig(epochs=1, batch_size=8))
+        cfg = TrainConfig(epochs=1, batch_size=8)
+        state = TrainState.fresh(*fresh_heads(), LossConfig(), cfg, 40)
+        train_joint(visual, sentences, groups, state, LossConfig(), cfg)
         with pytest.raises(ValueError, match="batch_size=8"):
             train_joint(visual, sentences, groups, state, LossConfig(),
                         TrainConfig(epochs=2, batch_size=10))
@@ -218,12 +201,35 @@ class TestTrainJoint:
                     TrainConfig(epochs=2, batch_size=8, checkpoint_every=5))
         assert state.next_epoch == 2
 
+    def test_fresh_state_refuses_another_config(self):
+        # A fresh state holds its run's trajectory, so the first call is
+        # checked as a resume is.
+        visual, sentences, groups = make_problem()
+        hv, hs = fresh_heads()
+        before = snapshot(hv)
+        state = TrainState.fresh(hv, hs, LossConfig(), TrainConfig(epochs=2, batch_size=8), 40)
+        with pytest.raises(ValueError, match=r"^train_joint: state belongs to a run with "
+                                             r"batch_size=8\.0, not 10\.0$"):
+            train_joint(visual, sentences, groups, state, LossConfig(),
+                        TrainConfig(epochs=2, batch_size=10))
+        with pytest.raises(ValueError, match=r"margin=0\.1, not 0\.3$"):
+            train_joint(visual, sentences, groups, state, LossConfig(margin=0.3),
+                        TrainConfig(epochs=2, batch_size=8))
+        with pytest.raises(ValueError, match=r"rows=40\.0, not 30\.0$"):
+            train_joint(visual[:30], sentences[:30], groups[:30], state, LossConfig(),
+                        TrainConfig(epochs=2, batch_size=8))
+        assert state.next_epoch == 0
+        for k, v in before.items():
+            np.testing.assert_array_equal(getattr(hv, k), v)
+
     def test_resume_refuses_fewer_epochs_than_trained(self, tmp_path):
         # Fewer epochs than the state has trained would train nothing and
         # write the checkpoint again; the call is refused and writes nothing.
         visual, sentences, groups = make_problem()
-        train_joint(visual, sentences, groups, TrainState.fresh(*fresh_heads()), LossConfig(),
-                    TrainConfig(epochs=4, batch_size=8), checkpoint_dir=str(tmp_path))
+        cfg = TrainConfig(epochs=4, batch_size=8)
+        train_joint(visual, sentences, groups,
+                    TrainState.fresh(*fresh_heads(), LossConfig(), cfg, 40), LossConfig(), cfg,
+                    checkpoint_dir=str(tmp_path))
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         state = load_train_state(str(tmp_path / STATE_FILE))
         params = state.head_v.learnable()
@@ -238,8 +244,8 @@ class TestTrainJoint:
         visual, sentences, groups = make_problem(seed=3)
         cfg = TrainConfig(epochs=6, batch_size=8, seed=3, checkpoint_every=1)
         hv_full, hs_full = fresh_heads(seed=3)
-        train_joint(visual, sentences, groups, TrainState.fresh(hv_full, hs_full),
-                    LossConfig(), cfg)
+        train_joint(visual, sentences, groups,
+                    TrainState.fresh(hv_full, hs_full, LossConfig(), cfg, 40), LossConfig(), cfg)
 
         real_replace = os.replace
         bundle_writes = []
@@ -253,7 +259,8 @@ class TestTrainJoint:
 
         monkeypatch.setattr(os, "replace", replace)
         with pytest.raises(OSError, match="disk full"):
-            train_joint(visual, sentences, groups, TrainState.fresh(*fresh_heads(seed=3)),
+            train_joint(visual, sentences, groups,
+                        TrainState.fresh(*fresh_heads(seed=3), LossConfig(), cfg, 40),
                         LossConfig(), cfg, checkpoint_dir=str(tmp_path))
         monkeypatch.undo()
         assert sorted(os.listdir(tmp_path)) == ["head_s.jeh", "head_v.jeh", STATE_FILE]
@@ -277,19 +284,21 @@ class TestTrainJoint:
             return grads
 
         monkeypatch.setattr(trainer, "backward", backward)
+        cfg = TrainConfig(epochs=2, batch_size=8)
         with pytest.raises(NumericalError, match="^non-finite gradient in sentence head "
                                                  "parameter b2 at epoch 1, batch 1$"):
-            train_joint(visual, sentences, groups, TrainState.fresh(hv, hs), LossConfig(),
-                        TrainConfig(epochs=2, batch_size=8))
+            train_joint(visual, sentences, groups, TrainState.fresh(hv, hs, LossConfig(), cfg, 40),
+                        LossConfig(), cfg)
 
     def test_non_finite_parameter_names_head_and_parameter(self):
         # One batch per epoch, so the overflowing update is checked only at
         # the epoch's end.
         visual, sentences, groups = make_problem()
+        cfg = TrainConfig(epochs=1, batch_size=40, learning_rate=1e308)
         with pytest.raises(NumericalError, match="^non-finite visual head parameter w1 "
                                                  "after epoch 1$"):
-            train_joint(visual, sentences, groups, TrainState.fresh(*fresh_heads()),
-                        LossConfig(), TrainConfig(epochs=1, batch_size=40, learning_rate=1e308))
+            train_joint(visual, sentences, groups,
+                        TrainState.fresh(*fresh_heads(), LossConfig(), cfg, 40), LossConfig(), cfg)
 
     @pytest.mark.parametrize("label, gamma, message", [
         ("visual", 0.0, "visual head forward: embedding row 0 has norm 0 below 1e-12"),
@@ -305,24 +314,26 @@ class TestTrainJoint:
         hv, hs = fresh_heads()
         # bn_beta starts at 0, so a gamma of 0 makes every embedding row 0.
         {"visual": hv, "sentence": hs}[label].bn_gamma[:] = gamma
+        cfg = TrainConfig(epochs=2, batch_size=8)
         with pytest.raises(NumericalError, match=f"^{re.escape(message)} at epoch 1, batch 1$"):
-            train_joint(visual, sentences, groups, TrainState.fresh(hv, hs), LossConfig(),
-                        TrainConfig(epochs=2, batch_size=8))
+            train_joint(visual, sentences, groups, TrainState.fresh(hv, hs, LossConfig(), cfg, 40),
+                        LossConfig(), cfg)
 
     def test_row_count_mismatch(self):
         visual, sentences, groups = make_problem()
         with pytest.raises(ValueError):
             train_joint(
-                visual[:-1], sentences, groups, TrainState.fresh(*fresh_heads()),
+                visual[:-1], sentences, groups,
+                TrainState.fresh(*fresh_heads(), LossConfig(), TrainConfig(), 39),
                 LossConfig(), TrainConfig()
             )
 
     def test_checkpoint_files_written(self, tmp_path):
         visual, sentences, groups = make_problem()
+        cfg = TrainConfig(epochs=2, batch_size=8, checkpoint_every=1, seed=0)
         train_joint(
-            visual, sentences, groups, TrainState.fresh(*fresh_heads()), LossConfig(),
-            TrainConfig(epochs=2, batch_size=8, checkpoint_every=1, seed=0),
-            checkpoint_dir=str(tmp_path),
+            visual, sentences, groups, TrainState.fresh(*fresh_heads(), LossConfig(), cfg, 40),
+            LossConfig(), cfg, checkpoint_dir=str(tmp_path),
         )
         for name in ("head_v.jeh", "head_s.jeh", "trainer_state.jet"):
             assert (tmp_path / name).exists()
@@ -380,10 +391,6 @@ class TestTrainStateIo:
         with pytest.raises(DataError, match="velocity shapes do not match"):
             load_train_state(path)
 
-    def test_untrained_state_has_no_hyperparameters_to_save(self, tmp_path):
-        with pytest.raises(ValueError, match="hyperparameters"):
-            save_train_state(TrainState.fresh(*fresh_heads()), str(tmp_path / "s.jet"))
-
 
 class TestConfigValidation:
     def test_rejects_batch_size_one(self):
@@ -404,13 +411,15 @@ class TestTrainedStateIsPinned:
     # data. Any change to the float operations of a training step, or to
     # their order, moves a digest; so does a change of numpy or BLAS build.
     @staticmethod
-    def train(tmp_path, synth, hidden, dim, train_cfg, resume_from=None):
+    def train(tmp_path, synth, hidden, dim, train_cfg, resume_from=None, regroup=None):
         data = generate(synth)
+        groups = data.groups if regroup is None else regroup(data.groups)
         d_v, d_s = data.visual.shape[1], data.sentences.shape[1]
         state = TrainState.fresh(init_head(d_v, hidden, dim, make_rng(synth.seed + 1)),
-                                 init_head(d_s, hidden, dim, make_rng(synth.seed + 2)))
+                                 init_head(d_s, hidden, dim, make_rng(synth.seed + 2)),
+                                 LossConfig(), train_cfg, len(groups))
         out = str(tmp_path)
-        args = (data.visual, data.sentences, data.groups)
+        args = (data.visual, data.sentences, groups)
         if resume_from is not None:
             train_joint(*args, state, LossConfig(), replace(train_cfg, epochs=resume_from),
                         checkpoint_dir=out)
@@ -422,15 +431,28 @@ class TestTrainedStateIsPinned:
     def test_default_like(self, tmp_path):
         digest = self.train(tmp_path, SynthConfig(samples_per_class=16, seed=3), 16, 16,
                             TrainConfig(epochs=3, batch_size=32, seed=3))
-        assert digest == "1f614e3f71a173b3"
+        assert digest == "8f936096ef83081f"
 
-    def test_hidden_wider_than_dim_balanced(self, tmp_path):
-        # Unshuffled rows come in class order, so 8-row batches hold one
-        # class and the balancing swap runs.
+    def test_hidden_wider_than_dim_balanced(self, tmp_path, monkeypatch):
+        # Class 0 is one group and the other nine classes are another, so
+        # shuffled 8-row batches often hold the large group alone and the
+        # balancing swap runs. The spy counts the batches it changed.
+        changed = []
+        real = trainer._batch_indices
+
+        def spy(order, groups, cfg):
+            plain = real(order.copy(), groups, replace(cfg, balanced_batches=False))
+            batches = real(order, groups, cfg)
+            changed.append(sum(not np.array_equal(a, b) for a, b in zip(plain, batches)))
+            return batches
+
+        monkeypatch.setattr(trainer, "_batch_indices", spy)
         digest = self.train(tmp_path, SynthConfig(samples_per_class=12, d_sentence=12, seed=5),
-                            24, 8, TrainConfig(epochs=3, batch_size=8, shuffle=False,
-                                               balanced_batches=True, seed=5))
-        assert digest == "294136a18b8d9c18"
+                            24, 8, TrainConfig(epochs=3, batch_size=8, balanced_batches=True,
+                                               seed=5),
+                            regroup=lambda labels: (labels == 0).astype(np.int64))
+        assert len(changed) == 3 and min(changed) > 0
+        assert digest == "ce034914e59ad27b"
 
     def test_repeated_rows_resumed(self, tmp_path):
         # Two captions per image repeat each visual row, so the batch holds
@@ -439,4 +461,4 @@ class TestTrainedStateIsPinned:
                                                   seed=7),
                             16, 16, TrainConfig(epochs=4, batch_size=16, seed=7),
                             resume_from=2)
-        assert digest == "403f54c3601bfc43"
+        assert digest == "c46a682ac0b4ec3e"
