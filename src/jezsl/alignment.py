@@ -24,10 +24,16 @@ gradient of all four terms is one matmul with (C + C^T) / D. The loss and
 its exact (sub)gradient are checked against an enumerating oracle, a
 brute-force loop and finite differences in the tests.
 
-Besides D, the coefficients C and the two masks, all (2b, 2b), the kernel
-holds one (d, 32, 32) distance tile, or a few chunks of rows that fit in a
-budget of 2^12 cells, at a time. Every cell is computed the same way in
-whatever tile or chunk it falls, so the chunking moves no bit.
+Distances come from one Gram product, D^2 = |z_i|^2 + |z_j|^2 - 2 z_i.z_j,
+exactly symmetric. Cells whose D^2 falls below 2% of the largest |z|^2 are
+recomputed from their differences with the coordinates summed in order, so
+identical rows are exactly 0 apart and near-duplicates keep their exact
+distance. Besides D, the coefficients C and the two masks, all (2b, 2b),
+the kernel holds the (2b, 2b) Gram matrix, then a (2b, 2b) mask of the
+cells below the cut, while distances are formed, and otherwise a few chunks
+that fit in a budget of 2^12 cells at a time, whatever the rows. Every
+cell is computed the same way in whatever chunk it falls, so the chunking
+moves no bit.
 """
 
 from __future__ import annotations
@@ -39,13 +45,15 @@ import numpy as np
 from .linalg import NON_NEGATIVE, POSITIVE, Config, as_matrix, option
 
 # Cells per chunk of the sort and gradient passes, which take as many rows
-# as fit (at least one): b <= 32 runs each pass as one chunk. Temporaries
-# beyond the four (2b, 2b) arrays stay O(d * _TILE^2 + max(_CELLS, 2b)).
+# as fit (at least one), so b <= 32 runs each pass as one chunk; the exact
+# distance pass takes such blocks of rows, _CELLS // d of their near cells
+# at a time. Beyond the four (2b, 2b) arrays, the Gram matrix and the mask
+# of near cells, temporaries stay O(_CELLS + 2b + d).
 _CELLS = 2**12
-# Rows of a (d, _TILE, _TILE) distance tile. Even, so that with n = 2b no
-# tile is 1 x 1: numpy would sum such a tile's d coordinates pairwise, not
-# in order, and at d >= 8 some distances would change in the last bit.
-_TILE = 32
+# Distances whose Gram D^2 falls below this share of the largest squared
+# row norm are recomputed from differences. Above it the Gram form's error
+# is a few ulps of the distance itself.
+_NEAR = 0.02
 
 
 @dataclass
@@ -77,23 +85,37 @@ class MiniBatch:
 
 
 def _pairwise_distances(z: np.ndarray) -> np.ndarray:
-    # Broadcast differences rather than the Gram-matrix identity, which
-    # loses precision near d = 0 and would move hinges across zero. Tiles
-    # are coordinate-major so every ufunc loop runs over a tile row, and
-    # only tiles on or above the diagonal are computed (D is symmetric).
-    # A diagonal tile needs no mirror: a - b == -(b - a) in IEEE
-    # arithmetic, so it is already exactly symmetric.
-    n = len(z)
+    # D^2 = |z_i|^2 + |z_j|^2 - 2 G_ij from one Gram product. numpy sends
+    # z @ z.T to syrk, which mirrors one triangle, so G is exactly
+    # symmetric; (|z_i|^2 - G_ij) + (|z_j|^2 - G_ij) then is too, because
+    # addition commutes. Its error, a few ulps of the largest |z|^2, would
+    # swamp a small distance, so every cell below _NEAR of that is
+    # recomputed from its differences: identical rows stay exactly 0.
+    gram = z @ z.T
+    sq = gram.diagonal().copy()
+    out = sq[:, None] - gram
+    out += np.subtract(sq, gram, out=gram)
+    del gram
+    near = out < _NEAR * sq.max()
+    np.fill_diagonal(near, False)  # exactly 0 already
+    np.sqrt(np.maximum(out, 0.0, out=out), out=out)
+    # Coordinate-major, summed in order by cumsum: np.add.reduce would sum
+    # a single cell's coordinates pairwise. Blocks of rows of at most
+    # _CELLS cells (at least one row) bound the near cells' indices, and
+    # _CELLS // d cells at a time their differences, even where every row
+    # coincides and every cell is near.
+    n, d = z.shape
     zt = np.ascontiguousarray(z.T)
-    out = np.empty((n, n))
-    for r in range(0, n, _TILE):
-        for c in range(r, n, _TILE):
-            diff = zt[:, r : r + _TILE, None] - zt[:, None, c : c + _TILE]
+    block, step = max(1, _CELLS // n), max(1, _CELLS // max(1, d))
+    for r in range(0, n, block):
+        # flatnonzero: np.nonzero of a 2-D mask is ten times slower.
+        cells = np.flatnonzero(near[r : r + block])
+        for c in range(0, len(cells), step):
+            i, j = np.divmod(cells[c : c + step], n)
+            i += r
+            diff = zt[:, i] - zt[:, j]
             np.multiply(diff, diff, out=diff)
-            tile = out[r : r + _TILE, c : c + _TILE]
-            np.sqrt(np.add.reduce(diff, axis=0), out=tile)
-            if c != r:
-                out[c : c + _TILE, r : r + _TILE] = tile.T
+            out[i, j] = np.sqrt(np.cumsum(diff, axis=0, out=diff)[-1])
     return out
 
 

@@ -55,6 +55,7 @@ from .trainer import (
     STATE_FILE,
     TrainConfig,
     TrainState,
+    exact,
     load_train_state,
     train_joint,
 )
@@ -133,6 +134,8 @@ def _resolve(command: str, options: list[Opt], args: argparse.Namespace) -> dict
     opts = {o.name: o for o in options}
     resolved = {name: o.default for name, o in opts.items()}
     if args.config is not None:
+        if not args.config:
+            raise UsageError("--config must name a file, got ''")
         # Config files do not nest, so `config` is no key of one.
         keys = [name for name in opts if name != "config"]
         values = _read_config(args.config, [*keys, *MANIFEST_KEYS])
@@ -205,12 +208,6 @@ def cmd_gen_synth(cfg: dict) -> int:
     return 0
 
 
-def _exact(value) -> str:
-    """The shortest text that reads back as `value`, an integer without ".0",
-    so two different values never print alike."""
-    return repr(float(value)).removesuffix(".0")
-
-
 def _data_file(cfg: dict, key: str) -> str:
     """The path of the --data directory's file `key` (a data.FILES key)."""
     return os.path.join(cfg["data"], FILES[key])
@@ -228,8 +225,8 @@ def _check_resume(state: TrainState, d_out: int, d_hidden: int, loss_cfg, train_
     if changed is not None:
         name, was, now = changed
         option = TrainConfig.cli_name(name)  # dim, hidden, rows, LossConfig's: --<name>
-        raise UsageError(f"--resume: {path} was trained with {name}={_exact(was)}, not "
-                         f"{_exact(now)}; set {option} as before or drop --resume")
+        raise UsageError(f"--resume: {path} was trained with {name}={exact(was)}, not "
+                         f"{exact(now)}; set {option} as before or drop --resume")
     if train_cfg.epochs < state.next_epoch:
         raise UsageError(f"--resume: {path} has trained {state.next_epoch} epochs, more than "
                          f"--epochs {train_cfg.epochs}; set --epochs {state.next_epoch} or "

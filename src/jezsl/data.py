@@ -184,7 +184,7 @@ class SynthConfig(Config):
     def collision_groups(self, name=str) -> list[list[int]]:
         """The ';'- or space-separated groups of ','-separated class ids that
         `collide` lists; ValueError, under name("collide"), for a non-integer
-        id or a one-class group."""
+        id or a group that names one class (`3` or `3,3`)."""
         groups = []
         for part in self.collide.replace(";", " ").split():
             try:
@@ -192,7 +192,7 @@ class SynthConfig(Config):
             except ValueError:
                 raise ValueError(f"{name('collide')} class ids must be integers, "
                                  f"got {part!r}") from None
-            if len(ids) == 1:
+            if len(set(ids)) == 1:
                 raise ValueError(f"{name('collide')} group needs >= 2 classes, got {part!r}")
             if ids:
                 groups.append(ids)

@@ -171,6 +171,12 @@ class TrainState:
         return None
 
 
+def exact(value) -> str:
+    """The shortest text that reads back as `value`, an integer without ".0",
+    so two different values never print alike."""
+    return repr(float(value)).removesuffix(".0")
+
+
 def save_train_state(state: TrainState, path: str) -> None:
     write_arrays(path, STATE_MAGIC, STATE_VERSION, [
         *head_arrays(state.head_v),
@@ -278,7 +284,9 @@ def train_joint(
 
     changed = state.changed_hyperparam(loss_cfg, train_cfg, len(visual))
     if changed is not None:
-        raise ValueError("train_joint: state belongs to a run with %s=%r, not %r" % changed)
+        name, saved, given = changed
+        raise ValueError(f"train_joint: state belongs to a run with {name}={exact(saved)}, "
+                         f"not {exact(given)}")
     if train_cfg.epochs < state.next_epoch:
         raise ValueError(f"train_joint: state has trained {state.next_epoch} epochs, more "
                          f"than epochs={train_cfg.epochs}")

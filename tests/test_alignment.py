@@ -237,9 +237,9 @@ class TestKernelMatchesEnumeration:
     def test_spans_several_anchor_chunks(self):
         rng = make_rng(42)
         b = 300
-        # More than eight distance tiles per row, sort chunks and gradient chunks.
-        cells, tile = jezsl.alignment._CELLS, jezsl.alignment._TILE
-        assert 2 * b > 8 * tile and 4 * b > 8 * (cells // b) and 2 * b > 8 * (cells // (2 * b))
+        # More than eight sort chunks and gradient chunks.
+        cells = jezsl.alignment._CELLS
+        assert 4 * b > 8 * (cells // b) and 2 * b > 8 * (cells // (2 * b))
         batches = [random_batch(rng, b=b, d=8, n_groups=60)]
         batches[0].group_ids[1] = batches[0].group_ids[0]
         # Every row its own group, so within-modal rows have no positive;
@@ -279,6 +279,22 @@ class TestKernelMatchesEnumeration:
         # sixteen chunks of _CELLS float64s.
         assert peak <= (2 * 8 + 2) * (2 * b) ** 2 + 16 * 8 * jezsl.alignment._CELLS
 
+    def test_memory_bound_holds_when_every_row_coincides(self):
+        # Every distance is then near zero and recomputed from differences.
+        rng = make_rng(49)
+        b = 128
+        batch = random_batch(rng, b=b, d=16, n_groups=50)
+        batch.visual[:] = batch.visual[0]
+        batch.sentence[:] = batch.visual[0]
+        alignment_loss(batch, LossConfig())
+        tracemalloc.start()
+        try:
+            alignment_loss(batch, LossConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (2 * 8 + 2) * (2 * b) ** 2 + 16 * 8 * jezsl.alignment._CELLS
+
     @pytest.mark.parametrize("b", [2, 5, 32, 130])
     def test_chunk_and_tile_sizes_change_no_bit(self, monkeypatch, b):
         rng = make_rng(48)
@@ -289,11 +305,10 @@ class TestKernelMatchesEnumeration:
         batch.visual[1] = batch.visual[0]
         cfg = LossConfig(margin=0.8, lambda1=1.5, lambda2=0.3, lambda3=0.4)
         ref = alignment_loss(batch, cfg)
-        # One row per chunk in 2 x 2 tiles, then the whole batch in one chunk
-        # and one tile. (A 1 x 1 tile would sum coordinates pairwise; see _TILE.)
-        for cells, tile in ((1, 2), (4 * b * b + 1, 4 * b * b + 1)):
+        # One row per chunk and one exact distance at a time, then the whole
+        # batch in one chunk.
+        for cells in (1, 4 * b * b * 16 + 1):
             monkeypatch.setattr(jezsl.alignment, "_CELLS", cells)
-            monkeypatch.setattr(jezsl.alignment, "_TILE", tile)
             got = alignment_loss(batch, cfg)
             assert got[0] == ref[0] and got[2:4] == ref[2:4]
             for a, r in zip(got[1:2] + got[4:], ref[1:2] + ref[4:]):
@@ -388,6 +403,90 @@ class TestStackedPass:
             assert got[0] == want[0] and got[2:4] == want[2:4]
             for a, b in zip(got[1:2] + got[4:], want[1:2] + want[4:]):
                 np.testing.assert_array_equal(a, b)
+
+
+def stacked_distances(batch):
+    b = len(batch.group_ids)
+    return term_inputs(batch)[0].reshape(2 * b, 2 * b)
+
+
+def broadcast_distances(z):
+    """Every cell from its differences, coordinates summed in order."""
+    zt = np.ascontiguousarray(z.T)
+    diff = zt[:, :, None] - zt[:, None, :]
+    return np.sqrt(np.add.reduce(diff * diff, axis=0))
+
+
+class TestDistances:
+    SEPARATIONS = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
+
+    def test_near_duplicates_take_the_exact_value(self):
+        rng = make_rng(50)
+        for d in (3, 16, 64):
+            b = len(self.SEPARATIONS)
+            x, y = unit_rows(rng, b, d), unit_rows(rng, b, d)
+            for i, sep in enumerate(self.SEPARATIONS):
+                y[i] = x[i] + sep * unit_rows(rng, 1, d)[0]
+            batch = MiniBatch(x, y, np.arange(b))
+            dist = stacked_distances(batch)
+            exact = broadcast_distances(np.concatenate([x, y]))
+            for i, sep in enumerate(self.SEPARATIONS):
+                assert 0.5 * sep < exact[i, b + i] < 2 * sep
+                assert dist[i, b + i] == exact[i, b + i] == dist[b + i, i]
+
+    def test_repeated_row_is_exactly_zero(self):
+        rng = make_rng(51)
+        for d in (2, 16, 512):
+            batch = random_batch(rng, b=8, d=d)
+            batch.visual[3] = batch.visual[0]
+            batch.sentence[5] = batch.visual[0]
+            dist = stacked_distances(batch)
+            for i, j in ((0, 3), (0, 13), (3, 13)):
+                assert dist[i, j] == dist[j, i] == 0.0
+            assert np.all(np.diagonal(dist) == 0.0)
+
+    @pytest.mark.parametrize("b", [1, 2, 32, 130])
+    def test_exactly_symmetric(self, b):
+        rng = make_rng(52)
+        for d in (1, 16, 100):
+            dist = stacked_distances(random_batch(rng, b=b, d=d, n_groups=2))
+            assert np.array_equal(dist, dist.T)
+
+    def test_large_rows_follow_the_definition(self):
+        rng = make_rng(53)
+        for d in (2, 16, 256):
+            batch = random_batch(rng, b=32, d=d)
+            batch.visual *= 10.0
+            batch.sentence *= 10.0
+            batch.sentence[1] = batch.visual[1] + 1e-6
+            z = np.concatenate([batch.visual, batch.sentence])
+            expected = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
+            np.testing.assert_allclose(stacked_distances(batch), expected,
+                                       rtol=0, atol=10 * 1e-14)
+
+    def test_duplicated_rows_match_the_oracles(self):
+        # Criterion 2's comparison (1e-9, exact active counts) on batches
+        # whose rows repeat or nearly repeat, within and across streams.
+        # The gradient is not compared: the pass forms it as
+        # sum_c G[a, c] z_a - (G z)_a, which loses about eps / D of its
+        # size where D is tiny.
+        rng = make_rng(54)
+        for _ in range(100):
+            batch = random_batch(rng, b=int(rng.integers(3, 13)), d=int(rng.integers(2, 20)))
+            b, d = batch.visual.shape
+            sep = self.SEPARATIONS[int(rng.integers(len(self.SEPARATIONS)))]
+            batch.visual[1] = batch.visual[0]
+            batch.sentence[2] = batch.visual[2]
+            batch.sentence[0] = l2_normalize_rows(
+                batch.sentence[1:2] + sep * unit_rows(rng, 1, d))[0][0]
+            batch.visual[b - 1] = l2_normalize_rows(
+                batch.sentence[b - 1:b] + sep * unit_rows(rng, 1, d))[0][0]
+            cfg = random_cfg(rng, max_margin=2.5)
+            loss, sums, active, total, _, _ = alignment_loss(batch, cfg)
+            o_loss, o_sums, o_active, o_total, _, _ = enumerated_oracle(batch, cfg)
+            assert np.all(np.abs(sums - o_sums) <= 1e-9) and abs(loss - o_loss) <= 1e-9
+            assert (active, total) == (o_active.sum(), o_total.sum())
+            assert abs(loss - brute_force_loss(batch, cfg)) <= 1e-9
 
 
 class TestLossForward:

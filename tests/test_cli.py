@@ -87,6 +87,7 @@ class TestParseCollide:
     def test_singleton_group_rejected(self):
         self.refused("3", "collide group needs >= 2 classes, got '3'")
         self.refused("3,4;5,", "collide group needs >= 2 classes, got '5,'")
+        self.refused("1,1", "collide group needs >= 2 classes, got '1,1'")
 
     def test_non_integer_id_rejected(self):
         self.refused("3,x", "collide class ids must be integers, got '3,x'")
@@ -1034,6 +1035,20 @@ def test_empty_required_option_is_missing(tmp_path, monkeypatch, capsys, command
     assert code == 1
     assert err == f"error: {command}: missing required option(s): --{name}\n"
     assert os.listdir(tmp_path) == (["c.txt"] if via == "config" else [])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_empty_config_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    # An empty path names no config file, as it names no --out.
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--config", ""]
+    for o in COMMANDS[command][1]:
+        if o.default is None and o.name != "config":
+            argv += [o.cli, str(tmp_path / "absent" / o.name)]
+    code, err = run_without_warnings(capsys, *argv)
+    assert code == 1
+    assert err == "error: --config must name a file, got ''\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_every_trajectory_field_names_a_train_embed_option():

@@ -5,11 +5,14 @@ directory, with the argv of `bench/workloads.py` restated here, and checks
 the sha256 (first 16 hex digits) of every file the pipeline leaves, except
 the manifests, which hold paths. A change that moves any output byte of a
 benchmark configuration, or a change of numpy or BLAS build, moves a digest.
+A further test loads `bench/workloads.py` by path and checks that the
+restated argv are its stages, so the pins follow the benchmark.
 """
 
 import hashlib
 import os
 import pathlib
+import runpy
 
 import pytest
 
@@ -39,14 +42,14 @@ DIGESTS = {
         "data/sentences.jef": "b774a2b3e2b62b15",
         "data/splits.txt": "e42e1a52abc464e7",
         "data/visual.jef": "7cc982eb5165ba7e",
-        "emb.jef": "92b738ae8abfb8ae",
+        "emb.jef": "3c3a718f91bdeb2f",
         "report/report.kv": "625079df9f94c9db",
         "report/report.txt": "ed3831db489629b0",
-        "run/head_s.jeh": "94c9d28f8d985b62",
-        "run/head_v.jeh": "f5f3ee0c73d6c4ea",
-        "run/train_log.txt": "8a04140079b13c3d",
-        "run/trainer_state.jet": "fe0c4044849d45f6",
-        "zsl/model.jec": "6173f342004dfbeb",
+        "run/head_s.jeh": "8ba705bb2cb8eadb",
+        "run/head_v.jeh": "ad0a725868fc1e71",
+        "run/train_log.txt": "554a261534850279",
+        "run/trainer_state.jet": "97ff320a6b15e4cf",
+        "zsl/model.jec": "48b9c86fa43dfc51",
     },
     "wide_batch": {
         "data/assignments.txt": "0d4345c40226c68d",
@@ -57,14 +60,14 @@ DIGESTS = {
         "data/sentences.jef": "b5fe574a2c62f389",
         "data/splits.txt": "c71cc8733a22676e",
         "data/visual.jef": "44712c5cead52df1",
-        "emb.jef": "79728ffc1b24f74c",
+        "emb.jef": "c34bcd7f24116274",
         "report/report.kv": "e73a534efa07e47e",
         "report/report.txt": "03f3dc412988c3e2",
-        "run/head_s.jeh": "c707277ecb49fcf8",
-        "run/head_v.jeh": "e5f93f464d0dad77",
-        "run/train_log.txt": "f3f01b89746ef383",
-        "run/trainer_state.jet": "28ad9136a5fa149e",
-        "zsl/model.jec": "3a14a602400d7b0c",
+        "run/head_s.jeh": "302cfda3b54ebdf2",
+        "run/head_v.jeh": "ed9f5a7bf8024171",
+        "run/train_log.txt": "9a85cdc0e85d075d",
+        "run/trainer_state.jet": "e268139100621d52",
+        "zsl/model.jec": "31ce7ec0a41ac921",
     },
     "raw_zsl": {
         "data/assignments.txt": "f96cd46b7a601857",
@@ -106,3 +109,15 @@ def test_outputs_are_pinned(tmp_path, capsys, name):
                for path in sorted(pathlib.Path(tmp_path).rglob("*"))
                if path.is_file() and not path.name.endswith("manifest.txt")}
     assert digests == DIGESTS[name]
+
+
+def bench_workloads():
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    return runpy.run_path(str(path), run_name="bench_workloads")["WORKLOADS"]
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_argv_are_the_benchmark_stages(name):
+    for seed in (1, 7):
+        bench = [stage.argv for stage in bench_workloads()[name].stages(seed, "work")]
+        assert list(stages("work", *WORKLOADS[name], seed=seed)) == bench
